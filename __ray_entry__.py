@@ -904,8 +904,9 @@ def _harvest_phash_neardup(sf_dir: str):
 def _image_phash_threshold_curve(sf_dir: str, max_hamming: int = 15):
     """Image-dedup threshold tuning curve — the picture-side twin of
     ``minhash_threshold_curve``: verified near-dup pair counts per
-    exact phash hamming distance 0..15 (the full pigeonhole-exact range
-    of the 4×16-bit banding), the plot an operator reads before picking
+    exact phash hamming distance 0..15 (exact for 0..3, where the
+    4×16-bit banding guarantees a shared band by pigeonhole; lower
+    bounds above that), the plot an operator reads before picking
     the image near-dup cut ("how many more pairs does raising the
     radius from 4 to 8 admit?"). Composes the full banded-candidate +
     XOR-popcount-verify scale path and adds one ≤16-key integer fold.

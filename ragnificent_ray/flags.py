@@ -119,6 +119,3 @@ def get_feature_flag_manager() -> FeatureFlagManager:
         _MANAGER = FeatureFlagManager()
     return _MANAGER
 
-
-def is_feature_enabled(feature: Union[str, FeatureFlag]) -> bool:
-    return get_feature_flag_manager().is_enabled(feature)

@@ -15,10 +15,6 @@ def md5_hex(s: str) -> str:
     return hashlib.md5(s.encode("utf-8")).hexdigest()
 
 
-def sha256_hex(s: str) -> str:
-    return hashlib.sha256(s.encode("utf-8")).hexdigest()
-
-
 def blake2b16_hex(s: str) -> str:
     return hashlib.blake2b(s.encode("utf-8"), digest_size=16).hexdigest()
 

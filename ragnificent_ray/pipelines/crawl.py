@@ -142,19 +142,6 @@ class DiscoverWorker:
         })
 
 
-def to_frontier_schema(batch: pa.Table) -> pa.Table:
-    """Normalize candidate rows to the FRONTIER schema (missing sitemap
-    metadata → nulls) so every round's frontier files unify."""
-    n = batch.num_rows
-    cols = {}
-    for f in FRONTIER:
-        if f.name in batch.column_names:
-            cols[f.name] = batch.column(f.name).cast(f.type)
-        else:
-            cols[f.name] = pa.nulls(n, type=f.type)
-    return pa.table(cols)
-
-
 class SeenFilter:
     """Seen-filter stage: keep only rows whose url_hash is new (D1).
 

@@ -1824,12 +1824,13 @@ def phash_neardup_pairs(ds, max_hamming: int = 8,
                         hash_col: str = "phash"):
     """D4: near-duplicate images by perceptual-hash hamming distance.
 
-    Banding: the 64-bit phash splits into 4×16-bit bands; two hashes
-    within hamming ≤ 3·16/… — precisely, any pair with hamming ≤ 48 that
-    agrees on ≥1 full band is a candidate (pigeonhole: hamming ≤ 15
-    guarantees a shared band with 4 bands; max_hamming ≤ 15 keeps exact
-    recall). Candidates form per band-bucket with a vectorized
-    self-merge; the XOR-popcount verify is exact.
+    Banding: the 64-bit phash splits into 4×16-bit bands, and a pair is
+    a candidate when it agrees on at least one full band. By pigeonhole,
+    4 bands guarantee a shared band only up to hamming 3, so recall is
+    exact for ``max_hamming ≤ 3`` and a lower bound above that: a pair
+    whose differing bits touch all four bands is never a candidate.
+    Candidates form per band-bucket with a vectorized self-merge; the
+    XOR-popcount verify is exact, so every returned pair is real.
 
     ``ds``: Dataset or Arrow table with (image_id, <hash_col>) columns —
     any 64-bit perceptual hash bands the same way (``hash_col="dhash"``

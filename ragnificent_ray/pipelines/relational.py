@@ -30,6 +30,7 @@ import ray.data as rd
 
 from ..functions.numeric import (grouped_cumcount, pc_round4,
                                  round_half_away)
+from .orderstats import histogram, order_stats, quantiles
 
 
 def _pq(sf_dir: str, table: str) -> str:
@@ -488,89 +489,20 @@ def priority_top_orders(sf_dir: str):
 
 def price_quantiles(sf_dir: str):
     """Distributed EXACT quantiles (``quantile_cont`` linear
-    interpolation) of ``o_totalprice`` by histogram selection — no
-    global sort, no full materialization:
-
-    1. one streaming pass for min/max (native aggregates);
-    2. one streaming pass of per-block histogram partials (≤2048
-       nonzero (bucket, cnt) rows per block) merged by a tiny groupby —
-       the cumulative counts locate the bucket holding each needed
-       order statistic;
-    3. one filtered pass that ships ONLY the values inside those few
-       buckets to the driver (≈ n/2048 values per needed bucket; at
-       skew, re-bucketing the hot bucket is the documented recursion —
-       not needed at these scales).
-
-    This is the selection-by-histogram algorithm (Munro-Paterson
-    style); the approximate path at 100 TB is the same histogram with
-    the final interpolation read off the buckets directly."""
+    interpolation) of ``o_totalprice`` by histogram order-statistic
+    selection (:func:`orderstats.quantiles`) — no global sort, no full
+    materialization: a min/max pass, one bounded histogram reduce, and
+    one filtered pass that ships only the boundary buckets' values.
+    The approximate path at 100 TB is the same histogram with the final
+    interpolation read off the buckets directly."""
     qs = (0.25, 0.5, 0.75, 0.9, 0.99)
-    nbuckets = 2048
-    col = "o_totalprice"
-    from ray.data.aggregate import Max, Min
-
-    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=[col])
-    mm = ds.aggregate(Min(col), Max(col))
-    lo, hi = float(mm[f"min({col})"]), float(mm[f"max({col})"])
-    width = (hi - lo) / nbuckets or 1.0
-
-    def bucket_of(v: np.ndarray) -> np.ndarray:
-        return np.clip(((v - lo) / width).astype(np.int64), 0, nbuckets - 1)
-
-    def hist(batch: pa.Table) -> pa.Table:
-        counts = np.bincount(
-            bucket_of(batch.column(col).to_numpy(zero_copy_only=False)),
-            minlength=nbuckets)
-        nz = np.nonzero(counts)[0]
-        return pa.table({"bucket": pa.array(nz, type=pa.int64()),
-                         "cnt": pa.array(counts[nz], type=pa.int64())})
-
-    rows = (ds.map_batches(hist, batch_format="pyarrow", batch_size=65536)
-            .groupby("bucket").sum("cnt").take_all())
-    counts = np.zeros(nbuckets, dtype=np.int64)
-    for r in rows:
-        counts[r["bucket"]] = r["sum(cnt)"]
-    cum = np.cumsum(counts)
-    n = int(cum[-1])
-
-    ks: dict[float, tuple[int, int, float]] = {}
-    need: set[int] = set()
-    for q in qs:
-        pos = (n - 1) * q
-        k0 = int(pos)
-        k1 = min(k0 + 1, n - 1)
-        ks[q] = (k0, k1, pos - k0)
-        need.update((k0, k1))
-    # order statistic j lives in the first bucket with cum > j
-    needed_buckets = np.array(
-        sorted({int(np.searchsorted(cum, j, side="right")) for j in need}))
-    below = {int(b): int(cum[b - 1]) if b else 0 for b in needed_buckets}
-
-    def in_needed(batch: pa.Table) -> pa.Table:
-        v = batch.column(col).to_numpy(zero_copy_only=False)
-        idx = bucket_of(v)
-        mask = np.isin(idx, needed_buckets)
-        return pa.table({col: pa.array(v[mask], type=pa.float64()),
-                         "bucket": pa.array(idx[mask], type=pa.int64())})
-
-    by_bucket: dict[int, list[float]] = {int(b): [] for b in needed_buckets}
-    for r in (ds.map_batches(in_needed, batch_format="pyarrow",
-                             batch_size=65536).take_all()):
-        by_bucket[r["bucket"]].append(r[col])
-    for vals in by_bucket.values():
-        vals.sort()
-
-    def order_stat(j: int) -> float:
-        b = int(np.searchsorted(cum, j, side="right"))
-        return by_bucket[b][j - below[b]]
-
-    out_v = []
-    for q in qs:
-        k0, k1, frac = ks[q]
-        v0 = order_stat(k0)
-        out_v.append(round_half_away(v0 + frac * (order_stat(k1) - v0), 4))
-    return pa.table({"q": pa.array(qs, type=pa.float64()),
-                     "value": pa.array(out_v, type=pa.float64())})
+    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_totalprice"])
+    cuts = quantiles(ds, "o_totalprice", qs)
+    return pa.table({
+        "q": pa.array(qs, type=pa.float64()),
+        "value": pa.array([round_half_away(cuts[q], 4) for q in qs],
+                          type=pa.float64()),
+    })
 
 
 def events_zscore(sf_dir: str):
@@ -638,211 +570,22 @@ def events_zscore(sf_dir: str):
 
 def group_quantiles(sf_dir: str):
     """Exact per-group quantiles (lineitem price by return flag) — the
-    grouped variant of :func:`price_quantiles`, same histogram-selection
-    algorithm run once over (group, bucket) cells: the histogram
-    reduce is |groups|·nbuckets rows (bounded — the group key is a
-    catalog value), and the refinement pass ships only each group's
+    grouped variant of :func:`price_quantiles`: the same
+    :func:`orderstats.quantiles` selection run once over (group, bucket)
+    cells, so the histogram reduce is |groups|·2048 rows (the group key
+    is a catalog value) and the refine pass ships only each group's
     boundary-bucket values. No per-group full sort anywhere."""
     qs = (0.25, 0.5, 0.75, 0.9)
-    nbuckets = 2048
     col, key = "l_extendedprice", "l_returnflag"
-    from ray.data.aggregate import Max, Min
-
     ds = rd.read_parquet(_pq(sf_dir, "lineitem"), columns=[key, col])
-    mm = ds.aggregate(Min(col), Max(col))
-    lo, hi = float(mm[f"min({col})"]), float(mm[f"max({col})"])
-    width = (hi - lo) / nbuckets or 1.0
-
-    def bucket_of(v: np.ndarray) -> np.ndarray:
-        return np.clip(((v - lo) / width).astype(np.int64), 0, nbuckets - 1)
-
-    def hist(batch: pa.Table) -> pa.Table:
-        v = batch.column(col).to_numpy(zero_copy_only=False)
-        g = pd.DataFrame({
-            "grp": batch.column(key).to_pylist(),
-            "bucket": bucket_of(v),
-        }).groupby(["grp", "bucket"], sort=True).size().reset_index(
-            name="cnt")
-        return pa.table({
-            "grp": pa.array(g["grp"], type=pa.string()),
-            "bucket": pa.array(g["bucket"].to_numpy(dtype=np.int64)),
-            "cnt": pa.array(g["cnt"].to_numpy(dtype=np.int64)),
-        })
-
-    from ray.data.aggregate import Sum
-
-    rows = (ds.map_batches(hist, batch_format="pyarrow", batch_size=65536)
-            .groupby(["grp", "bucket"])
-            .aggregate(Sum("cnt", alias_name="cnt"))).to_pandas()
-
-    per_group: dict[str, np.ndarray] = {}
-    for grp, sub in rows.groupby("grp"):
-        counts = np.zeros(nbuckets, dtype=np.int64)
-        counts[sub["bucket"].to_numpy()] = sub["cnt"].to_numpy()
-        per_group[grp] = np.cumsum(counts)
-
-    # per group: locate the buckets holding each needed order statistic
-    need_buckets: dict[str, set] = {}
-    ks: dict[str, dict[float, tuple[int, int, float]]] = {}
-    for grp, cum in per_group.items():
-        n = int(cum[-1])
-        ks[grp] = {}
-        need: set[int] = set()
-        for q in qs:
-            pos = (n - 1) * q
-            k0 = int(pos)
-            k1 = min(k0 + 1, n - 1)
-            ks[grp][q] = (k0, k1, pos - k0)
-            need.update((k0, k1))
-        need_buckets[grp] = {
-            int(np.searchsorted(cum, j, side="right")) for j in need}
-
-    nb_flat = {(g, b) for g, bs in need_buckets.items() for b in bs}
-
-    def in_needed(batch: pa.Table) -> pa.Table:
-        v = batch.column(col).to_numpy(zero_copy_only=False)
-        grps = np.asarray(batch.column(key).to_pylist(), dtype=object)
-        idx = bucket_of(v)
-        # vectorized per group (groups are a bounded catalog)
-        mask = np.zeros(len(v), dtype=bool)
-        for g, bs in need_buckets.items():
-            mask |= (grps == g) & np.isin(idx, np.fromiter(
-                bs, dtype=np.int64, count=len(bs)))
-        return pa.table({
-            "grp": pa.array(grps[mask], type=pa.string()),
-            "bucket": pa.array(idx[mask]),
-            col: pa.array(v[mask], type=pa.float64()),
-        })
-
-    by_gb: dict[tuple, list[float]] = {k: [] for k in nb_flat}
-    for r in (ds.map_batches(in_needed, batch_format="pyarrow",
-                             batch_size=65536).take_all()):
-        by_gb[(r["grp"], r["bucket"])].append(r[col])
-    for vals in by_gb.values():
-        vals.sort()
-
-    out_g, out_q, out_v = [], [], []
-    for grp in sorted(per_group):
-        cum = per_group[grp]
-
-        def order_stat(j: int, grp=grp, cum=cum) -> float:
-            b = int(np.searchsorted(cum, j, side="right"))
-            below = int(cum[b - 1]) if b else 0
-            return by_gb[(grp, b)][j - below]
-
-        for q in qs:
-            k0, k1, frac = ks[grp][q]
-            v0 = order_stat(k0)
-            out_g.append(grp)
-            out_q.append(q)
-            out_v.append(round_half_away(
-                v0 + frac * (order_stat(k1) - v0), 4))
+    cuts = quantiles(ds, col, qs, key)
+    grps = sorted(cuts)
     return pa.table({
-        "l_returnflag": pa.array(out_g, type=pa.string()),
-        "q": pa.array(out_q, type=pa.float64()),
-        "value": pa.array(out_v, type=pa.float64()),
+        key: pa.array([g for g in grps for _ in qs], type=pa.string()),
+        "q": pa.array([q for _ in grps for q in qs], type=pa.float64()),
+        "value": pa.array([round_half_away(cuts[g][q], 4)
+                           for g in grps for q in qs], type=pa.float64()),
     })
-
-
-def _grouped_quantiles(ds, key: str, col: str,
-                       qs: tuple = (0.5,)) -> dict:
-    """Exact per-group ``quantile_cont`` (interpolated) for every q in
-    ``qs`` by histogram order-statistic selection — the
-    :func:`group_quantiles` machinery packaged for reuse: one
-    |groups|×2048-cell histogram reduce, then only each group's
-    boundary-bucket values ship to the driver. Never a per-group sort,
-    never a full-column materialization. Returns
-    ``{group: {q: value}}`` with the ``v0 + frac·(v1 − v0)``
-    interpolation DuckDB's quantile_cont/MEDIAN evaluates."""
-    nbuckets = 2048
-    from ray.data.aggregate import Max, Min, Sum
-
-    mm = ds.aggregate(Min(col), Max(col))
-    lo, hi = float(mm[f"min({col})"]), float(mm[f"max({col})"])
-    width = (hi - lo) / nbuckets or 1.0
-
-    def bucket_of(v: np.ndarray) -> np.ndarray:
-        return np.clip(((v - lo) / width).astype(np.int64), 0, nbuckets - 1)
-
-    def hist(batch: pa.Table) -> pa.Table:
-        v = batch.column(col).to_numpy(zero_copy_only=False)
-        g = pd.DataFrame({
-            "grp": batch.column(key).to_pylist(),
-            "bucket": bucket_of(v),
-        }).groupby(["grp", "bucket"], sort=True).size().reset_index(
-            name="cnt")
-        return pa.table({
-            "grp": pa.array(g["grp"], type=pa.string()),
-            "bucket": pa.array(g["bucket"].to_numpy(dtype=np.int64)),
-            "cnt": pa.array(g["cnt"].to_numpy(dtype=np.int64)),
-        })
-
-    rows = (ds.map_batches(hist, batch_format="pyarrow", batch_size=65536)
-            .groupby(["grp", "bucket"])
-            .aggregate(Sum("cnt", alias_name="cnt"))).to_pandas()
-
-    per_group: dict[str, np.ndarray] = {}
-    for grp, sub in rows.groupby("grp"):
-        counts = np.zeros(nbuckets, dtype=np.int64)
-        counts[sub["bucket"].to_numpy()] = sub["cnt"].to_numpy()
-        per_group[grp] = np.cumsum(counts)
-
-    need_buckets: dict[str, set] = {}
-    ks: dict[str, dict[float, tuple[int, int, float]]] = {}
-    for grp, cum in per_group.items():
-        n = int(cum[-1])
-        ks[grp] = {}
-        need: set[int] = set()
-        for q in qs:
-            pos = (n - 1) * q
-            k0 = int(pos)
-            k1 = min(k0 + 1, n - 1)
-            ks[grp][q] = (k0, k1, pos - k0)
-            need.update((k0, k1))
-        need_buckets[grp] = {
-            int(np.searchsorted(cum, j, side="right")) for j in need}
-
-    def in_needed(batch: pa.Table) -> pa.Table:
-        v = batch.column(col).to_numpy(zero_copy_only=False)
-        grps = np.asarray(batch.column(key).to_pylist(), dtype=object)
-        idx = bucket_of(v)
-        mask = np.zeros(len(v), dtype=bool)
-        for g, bs in need_buckets.items():
-            mask |= (grps == g) & np.isin(idx, np.fromiter(
-                bs, dtype=np.int64, count=len(bs)))
-        return pa.table({
-            "grp": pa.array(grps[mask], type=pa.string()),
-            "bucket": pa.array(idx[mask]),
-            "v": pa.array(v[mask], type=pa.float64()),
-        })
-
-    by_gb: dict[tuple, list[float]] = {
-        (g, b): [] for g, bs in need_buckets.items() for b in bs}
-    for r in (ds.map_batches(in_needed, batch_format="pyarrow",
-                             batch_size=65536).take_all()):
-        by_gb[(r["grp"], r["bucket"])].append(r["v"])
-    for vals in by_gb.values():
-        vals.sort()
-
-    out: dict[str, dict[float, float]] = {}
-    for grp, cum in per_group.items():
-        def order_stat(j: int, grp=grp, cum=cum) -> float:
-            b = int(np.searchsorted(cum, j, side="right"))
-            below = int(cum[b - 1]) if b else 0
-            return by_gb[(grp, b)][j - below]
-
-        out[grp] = {}
-        for q in qs:
-            k0, k1, frac = ks[grp][q]
-            v0 = order_stat(k0)
-            out[grp][q] = v0 + frac * (order_stat(k1) - v0)
-    return out
-
-
-def _grouped_median(ds, key: str, col: str) -> dict:
-    """{group: exact interpolated median} — _grouped_quantiles at 0.5."""
-    return {g: qs[0.5] for g, qs in
-            _grouped_quantiles(ds, key, col, (0.5,)).items()}
 
 
 def events_seasonality(sf_dir: str):
@@ -900,7 +643,7 @@ def rfm_segments(sf_dir: str):
 
     Composition of proven shapes: ONE bucketed custkey fold builds the
     per-customer (rec, freq, mon) stream (integer days/counts/cents),
-    :func:`_grouped_quantiles` finds each metric's two tercile
+    :func:`orderstats.quantiles` finds each metric's two tercile
     boundaries (interpolated exactly as DuckDB's ``quantile_cont``, so
     the ``v ≤ boundary`` assignment cannot disagree), and a final
     streaming pass folds the bounded segment census."""
@@ -934,9 +677,7 @@ def rfm_segments(sf_dir: str):
             [("last_us", "max"), ("freq", "sum"), ("mon", "sum")])
         rec = (anchor_us - f.column("last_us_max").to_numpy()) \
             // np.int64(86_400_000_000)
-        n = f.num_rows
         return pa.table({
-            "g": pa.array(["all"] * n, type=pa.string()),
             "rec": pa.array(rec.astype(np.float64)),
             "freq": pa.array(
                 f.column("freq_sum").to_numpy().astype(np.float64)),
@@ -950,8 +691,7 @@ def rfm_segments(sf_dir: str):
             .map_groups(fold, batch_format="pyarrow")).materialize()
 
     terciles = (1.0 / 3, 2.0 / 3)
-    cuts = {c: _grouped_quantiles(cust, "g", c, terciles)["all"]
-            for c in ("rec", "freq", "mon")}
+    cuts = {c: quantiles(cust, c, terciles) for c in ("rec", "freq", "mon")}
 
     def assign(b: pa.Table) -> pa.Table:
         def bucket(col):
@@ -1059,10 +799,10 @@ def customer_ltv_deciles(sf_dir: str):
 
     Two composed scale shapes: per-customer integer-cent totals fold in
     bounded custkey-hash buckets (per-batch Arrow combiners first),
-    then :func:`_grouped_quantiles` (the shared histogram
-    order-statistic machinery) runs over that derived stream under one
-    constant group key — min/max reduce, one 2048-cell histogram, only
-    the boundary buckets' values reach the driver."""
+    then :func:`orderstats.quantiles` (the shared histogram
+    order-statistic selection) runs over that derived stream — min/max
+    reduce, one 2048-cell histogram, only the boundary buckets' values
+    reach the driver."""
     qs = tuple(round(0.1 * k, 1) for k in range(1, 10))
     n_kb = _fact_join_partitions(sf_dir, "orders") * 8
 
@@ -1085,9 +825,7 @@ def customer_ltv_deciles(sf_dir: str):
 
     def fold(g: pa.Table) -> pa.Table:
         f = g.group_by("o_custkey").aggregate([("tot", "sum")])
-        n = f.num_rows
         return pa.table({
-            "g": pa.array(["all"] * n, type=pa.string()),
             "tot": pc.cast(pc.cast(f.column("tot_sum"), pa.int64()),
                            pa.float64()),
         })
@@ -1097,7 +835,7 @@ def customer_ltv_deciles(sf_dir: str):
               .groupby("kb")
               .map_groups(fold, batch_format="pyarrow")).materialize()
 
-    cuts = _grouped_quantiles(totals, "g", "tot", qs)["all"]
+    cuts = quantiles(totals, "tot", qs)
     return pa.table({
         "q": pa.array(list(qs), type=pa.float64()),
         "ltv": pa.array([round_half_away(cuts[q] / 100.0, 4)
@@ -1112,14 +850,14 @@ def mad_outliers(sf_dir: str):
     corrupted spike cannot poison.
 
     Median and MAD are both EXACT grouped medians via histogram
-    order-statistic selection (two :func:`_grouped_median` rounds — the
-    second over |v − med| with the medians broadcast), then one
-    streaming count pass. Every interpolation uses the identical
+    order-statistic selection (two :func:`orderstats.quantiles`
+    rounds — the second over |v − med| with the medians broadcast),
+    then one streaming count pass. Every interpolation uses the identical
     ``v0 + frac·(v1 − v0)`` expression DuckDB's ``MEDIAN`` evaluates,
     so the unrounded threshold compare cannot flip a boundary row."""
     col, key = "value", "event_type"
     ds = rd.read_parquet(_pq(sf_dir, "events"), columns=[key, col])
-    med = _grouped_median(ds, key, col)
+    med = {g: m[0.5] for g, m in quantiles(ds, col, (0.5,), key).items()}
     import ray as _ray
     med_ref = _ray.put(med)
 
@@ -1133,12 +871,12 @@ def mad_outliers(sf_dir: str):
             "dv": pa.array(np.abs(v - medv), type=pa.float64()),
         })
 
-    # materialize: _grouped_median scans its input three times (min/max
-    # reduce, histogram, boundary refine) — without this the full
+    # materialize: the median selection scans its input three times
+    # (min/max reduce, histogram, boundary refine) — without this the full
     # events read + per-row median lookup would recompute each pass
     devs = ds.map_batches(dev, batch_format="pyarrow",
                           batch_size=65536).materialize()
-    mad = _grouped_median(devs, key, "dv")
+    mad = {g: m[0.5] for g, m in quantiles(devs, "dv", (0.5,), key).items()}
     mad_ref = _ray.put(mad)
 
     def flag_partial(batch: pa.Table) -> pa.Table:
@@ -2770,7 +2508,7 @@ _SKETCH_QS = (0.5, 0.9, 0.99)
 
 def events_quantile_sketch(sf_dir: str):
     """Streaming histogram quantile ESTIMATOR over event values — the
-    bounded-memory companion to the exact ``price_quantiles`` path
+    bounded-memory companion to the exact selector in :mod:`orderstats`
     (error ≤ one bin width by construction, the estimate itself is
     value-checked because the oracle replays the identical binning).
 
@@ -4430,15 +4168,12 @@ def range_partition_manifest(sf_dir: str, parts: int = RANGE_PARTS):
     upper cut and the exact row count — ties bunching rows across the
     ideal n/parts is the real skew signal a writer plans around.
 
-    Scale shape: cuts come from the same histogram order-statistic
-    selection as ``price_quantiles`` (no global sort — two streaming
-    passes plus one boundary-bucket fetch), the count pass folds
-    ≤``parts`` cells per block, and only the tiny manifest reaches the
-    driver."""
-    nbuckets = 2048
+    Scale shape: cuts come from the shared histogram order-statistic
+    selection (:func:`orderstats.order_stats` over the integer cents —
+    no global sort, two streaming passes plus one boundary-bucket
+    fetch), the count pass folds ≤``parts`` cells per block, and only
+    the tiny manifest reaches the driver."""
     col = "o_totalprice"
-    from ray.data.aggregate import Max, Min
-
     ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=[col])
 
     def to_cents(batch: pa.Table) -> np.ndarray:
@@ -4446,58 +4181,15 @@ def range_partition_manifest(sf_dir: str, parts: int = RANGE_PARTS):
             batch.column(col).to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
 
-    mm = ds.aggregate(Min(col), Max(col))
-    lo = int(np.rint(float(mm[f"min({col})"]) * 100.0))
-    hi = int(np.rint(float(mm[f"max({col})"]) * 100.0))
-    width = max((hi - lo) // nbuckets + 1, 1)
-
-    def hist(batch: pa.Table) -> pa.Table:
-        b = np.clip((to_cents(batch) - lo) // width, 0, nbuckets - 1)
-        counts = np.bincount(b, minlength=nbuckets)
-        nz = np.nonzero(counts)[0]
-        return pa.table({"bucket": pa.array(nz, type=pa.int64()),
-                         "cnt": pa.array(counts[nz], type=pa.int64())})
-
-    rows = (ds.map_batches(hist, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("bucket").sum("cnt").take_all())
-    counts = np.zeros(nbuckets, dtype=np.int64)
-    for r in rows:
-        counts[r["bucket"]] = r["sum(cnt)"]
-    cum = np.cumsum(counts)
-    n = int(cum[-1])
-
-    need = sorted({(n * p) // parts for p in range(1, parts)})
-    needed_buckets = np.array(
-        sorted({int(np.searchsorted(cum, j, side="right"))
-                for j in need}))
-    below = {int(b): int(cum[b - 1]) if b else 0 for b in needed_buckets}
-
-    def in_needed(batch: pa.Table) -> pa.Table:
-        x = to_cents(batch)
-        idx = np.clip((x - lo) // width, 0, nbuckets - 1)
-        mask = np.isin(idx, needed_buckets)
-        return pa.table({"x": pa.array(x[mask], type=pa.int64()),
-                         "bucket": pa.array(idx[mask],
-                                            type=pa.int64())})
-
-    by_bucket: dict[int, list[int]] = {int(b): [] for b in needed_buckets}
-    for bt in (ds.map_batches(in_needed, batch_format="pyarrow",
-                              batch_size=65536)
-               .iter_batches(batch_size=65536, batch_format="pyarrow")):
-        xs = bt.column("x").to_numpy(zero_copy_only=False)
-        bks = bt.column("bucket").to_numpy(zero_copy_only=False)
-        for b in np.unique(bks):
-            by_bucket[int(b)].extend(xs[bks == b].tolist())
-    for vals in by_bucket.values():
-        vals.sort()
-
-    def order_stat(j: int) -> int:
-        b = int(np.searchsorted(cum, j, side="right"))
-        return by_bucket[b][j - below[b]]
-
-    cuts = np.array(sorted(order_stat((n * p) // parts)
-                           for p in range(1, parts)), dtype=np.int64)
+    cents = ds.map_batches(lambda b: pa.table({"x": to_cents(b)}),
+                           batch_format="pyarrow", batch_size=65536)
+    h = histogram(cents, "x")
+    n = int(h.cum[0, -1])
+    # the parts − 1 cuts, then the maximum (rank n − 1) as the last
+    # partition's upper bound
+    upper = order_stats(cents, h, [(n * p) // parts
+                                   for p in range(1, parts)] + [n - 1])[0]
+    cuts = upper[:-1]
     cuts_ref = ray.put(cuts)
 
     class Assign:
@@ -4523,7 +4215,6 @@ def range_partition_manifest(sf_dir: str, parts: int = RANGE_PARTS):
     cnt = per["sum(n)"].to_numpy().astype(np.int64)
     full = np.zeros(parts, dtype=np.int64)
     full[pid] = cnt
-    upper = np.concatenate([cuts, [hi]])
     return pa.table({
         "partition": pa.array(np.arange(parts, dtype=np.int64)),
         "cut_cents": pa.array(upper),

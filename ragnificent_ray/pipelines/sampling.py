@@ -375,8 +375,8 @@ def balanced_sample(sf_dir: str):
     (≈ n/|langs|), so the fixed-K combiner of :func:`per_source_cap`
     would move (and hold per group) m rows — instead the per-class cut
     pair (the m-th smallest (md5, doc_id)) is found by TWO-level
-    histogram selection, the Munro-Paterson shape of
-    ``textstats.quality_percentile_filter``: level 1 histograms the
+    histogram selection, the Munro-Paterson shape of the shared
+    selector in :mod:`orderstats`: level 1 histograms the
     first 3 md5 hex digits (4096 cells × |langs| rows total after a
     bounded-bucket fold), level 2 re-histograms ONLY each class's
     boundary cell on the next 4 digits, so the rows that reach the

@@ -44,7 +44,14 @@ def shuffle_write(sf_dir: str, out_dir: str, epoch: int = 0,
     """Write the shuffled ``documents`` table under ``out_dir`` (one
     parquet part per key bucket, shuffle-ordered inside), skipping
     buckets whose part already exists. Returns a summary dict
-    ``{"written": [...], "skipped": [...], "rows_written": n}``."""
+    ``{"written": [...], "skipped": [...], "rows_written": n}``.
+
+    ``n_buckets`` must be a power of two: buckets are the key's top
+    ``log2(n_buckets)`` bits, so any other count would leave buckets
+    that are never written and a resume that never converges."""
+    if n_buckets < 1 or n_buckets & (n_buckets - 1):
+        raise ValueError(
+            f"n_buckets must be a power of two, got {n_buckets}")
     shift = _SHUFFLE_KEY_BITS - int(np.log2(n_buckets))
     os.makedirs(out_dir, exist_ok=True)
     done = {

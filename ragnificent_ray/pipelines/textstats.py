@@ -18,6 +18,7 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
+from .orderstats import boundary_rows, histogram
 
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "it")
@@ -1421,13 +1422,12 @@ def quality_percentile_filter(sf_dir: str):
 
     Rank rule: ``ROW_NUMBER() OVER (ORDER BY score DESC, doc_id)`` ≤
     ``floor(3n/4)``. The distributed side finds the cut pair (the K-th
-    (score, doc_id)) by histogram selection — same Munro-Paterson shape
-    as ``relational.price_quantiles``: one bounded histogram reduce,
-    then only the single boundary bucket's rows reach the driver. The
-    keep pass is a pure per-batch filter against that broadcast pair.
-    Scores compare at their 4-decimal rounding on BOTH engines, so the
-    rank rule is float-boundary-safe."""
-    nbuckets = 2048
+    (score, doc_id)) with the shared histogram selection
+    (:mod:`orderstats`): one bounded histogram reduce, then only the
+    single boundary bucket's rows reach the driver. The keep pass is a
+    pure per-batch filter against that broadcast pair. Scores compare
+    at their 4-decimal rounding on BOTH engines, so the rank rule is
+    float-boundary-safe."""
     scores = unigram_logprob(sf_dir).select_columns(
         ["doc_id", "mean_logprob"]).materialize()
     n = scores.count()
@@ -1436,52 +1436,16 @@ def quality_percentile_filter(sf_dir: str):
         return pa.table({"doc_id": pa.array([], type=pa.int64()),
                          "mean_logprob": pa.array([], type=pa.float64())})
 
-    from ray.data.aggregate import Max, Min
-
-    import numpy as np
-
-    mm = scores.aggregate(Min("mean_logprob"), Max("mean_logprob"))
-    lo, hi = float(mm["min(mean_logprob)"]), float(mm["max(mean_logprob)"])
-    width = (hi - lo) / nbuckets or 1.0
-
-    def bucket_of(v: np.ndarray) -> np.ndarray:
-        # bucket 0 = best scores (descending rank order)
-        return np.clip(((hi - v) / width).astype(np.int64), 0, nbuckets - 1)
-
-    def hist(batch: pa.Table) -> pa.Table:
-        counts = np.bincount(
-            bucket_of(batch.column("mean_logprob").to_numpy(
-                zero_copy_only=False)), minlength=nbuckets)
-        nz = np.nonzero(counts)[0]
-        return pa.table({"bucket": pa.array(nz, type=pa.int64()),
-                         "cnt": pa.array(counts[nz], type=pa.int64())})
-
-    rows = (scores.map_batches(hist, batch_format="pyarrow",
-                               batch_size=65536)
-            .groupby("bucket").sum("cnt").take_all())
-    counts = np.zeros(nbuckets, dtype=np.int64)
-    for r in rows:
-        counts[r["bucket"]] = r["sum(cnt)"]
-    cum = np.cumsum(counts)
-
-    j = k - 1  # 0-based rank of the cut pair
-    b = int(np.searchsorted(cum, j, side="right"))
-    below = int(cum[b - 1]) if b else 0
-
-    def in_boundary(batch: pa.Table) -> pa.Table:
-        v = batch.column("mean_logprob").to_numpy(zero_copy_only=False)
-        mask = bucket_of(v) == b
-        return pa.table({
-            "doc_id": pa.array(batch.column("doc_id").to_numpy(
-                zero_copy_only=False)[mask], type=pa.int64()),
-            "mean_logprob": pa.array(v[mask], type=pa.float64()),
-        })
-
-    boundary = (scores.map_batches(in_boundary, batch_format="pyarrow",
-                                   batch_size=65536).take_all())
-    boundary.sort(key=lambda r: (-r["mean_logprob"], r["doc_id"]))
-    cut = boundary[j - below]
-    thr_s, thr_d = float(cut["mean_logprob"]), int(cut["doc_id"])
+    # the K-th best under (score DESC, doc_id ASC) is the row at 0-based
+    # rank n − K under the reverse order (score ASC, doc_id DESC)
+    j = n - k
+    h = histogram(scores, "mean_logprob")
+    cell, below = h.locate([j])
+    rows = boundary_rows(scores, h, cell, ["doc_id"])
+    v = rows.column("mean_logprob").to_numpy()
+    d = rows.column("doc_id").to_numpy().astype(np.int64)
+    cut = np.lexsort((-d, v))[j - int(below[0, 0])]
+    thr_s, thr_d = float(v[cut]), int(d[cut])
 
     def keep(batch: pa.Table) -> pa.Table:
         v = batch.column("mean_logprob").to_numpy(zero_copy_only=False)
@@ -1498,7 +1462,8 @@ def quality_rank(sf_dir: str):
     score — the full-output companion to the percentile filter's
     selection: distributed ranking via histogram-prefix offsets.
 
-    Shape: one bounded histogram reduce gives each score-bucket its
+    Shape: one bounded histogram reduce (:func:`orderstats.histogram`,
+    the shared selection histogram) gives each score-bucket its
     exclusive prefix count (buckets scale with corpus size, the prefix
     table is ints — broadcast once); a bounded-bucket ``map_groups``
     then sorts each bucket locally by (score desc, doc_id) and adds its
@@ -1516,39 +1481,17 @@ def quality_rank(sf_dir: str):
         sz = os.path.getsize(_pq(sf_dir, "documents"))
     except OSError:
         sz = 0
-    nbuckets = max(2048, int(sz // (64 << 20)) + 1)
-
-    from ray.data.aggregate import Max, Min
-
-    mm = scores.aggregate(Min("mean_logprob"), Max("mean_logprob"))
-    lo, hi = float(mm["min(mean_logprob)"]), float(mm["max(mean_logprob)"])
-    width = (hi - lo) / nbuckets or 1.0
-
-    def bucket_of(v: np.ndarray) -> np.ndarray:
-        # bucket 0 = best scores, so prefix counts are rank offsets
-        return np.clip(((hi - v) / width).astype(np.int64), 0, nbuckets - 1)
-
-    def hist(batch: pa.Table) -> pa.Table:
-        counts = np.bincount(
-            bucket_of(batch.column("mean_logprob").to_numpy(
-                zero_copy_only=False)), minlength=nbuckets)
-        nz = np.nonzero(counts)[0]
-        return pa.table({"bucket": pa.array(nz, type=pa.int64()),
-                         "cnt": pa.array(counts[nz], type=pa.int64())})
-
-    rows = (scores.map_batches(hist, batch_format="pyarrow",
-                               batch_size=65536)
-            .groupby("bucket").sum("cnt").take_all())
-    counts = np.zeros(nbuckets, dtype=np.int64)
-    for r in rows:
-        counts[r["bucket"]] = r["sum(cnt)"]
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    h = histogram(scores, "mean_logprob",
+                  nbuckets=max(2048, int(sz // (64 << 20)) + 1))
+    # buckets ascend with the score, so a bucket's rank offset (1 = best)
+    # is the count of rows in the buckets above it
+    offsets = h.cum[0, -1] - h.cum[0]
     off_ref = ray.put(offsets)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         v = batch.column("mean_logprob").to_numpy(zero_copy_only=False)
         return batch.append_column(
-            "bucket", pa.array(bucket_of(v), type=pa.int64()))
+            "bucket", pa.array(h.bucket_of(v), type=pa.int64()))
 
     def rank_group(g: pa.Table) -> pa.Table:
         off = ray.get(off_ref)[int(g.column("bucket")[0].as_py())]

@@ -95,53 +95,6 @@ def render_batch(batch: pa.Table, formats: tuple = ("markdown",)) -> pa.Table:
     )
 
 
-def outlinks_batch(batch: pa.Table, rank_stride: int = 100_000) -> pa.Table:
-    """documents → next-depth frontier candidates (M15).
-
-    Consumes the ``outlinks`` column produced by
-    :func:`parse_documents_batch` (already per-page sorted+deduped,
-    html_parser.rs:107-108); the candidate rank is
-    ``parent_rank * rank_stride + idx`` so that sorting by rank
-    reproduces the deterministic BFS order (depth, parent_rank,
-    per-page lexicographic index) without a global sort per round
-    (SURVEY §2.8 O2). Valid while pages emit < rank_stride links and
-    depth ≤ 3 before int64 overflow.
-    """
-    depths = batch.column("depth").to_pylist()
-    ranks = batch.column("seed_rank").to_pylist()
-    linklists = batch.column("outlinks").to_pylist()
-    out_url, out_depth, out_rank = [], [], []
-    for links, depth, rank in zip(linklists, depths, ranks):
-        for idx, link in enumerate(links or []):
-            out_url.append(link)
-            out_depth.append(depth + 1)
-            out_rank.append(derive_rank(rank, idx, rank_stride))
-    return pa.table({
-        "url": pa.array(out_url, type=pa.string()),
-        "depth": pa.array(out_depth, type=pa.int32()),
-        "seed_rank": pa.array(out_rank, type=pa.int64()),
-    })
-
-
-def image_candidates_batch(batch: pa.Table, rank_stride: int = 100_000) -> pa.Table:
-    """documents → image-URL fetch candidates carrying alt-as-caption."""
-    rows = batch.select(
-        [c for c in ("url", "depth", "seed_rank", "images")
-         if c in batch.column_names]
-    ).to_pylist()
-    out_url, out_caption, out_rank = [], [], []
-    for row in rows:
-        for idx, im in enumerate(row.get("images") or []):
-            out_url.append(im["src"])
-            out_caption.append(im["alt"])
-            out_rank.append(derive_rank(row.get("seed_rank", 0), idx, rank_stride))
-    return pa.table({
-        "url": pa.array(out_url, type=pa.string()),
-        "caption": pa.array(out_caption, type=pa.string()),
-        "seed_rank": pa.array(out_rank, type=pa.int64()),
-    })
-
-
 def harvest_decode_batch(batch: pa.Table) -> pa.Table:
     """fetched image bytes → harvest rows (decode, dims, phash).
 

@@ -126,3 +126,49 @@ def test_image_curate_keep_composes_phash_and_dhash(ray_session):
     pd.testing.assert_frame_equal(
         ku.sort_values("image_id").reset_index(drop=True),
         again.sort_values("image_id").reset_index(drop=True))
+
+
+def test_banded_recall_matches_bruteforce(ray_session):
+    """4×16-bit banding is exact only while a shared band is guaranteed
+    (hamming ≤ 3, pigeonhole); above that it returns a subset of the
+    all-pairs answer. Planted copies flip 1..12 bits at random
+    positions, plus one copy with one flipped bit in every band
+    (hamming 4, no shared band), which banding must miss."""
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    ids, hashes = [], []
+    for i in range(40):
+        base = int(rng.integers(0, 2**64, dtype=np.uint64))
+        ids.append(f"b{i:02d}")
+        hashes.append(base)
+        for k in range(1, 13):
+            flip = 0
+            for bit in rng.choice(64, size=k, replace=False):
+                flip |= 1 << int(bit)
+            ids.append(f"b{i:02d}_{k:02d}")
+            hashes.append(base ^ flip)
+    spread = (1 << 0) | (1 << 16) | (1 << 32) | (1 << 48)
+    ids.append("b00_spread")
+    hashes.append(hashes[0] ^ spread)
+    t = pa.table({
+        "image_id": ids,
+        "phash": pa.array(np.asarray(hashes, dtype=np.uint64)
+                          .view(np.int64)),
+    })
+
+    def brute(max_hamming):
+        out = set()
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                if bin(hashes[i] ^ hashes[j]).count("1") <= max_hamming:
+                    out.add(tuple(sorted((ids[i], ids[j]))))
+        return out
+
+    for h in (0, 1, 2, 3):
+        assert _pairs(ray_session, t, h) == brute(h)
+    for h in (4, 8, 15):
+        got, want = _pairs(ray_session, t, h), brute(h)
+        assert got <= want, got - want
+    assert ("b00", "b00_spread") in brute(4)
+    assert ("b00", "b00_spread") not in _pairs(ray_session, t, 4)

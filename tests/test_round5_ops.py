@@ -301,6 +301,19 @@ def test_shuffle_write_ignores_stale_tmp(ray_session, tmp_path):
     assert os.path.exists(os.path.join(out, _part_name(victim)))
 
 
+def test_shuffle_write_rejects_non_power_of_two_buckets(tmp_path):
+    """Buckets are the key's top log2(n) bits: 48 buckets would leave
+    buckets 32..47 unwritten forever, so the writer must refuse."""
+    import os
+
+    from ragnificent_ray.pipelines.shuffle_write import shuffle_write
+
+    out = str(tmp_path / "shuffled")
+    with pytest.raises(ValueError, match="power of two"):
+        shuffle_write(SF, out, n_buckets=48)
+    assert not os.path.exists(out)
+
+
 def test_gram_checkpoint_honors_ckpt_dir_env(ray_session, tmp_path,
                                              monkeypatch):
     """RAGNIFICENT_CKPT_DIR is the multi-node shared-filesystem knob:
