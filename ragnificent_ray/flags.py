@@ -109,13 +109,3 @@ class FeatureFlagManager:
         # table verbatim
         self.__init__()
 
-
-_MANAGER: Optional[FeatureFlagManager] = None
-
-
-def get_feature_flag_manager() -> FeatureFlagManager:
-    global _MANAGER
-    if _MANAGER is None:
-        _MANAGER = FeatureFlagManager()
-    return _MANAGER
-

@@ -12,8 +12,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -23,14 +21,11 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import list_column_matrix, round_half_away
+from .inputs import _pq
 
 TOP_K = 10
 N_QUERIES = 5
 LSH_PLANES = 8
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
 
 
 def _query_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:

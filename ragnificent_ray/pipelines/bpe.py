@@ -35,7 +35,6 @@ documented engine semantics, identical on both sides.
 
 from __future__ import annotations
 
-import os
 import zlib
 from collections import Counter
 
@@ -44,19 +43,14 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from .inputs import _pq, table_bytes
+
 BPE_ITERS = 3
 _MIN_BUCKETS = 16
 
 
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
-
-
 def _buckets(sf_dir: str, target_bytes: int = 32 << 20) -> int:
-    try:
-        sz = os.path.getsize(_pq(sf_dir, "documents"))
-    except OSError:
-        sz = 0
+    sz = table_bytes(sf_dir, "documents")
     return max(_MIN_BUCKETS, int(sz // target_bytes) + 1)
 
 

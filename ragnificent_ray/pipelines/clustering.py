@@ -19,8 +19,6 @@ double-precision noise, so the DuckDB oracle value-checks exactly.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -30,12 +28,9 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import list_column_matrix, round_half_away
+from .inputs import _pq
 
 N_CENTROIDS = 8
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
 
 
 def _centroids(sf_dir: str) -> np.ndarray:

@@ -25,8 +25,6 @@ Verdict precedence for the report: quality > duplicate > contaminated
 
 from __future__ import annotations
 
-import os
-
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -37,14 +35,11 @@ from ..functions.hashing import md5_hex
 from ..functions.numeric import round_half_away
 from .decontam import _BENCH_MAX_ID, _bench_grams, _doc_grams
 from .dedup import _bucket_count
+from .inputs import _pq
 from .textstats import (_ALPHA, _LANG_PROFILES, GOPHER_MAX_MEAN_LEN,
                         GOPHER_MAX_WORDS, GOPHER_MIN_ALPHA,
                         GOPHER_MIN_MEAN_LEN, GOPHER_MIN_STOPS,
                         GOPHER_MIN_WORDS, STOPWORDS, _LANG_CASE, _LANG_HITS)
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
 
 
 class _Signals:

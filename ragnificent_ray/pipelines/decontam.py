@@ -15,19 +15,15 @@ real benchmark table changes only ``_bench_grams``.
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .inputs import _pq
+
 _BENCH_MAX_ID = 20  # stand-in eval set: first 20 documents
 _NGRAM = 8
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
 
 
 def _doc_grams(text: str) -> set[str]:

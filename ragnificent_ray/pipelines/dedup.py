@@ -50,6 +50,7 @@ import ray.data as rd
 
 from ..functions.hashing import md5_hex, stable_hash64
 from ..functions.numeric import list_column_matrix, round_half_away
+from .inputs import _pq, table_bytes
 
 JACCARD_THRESHOLD = 0.6
 COSINE_THRESHOLD = 0.4
@@ -59,24 +60,12 @@ _MERSENNE = (1 << 61) - 1
 _BUCKETS = 64  # minimum bounded groupby key space
 
 
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
-
-
 def _bucket_count(sf_dir: str, table: str = "documents",
                   target_bytes: int = 64 << 20) -> int:
     """Bucket count scaled to the input: one bucket per ~64 MiB of
     source parquet (min 64) so per-group pandas frames stay block-sized
     at any corpus scale while the groupby key space remains bounded."""
-    try:
-        path = _pq(sf_dir, table)
-        if os.path.isdir(path):
-            sz = sum(os.path.getsize(os.path.join(path, f))
-                     for f in os.listdir(path))
-        else:
-            sz = os.path.getsize(path)
-    except OSError:
-        sz = 0
+    sz = table_bytes(sf_dir, table)
     return max(_BUCKETS, int(sz // target_bytes) + 1)
 
 
@@ -87,15 +76,7 @@ def _join_partition_count(sf_dir: str, table: str = "documents",
     inputs get 2 partitions — each join spawns ``num_partitions``
     aggregator actors, and at sf-test scale actor startup dominated the
     verify stage's wall time (7 s for a 5k-vector table with 16)."""
-    try:
-        path = _pq(sf_dir, table)
-        if os.path.isdir(path):
-            sz = sum(os.path.getsize(os.path.join(path, f))
-                     for f in os.listdir(path))
-        else:
-            sz = os.path.getsize(path)
-    except OSError:
-        sz = 0
+    sz = table_bytes(sf_dir, table)
     cpus = int(ray.cluster_resources().get("CPU", 4))
     return max(2, min(max(2, cpus // 2), int(sz // target_bytes) + 1))
 

@@ -40,13 +40,13 @@ Scale notes (the part the sandbox can't show):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
+
+from .inputs import _pq, table_bytes
 
 _MIN_BUCKETS = 4
 _INIT_MASS = 1_000_000
@@ -55,23 +55,9 @@ _DAMP_NUM, _DAMP_DEN = 85, 100
 _ITERS = 3
 
 
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
-
-
 def _bucket_count(sf_dir: str, tables: tuple[str, ...],
                   target_bytes: int = 64 << 20) -> int:
-    sz = 0
-    for table in tables:
-        try:
-            path = _pq(sf_dir, table)
-            if os.path.isdir(path):
-                sz += sum(os.path.getsize(os.path.join(path, f))
-                          for f in os.listdir(path))
-            else:
-                sz += os.path.getsize(path)
-        except OSError:
-            pass
+    sz = table_bytes(sf_dir, *tables)
     return max(_MIN_BUCKETS, int(sz // target_bytes) + 1)
 
 

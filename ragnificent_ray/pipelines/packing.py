@@ -29,8 +29,6 @@ table is ~1.2M int pairs — both bounded; the text column never moves.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -38,12 +36,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .inputs import _pq
+
 SEQ_LEN = 512  # tokens per packed training sequence
 _BUCKET_RANGE = 8192  # doc_ids per contiguous prefix bucket
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
 
 
 def _counts_fn(with_text: bool):

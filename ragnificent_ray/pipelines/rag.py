@@ -5,17 +5,12 @@ inter-step JSON files replaced by streaming Dataset stages."""
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import ray.data as rd
 
 from ..stages.chunk import chunk_batch
 from ..stages.embed import HashEmbedder
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
+from .inputs import _pq
 
 
 def chunk_documents(sf_dir: str, strategy: str = "semantic",

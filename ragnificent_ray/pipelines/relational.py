@@ -6,9 +6,11 @@ column names (driver contract). Patterns exercised, scale-consciously:
 
 * column-pruned reads (``read_parquet(columns=...)``)
 * partial aggregation inside ``map_batches`` before the (small) groupby
-  shuffle — the combiner pattern from SURVEY §2.6/G1
+  shuffle — the combiner pattern from SURVEY §2.6/G1, always through
+  :func:`combine.combine` (``group_agg`` per batch, ``fold`` across
+  blocks)
 * broadcast hash join for small dimension tables (``ray.put`` once,
-  lookup per batch) instead of a shuffle join
+  ``ray.get`` in a plain per-batch function) instead of a shuffle join
 * sort + limit top-k
 * tumbling-window aggregate over the events stream table
 
@@ -19,7 +21,6 @@ comparison is stable across summation orders.
 from __future__ import annotations
 
 import datetime as _dt
-import os
 
 import numpy as np
 import pandas as pd
@@ -30,11 +31,9 @@ import ray.data as rd
 
 from ..functions.numeric import (grouped_cumcount, pc_round4,
                                  round_half_away)
+from .combine import combine, fold, group_agg
+from .inputs import _pq, table_bytes
 from .orderstats import histogram, order_stats, quantiles
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
 
 
 # ---------------------------------------------------------------- lineitem Q1
@@ -47,7 +46,7 @@ def lineitem_agg(sf_dir: str):
                  "l_extendedprice", "l_discount"],
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         # integer currency units (cents / 1e-4 units): float sums of
         # ~5e9 drift in the 4th decimal across summation orders at
         # sf >= 0.1, flipping the rounded value vs the oracle —
@@ -58,37 +57,18 @@ def lineitem_agg(sf_dir: str):
         disc_bp = np.rint(
             batch.column("l_discount").to_numpy() * 100.0
         ).astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "l_returnflag": batch.column("l_returnflag"),
             "l_linestatus": batch.column("l_linestatus"),
-            "sum_qty": batch.column("l_quantity"),
+            "qty": batch.column("l_quantity"),
             "base_c": pa.array(cents, type=pa.int64()),
             "disc_e4": pa.array(cents * (100 - disc_bp), type=pa.int64()),
-        }).group_by(["l_returnflag", "l_linestatus"]).aggregate([
-            ("sum_qty", "sum"), ("base_c", "sum"),
-            ("disc_e4", "sum"), ("sum_qty", "count"),
-        ])
-        return pa.table({
-            "l_returnflag": g.column("l_returnflag"),
-            "l_linestatus": g.column("l_linestatus"),
-            "sum_qty": g.column("sum_qty_sum"),
-            "base_c": g.column("base_c_sum"),
-            "disc_e4": g.column("disc_e4_sum"),
-            "count_order": g.column("sum_qty_count"),
         })
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("base_c", alias_name="base_c"),
-            Sum("disc_e4", alias_name="disc_e4"),
-            Sum("count_order", alias_name="count_order"),
-        )
-    )
+    out = combine(ds, ["l_returnflag", "l_linestatus"], {
+        "sum_qty": ("qty", "sum"), "base_c": ("base_c", "sum"),
+        "disc_e4": ("disc_e4", "sum"), "count_order": ("qty", "count"),
+    }, cells)
 
     def final(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -137,40 +117,23 @@ def segment_revenue(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_custkey", "o_totalprice"])
 
-    class JoinAndPartial:
-        def __init__(self, ref):
-            self.keys, self.segs = ray.get(ref)
+    def join_cells(batch: pa.Table) -> pa.Table:
+        # vectorized broadcast lookup (sorted keys + searchsorted;
+        # FK guarantees every o_custkey resolves) over integer cents
+        # (order-independent exact sums)
+        keys, segs = ray.get(lookup_ref)
+        seg = segs[np.searchsorted(keys, batch.column("o_custkey").to_numpy())]
+        cents = np.rint(
+            batch.column("o_totalprice").to_numpy() * 100.0
+        ).astype(np.int64)
+        return pa.table({
+            "c_mktsegment": pa.array(seg, type=pa.string()),
+            "rev_c": pa.array(cents, type=pa.int64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            # vectorized broadcast lookup (sorted keys + searchsorted;
-            # FK guarantees every o_custkey resolves) + Arrow group-hash
-            # over integer cents (order-independent exact sums)
-            cust_keys = batch.column("o_custkey").to_numpy()
-            seg = self.segs[np.searchsorted(self.keys, cust_keys)]
-            cents = np.rint(
-                batch.column("o_totalprice").to_numpy() * 100.0
-            ).astype(np.int64)
-            g = pa.table({
-                "c_mktsegment": pa.array(seg, type=pa.string()),
-                "rev_c": pa.array(cents, type=pa.int64()),
-            }).group_by("c_mktsegment").aggregate([
-                ("rev_c", "sum"), ("rev_c", "count"),
-            ])
-            return pa.table({
-                "c_mktsegment": g.column("c_mktsegment"),
-                "revenue": g.column("rev_c_sum"),
-                "n_orders": g.column("rev_c_count"),
-            })
-
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(JoinAndPartial, fn_constructor_kwargs={"ref": lookup_ref},
-                       batch_format="pyarrow", batch_size=65536, concurrency=2)
-        .groupby("c_mktsegment")
-        .aggregate(Sum("revenue", alias_name="revenue"),
-                   Sum("n_orders", alias_name="n_orders"))
-    )
+    out = combine(ds, "c_mktsegment", {
+        "revenue": ("rev_c", "sum"), "n_orders": ("rev_c", "count"),
+    }, join_cells)
     return out.map_batches(
         lambda b: pa.table({
             "c_mktsegment": b["c_mktsegment"],
@@ -188,10 +151,7 @@ def _fact_join_partitions(sf_dir: str, table: str = "lineitem",
     """Hash-join exchange partitions sized to the fact table (~64 MiB
     each), capped by cluster CPUs; 2 at test scale so aggregator-actor
     startup doesn't dominate."""
-    try:
-        sz = os.path.getsize(_pq(sf_dir, table))
-    except OSError:
-        sz = 0
+    sz = table_bytes(sf_dir, table)
     cpus = int(ray.cluster_resources().get("CPU", 4))
     return max(2, min(max(2, cpus // 2), int(sz // target_bytes) + 1))
 
@@ -223,14 +183,10 @@ def nation_revenue(sf_dir: str):
         disc_bp = np.rint(
             batch.column("l_discount").to_numpy() * 100.0
         ).astype(np.int64)
-        g = pa.table({
+        return group_agg(pa.table({
             "l_orderkey": batch.column("l_orderkey"),
             "rev": pa.array(cents * (100 - disc_bp), type=pa.int64()),
-        }).group_by("l_orderkey").aggregate([("rev", "sum")])
-        return pa.table({
-            "l_orderkey": g.column("l_orderkey"),
-            "rev": g.column("rev_sum"),
-        })
+        }), "l_orderkey", {"rev": ("rev", "sum")})
 
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_orderkey", "o_custkey"])
@@ -253,32 +209,17 @@ def nation_revenue(sf_dir: str):
               right_on=("c_custkey",), **join_args)
     )
 
-    class NationPartial:
-        def __init__(self, ref):
-            self.keys, self.names = ray.get(ref)
+    def nation_cells(batch: pa.Table) -> pa.Table:
+        keys, names = ray.get(nat_ref)
+        nk = batch.column("c_nationkey").to_numpy()
+        return pa.table({
+            "n_name": pa.array(names[np.searchsorted(keys, nk)],
+                               type=pa.string()),
+            "rev": batch.column("rev"),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            nk = batch.column("c_nationkey").to_numpy()
-            names = self.names[np.searchsorted(self.keys, nk)]
-            g = pa.table({
-                "n_name": pa.array(names, type=pa.string()),
-                "rev": batch.column("rev"),
-            }).group_by("n_name").aggregate([("rev", "sum")])
-            return pa.table({
-                "n_name": g.column("n_name"),
-                "revenue": g.column("rev_sum"),
-            })
-
-    from ray.data.aggregate import Sum
-
-    out = (
-        joined.map_batches(NationPartial,
-                           fn_constructor_kwargs={"ref": nat_ref},
-                           batch_format="pyarrow", batch_size=65536,
-                           concurrency=2)
-        .groupby("n_name")
-        .aggregate(Sum("revenue", alias_name="revenue"))
-    )
+    out = combine(joined, "n_name", {"revenue": ("rev", "sum")},
+                  nation_cells)
     return out.map_batches(
         lambda b: pa.table({
             "n_name": b["n_name"],
@@ -292,13 +233,16 @@ def nation_revenue(sf_dir: str):
 
 # --------------------------------------------------------- windowed aggregate
 
+_WINDOW_AGGS = {"n_events": ("value", "count"), "sum_value": ("value", "sum")}
+
+
 def events_hourly(sf_dir: str):
     """Tumbling 1-hour window per event_type (streaming-shaped op as a
     groupby over the truncated timestamp — SURVEY §2.10 mapping)."""
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         # cast to second resolution: Arrow's %S emits fractional digits
         # for sub-second units, DuckDB's does not
         win = pc.strftime(
@@ -308,28 +252,13 @@ def events_hourly(sf_dir: str):
         # integer 1e-4 value units (2-decimal source): exact sums
         v_e4 = np.rint(
             batch.column("value").to_numpy() * 10000.0).astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "event_type": batch.column("event_type"),
             "window_start": win,
             "value": pa.array(v_e4, type=pa.int64()),
-        }).group_by(["event_type", "window_start"]).aggregate([
-            ("value", "count"), ("value", "sum"),
-        ])
-        return pa.table({
-            "event_type": g.column("event_type"),
-            "window_start": g.column("window_start"),
-            "n_events": g.column("value_count"),
-            "sum_value": g.column("value_sum"),
         })
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby(["event_type", "window_start"])
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("sum_value", alias_name="sum_value"))
-    )
+    out = combine(ds, ["event_type", "window_start"], _WINDOW_AGGS, cells)
     return out.map_batches(
         lambda b: pa.table({
             "event_type": b["event_type"],
@@ -355,7 +284,7 @@ def events_hopping(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         ts_us = batch.column("ts").cast(pa.int64()).to_numpy()
         w0 = ts_us - ts_us % grid_us
         windows = np.concatenate([w0, w0 - grid_us])
@@ -368,26 +297,11 @@ def events_hopping(sf_dir: str):
             [batch.column("event_type").combine_chunks()] * 2)
         value = pa.concat_arrays(
             [batch.column("value").combine_chunks()] * 2)
-        g = pa.table({
-            "event_type": etype, "window_start": win, "value": value,
-        }).group_by(["event_type", "window_start"]).aggregate([
-            ("value", "count"), ("value", "sum"),
-        ])
         return pa.table({
-            "event_type": g.column("event_type"),
-            "window_start": g.column("window_start"),
-            "n_events": g.column("value_count"),
-            "sum_value": g.column("value_sum"),
+            "event_type": etype, "window_start": win, "value": value,
         })
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby(["event_type", "window_start"])
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("sum_value", alias_name="sum_value"))
-    )
+    out = combine(ds, ["event_type", "window_start"], _WINDOW_AGGS, cells)
     return out.map_batches(
         lambda b: pa.table({
             "event_type": b["event_type"],
@@ -516,56 +430,38 @@ def events_zscore(sf_dir: str):
                          columns=["event_id", "event_type", "value"])
 
     def moments(batch: pa.Table) -> pa.Table:
-        g = pa.table({
+        return pa.table({
             "event_type": batch.column("event_type"),
             "v": batch.column("value"),
             "vv": pc.multiply(batch.column("value"),
                               batch.column("value")),
-        }).group_by("event_type").aggregate([
-            ("v", "count"), ("v", "sum"), ("vv", "sum"),
-        ])
-        return pa.table({
-            "event_type": g.column("event_type"),
-            "n": g.column("v_count"),
-            "s": g.column("v_sum"),
-            "ss": g.column("vv_sum"),
         })
 
-    from ray.data.aggregate import Sum
-
-    mom = (ds.map_batches(moments, batch_format="pyarrow",
-                          batch_size=65536)
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("s", alias_name="s"),
-                      Sum("ss", alias_name="ss"))).to_pandas()
+    mom = combine(ds, "event_type", {
+        "n": ("v", "count"), "s": ("v", "sum"), "ss": ("vv", "sum"),
+    }, moments).to_pandas()
     stats = {r.event_type: (float(r.s) / int(r.n),
                             float(r.ss) / int(r.n)
                             - (float(r.s) / int(r.n)) ** 2)
              for r in mom.itertuples(index=False)}
     ref = ray.put(stats)
 
-    class Z:
-        def __init__(self, ref):
-            self.stats = ray.get(ref)
+    def z(batch: pa.Table) -> pa.Table:
+        stats = ray.get(ref)
+        v = batch.column("value").to_numpy(zero_copy_only=False)
+        types = batch.column("event_type").to_pylist()
+        mean = np.fromiter((stats[t][0] for t in types),
+                           dtype=np.float64, count=len(types))
+        var = np.fromiter((stats[t][1] for t in types),
+                          dtype=np.float64, count=len(types))
+        return pa.table({
+            "event_id": batch.column("event_id"),
+            "event_type": batch.column("event_type"),
+            "z": pa.array(round_half_away((v - mean) / np.sqrt(var), 4),
+                          type=pa.float64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            v = batch.column("value").to_numpy(zero_copy_only=False)
-            types = batch.column("event_type").to_pylist()
-            mean = np.fromiter((self.stats[t][0] for t in types),
-                               dtype=np.float64, count=len(types))
-            var = np.fromiter((self.stats[t][1] for t in types),
-                              dtype=np.float64, count=len(types))
-            z = round_half_away((v - mean) / np.sqrt(var), 4)
-            return pa.table({
-                "event_id": batch.column("event_id"),
-                "event_type": batch.column("event_type"),
-                "z": pa.array(z, type=pa.float64()),
-            })
-
-    return ds.map_batches(Z, fn_constructor_kwargs={"ref": ref},
-                          batch_format="pyarrow", batch_size=65536,
-                          concurrency=2)
+    return ds.map_batches(z, batch_format="pyarrow", batch_size=65536)
 
 
 def group_quantiles(sf_dir: str):
@@ -594,11 +490,9 @@ def events_seasonality(sf_dir: str):
     behind capacity planning and anomaly baselines. Pure per-batch
     Arrow temporal kernels (``day_of_week``/``hour``) pre-fold each
     block to ≤168 cells; the final fold is the bounded census."""
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         dow = pc.cast(pc.add(pc.day_of_week(b.column("ts")), 1),
                       pa.int64())  # Arrow Mon=0 → ISO Mon=1
         hour = pc.cast(pc.hour(b.column("ts")), pa.int64())
@@ -606,21 +500,15 @@ def events_seasonality(sf_dir: str):
         y = v * 1_000_000.0
         v_e6 = np.where(y >= 0, np.floor(y + 0.5),
                         np.ceil(y - 0.5)).astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "dow": dow,
             "hour": hour,
             "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
             "s_e6": pa.array(v_e6),
-        }).group_by(["dow", "hour"]).aggregate(
-            [("n", "sum"), ("s_e6", "sum")])
-        return g.rename_columns(["dow", "hour", "n", "s_e6"])
+        })
 
-    folded = (ds.map_batches(partial, batch_format="pyarrow",
-                             batch_size=65536)
-              .groupby(["dow", "hour"])
-              .aggregate(Sum("n", alias_name="n"),
-                         Sum("s_e6", alias_name="s_e6"))
-              ).to_pandas()
+    folded = combine(ds, ["dow", "hour"], {
+        "n": ("n", "sum"), "s_e6": ("s_e6", "sum")}, cells).to_pandas()
     mean = [round_half_away(int(s) / int(n) / 1_000_000.0, 6)
             for s, n in zip(folded["s_e6"], folded["n"])]
     return pa.table({
@@ -660,14 +548,13 @@ def rfm_segments(sf_dir: str):
         cents = np.rint(
             b.column("o_totalprice").to_numpy() * 100.0).astype(np.int64)
         odate = b.column("o_orderdate").cast(pa.int64()).to_numpy()
-        g = pa.table({
+        g = group_agg(pa.table({
             "o_custkey": b.column("o_custkey"),
             "last_us": pa.array(odate),
             "freq": pa.array(np.ones(b.num_rows, dtype=np.int64)),
             "mon": pa.array(cents),
-        }).group_by("o_custkey").aggregate(
-            [("last_us", "max"), ("freq", "sum"), ("mon", "sum")])
-        g = g.rename_columns(["o_custkey", "last_us", "freq", "mon"])
+        }), "o_custkey", {"last_us": ("last_us", "max"),
+                          "freq": ("freq", "sum"), "mon": ("mon", "sum")})
         key = g.column("o_custkey").to_numpy()
         return g.append_column(
             "kb", pa.array((key % n_kb).astype(np.int32)))
@@ -700,22 +587,15 @@ def rfm_segments(sf_dir: str):
             return np.where(v <= t1, 0, np.where(v <= t2, 1, 2)) \
                 .astype(np.int64)
 
-        g = pa.table({
+        return pa.table({
             "r_bucket": pa.array(bucket("rec")),
             "f_bucket": pa.array(bucket("freq")),
             "m_bucket": pa.array(bucket("mon")),
             "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by(["r_bucket", "f_bucket", "m_bucket"]).aggregate(
-            [("n", "sum")])
-        return g.rename_columns(["r_bucket", "f_bucket", "m_bucket",
-                                 "n_customers"])
+        })
 
-    from ray.data.aggregate import Sum
-
-    return (cust.map_batches(assign, batch_format="pyarrow",
-                             batch_size=65536)
-            .groupby(["r_bucket", "f_bucket", "m_bucket"])
-            .aggregate(Sum("n_customers", alias_name="n_customers")))
+    return combine(cust, ["r_bucket", "f_bucket", "m_bucket"],
+                   {"n_customers": ("n", "sum")}, assign)
 
 
 def events_profile(sf_dir: str):
@@ -731,8 +611,6 @@ def events_profile(sf_dir: str):
     groupby and one driver division per column. Exactness assumes
     Σ column values < 2⁶³ per column — columns that outgrow that need
     the two-pass moments combiner (:func:`events_zscore`'s) instead."""
-    from ray.data.aggregate import Max, Min, Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "value"])
 
@@ -767,15 +645,11 @@ def events_profile(sf_dir: str):
             "s": pa.array(s, type=pa.int64()),
         })
 
-    folded = (ds.map_batches(partial, batch_format="pyarrow",
-                             batch_size=65536)
-              .groupby("col")
-              .aggregate(Sum("n_rows", alias_name="n_rows"),
-                         Sum("n_null", alias_name="n_null"),
-                         Min("min_v", alias_name="min_v"),
-                         Max("max_v", alias_name="max_v"),
-                         Sum("s", alias_name="s"))
-              ).to_pandas().sort_values("col")
+    folded = fold(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "col", {"n_rows": ("n_rows", "sum"), "n_null": ("n_null", "sum"),
+                "min_v": ("min_v", "min"), "max_v": ("max_v", "max"),
+                "s": ("s", "sum")}).to_pandas().sort_values("col")
     scale = {"value": 1_000_000.0, "event_id": 1.0, "user_id": 1.0,
              "ts_day": 1.0}
     mean = [round_half_away(int(s) / int(n) / scale[c], 6)
@@ -812,16 +686,12 @@ def customer_ltv_deciles(sf_dir: str):
     def partial(b: pa.Table) -> pa.Table:
         cents = np.rint(
             b.column("o_totalprice").to_numpy() * 100.0).astype(np.int64)
-        g = pa.table({
+        g = group_agg(pa.table({
             "o_custkey": b.column("o_custkey"),
             "tot": pa.array(cents),
-        }).group_by("o_custkey").aggregate([("tot", "sum")])
+        }), "o_custkey", {"tot": ("tot", "sum")})
         key = g.column("o_custkey").to_numpy()
-        return pa.table({
-            "o_custkey": g.column("o_custkey"),
-            "tot": g.column("tot_sum"),
-            "kb": pa.array((key % n_kb).astype(np.int32)),
-        })
+        return g.append_column("kb", pa.array((key % n_kb).astype(np.int32)))
 
     def fold(g: pa.Table) -> pa.Table:
         f = g.group_by("o_custkey").aggregate([("tot", "sum")])
@@ -879,7 +749,7 @@ def mad_outliers(sf_dir: str):
     mad = {g: m[0.5] for g, m in quantiles(devs, "dv", (0.5,), key).items()}
     mad_ref = _ray.put(mad)
 
-    def flag_partial(batch: pa.Table) -> pa.Table:
+    def flag_cells(batch: pa.Table) -> pa.Table:
         m = _ray.get(med_ref)
         md = _ray.get(mad_ref)
         v = batch.column(col).to_numpy(zero_copy_only=False)
@@ -887,21 +757,15 @@ def mad_outliers(sf_dir: str):
         medv = np.asarray([m[g] for g in grps], dtype=np.float64)
         madv = np.asarray([md[g] for g in grps], dtype=np.float64)
         out = np.abs(v - medv) > 3.0 * madv
-        g = pa.table({
+        return pa.table({
             key: batch.column(key),
             "n": pa.array(np.ones(len(v), dtype=np.int64)),
             "n_outliers": pa.array(out.astype(np.int64)),
-        }).group_by(key).aggregate([("n", "sum"), ("n_outliers", "sum")])
-        return g.rename_columns([key, "n", "n_outliers"])
+        })
 
-    from ray.data.aggregate import Sum
-
-    folded = (ds.map_batches(flag_partial, batch_format="pyarrow",
-                             batch_size=65536)
-              .groupby(key)
-              .aggregate(Sum("n", alias_name="n"),
-                         Sum("n_outliers", alias_name="n_outliers"))
-              ).to_pandas().sort_values(key)
+    folded = combine(ds, key, {
+        "n": ("n", "sum"), "n_outliers": ("n_outliers", "sum"),
+    }, flag_cells).to_pandas().sort_values(key)
     grps = folded[key].tolist()
     return pa.table({
         key: pa.array(grps, type=pa.string()),
@@ -924,26 +788,15 @@ def orders_monthly_growth(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        months = pc.strftime(batch.column("o_orderdate"), format="%Y-%m")
-        g = pa.table({
-            "month": months,
-            "v": batch.column("o_totalprice"),
-        }).group_by("month").aggregate([("v", "sum"), ("v", "count")])
+    def cells(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "month": g.column("month"),
-            "revenue": g.column("v_sum"),
-            "n_orders": g.column("v_count"),
+            "month": pc.strftime(batch.column("o_orderdate"), format="%Y-%m"),
+            "v": batch.column("o_totalprice"),
         })
 
-    from ray.data.aggregate import Sum
-
-    monthly = (ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=65536)
-               .groupby("month")
-               .aggregate(Sum("revenue", alias_name="revenue"),
-                          Sum("n_orders", alias_name="n_orders"))
-               ).to_pandas().sort_values("month").reset_index(drop=True)
+    monthly = combine(ds, "month", {
+        "revenue": ("v", "sum"), "n_orders": ("v", "count"),
+    }, cells).to_pandas().sort_values("month").reset_index(drop=True)
     rev = monthly["revenue"].to_numpy(dtype=np.float64)
     growth = np.full(len(rev), np.nan)
     if len(rev) > 1:
@@ -1119,11 +972,11 @@ def hll_users_by_type(sf_dir: str):
                 .group_by(["event_type", "user_id"]).aggregate([])
                 .select(["event_type"]))
 
-    exact = (ds.map_batches(key_partial, batch_format="pyarrow",
-                            batch_size=65536)
-             .groupby("hb").map_groups(bucket_distinct,
-                                       batch_format="pyarrow")
-             .groupby("event_type").count())
+    exact = combine(
+        ds.map_batches(key_partial, batch_format="pyarrow",
+                       batch_size=65536)
+        .groupby("hb").map_groups(bucket_distinct, batch_format="pyarrow"),
+        "event_type", {"n_exact": ("event_type", "count")})
 
     def _tag_est(t: pa.Table) -> pa.Table:
         return t.append_column("n_exact", pa.nulls(t.num_rows,
@@ -1137,7 +990,7 @@ def hll_users_by_type(sf_dir: str):
             "v_zero": pa.nulls(n, type=pa.int64()),
             "s_int": pa.nulls(n, type=pa.int64()),
             "est_distinct": pa.nulls(n, type=pa.float64()),
-            "n_exact": pc.cast(t.column("count()"), pa.int64()),
+            "n_exact": t.column("n_exact"),
         })
 
     def _merge(g: pa.Table) -> pa.Table:
@@ -1242,12 +1095,10 @@ def shipping_priority(sf_dir: str):
         disc_bp = np.rint(
             shipped.column("l_discount").to_numpy() * 100.0
         ).astype(np.int64)
-        g = pa.table({
+        return group_agg(pa.table({
             "l_orderkey": shipped.column("l_orderkey"),
             "rev_e4": pa.array(cents * (100 - disc_bp), type=pa.int64()),
-        }).group_by("l_orderkey").aggregate([("rev_e4", "sum")])
-        return pa.table({"l_orderkey": g.column("l_orderkey"),
-                         "rev_e4": g.column("rev_e4_sum")})
+        }), "l_orderkey", {"rev_e4": ("rev_e4", "sum")})
 
     orders = rd.read_parquet(
         _pq(sf_dir, "orders"),
@@ -1267,11 +1118,7 @@ def shipping_priority(sf_dir: str):
 
     # bucket count tracks the ORDER table's bytes (not the CPU-capped
     # join width) so each bucket group stays ~32 MiB at any corpus size
-    try:
-        _osz = os.path.getsize(_pq(sf_dir, "orders"))
-    except OSError:
-        _osz = 0
-    n_buckets = max(8, int(_osz // (32 << 20)) + 1)
+    n_buckets = max(8, int(table_bytes(sf_dir, "orders") // (32 << 20)) + 1)
 
     def bucket_col(b: pa.Table) -> pa.Table:
         k = b.column("l_orderkey").to_numpy(zero_copy_only=False)
@@ -1345,49 +1192,37 @@ def promo_revenue(sf_dir: str):
             batch.column("l_discount").to_numpy() * 100.0
         ).astype(np.int64)
         month = pc.strftime(batch.column("l_shipdate"), format="%Y-%m")
-        g = pa.table({
+        return group_agg(pa.table({
             "l_partkey": batch.column("l_partkey"),
             "month": month,
             "rev_e4": pa.array(cents * (100 - disc_bp), type=pa.int64()),
-        }).group_by(["l_partkey", "month"]).aggregate([("rev_e4", "sum")])
-        return pa.table({"l_partkey": g.column("l_partkey"),
-                         "month": g.column("month"),
-                         "rev_e4": g.column("rev_e4_sum")})
+        }), ["l_partkey", "month"], {"rev_e4": ("rev_e4", "sum")})
 
     part = rd.read_parquet(_pq(sf_dir, "part"),
                            columns=["p_partkey", "p_type"])
 
-    from ray.data.aggregate import Sum
-
     def split_promo(batch: pa.Table) -> pa.Table:
-        # fold to one row per month IN-BATCH (Arrow group_by): month
-        # cardinality is calendar-bounded, so the downstream groupby's
-        # sort exchange moves ~months×blocks rows instead of the whole
-        # joined fact stream (6.9 s of Aggregate remote wall at sf0.1)
+        # folded to one row per month IN-BATCH: month cardinality is
+        # calendar-bounded, so the downstream groupby's sort exchange
+        # moves ~months×blocks rows instead of the whole joined fact
+        # stream (6.9 s of Aggregate remote wall at sf0.1)
         promo = pc.equal(batch.column("p_type"), pa.scalar("PROMO"))
         rev = batch.column("rev_e4").to_numpy()
         isp = promo.to_numpy(zero_copy_only=False).astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "month": batch.column("month"),
             "promo_e4": pa.array(rev * isp, type=pa.int64()),
             "total_e4": batch.column("rev_e4"),
-        }).group_by("month").aggregate([("promo_e4", "sum"),
-                                        ("total_e4", "sum")])
-        return pa.table({"month": g.column("month"),
-                         "promo_e4": g.column("promo_e4_sum"),
-                         "total_e4": g.column("total_e4_sum")})
+        })
 
-    agg = (
+    agg = combine(
         li.map_batches(li_partial, batch_format="pyarrow",
                        batch_size=65536)
         .join(part, "inner", num_partitions=P,
               on=("l_partkey",), right_on=("p_partkey",),
-              aggregator_ray_remote_args={"num_cpus": 0.25})
-        .map_batches(split_promo, batch_format="pyarrow")
-        .groupby("month")
-        .aggregate(Sum("promo_e4", alias_name="promo_e4"),
-                   Sum("total_e4", alias_name="total_e4"))
-    )
+              aggregator_ray_remote_args={"num_cpus": 0.25}),
+        "month", {"promo_e4": ("promo_e4", "sum"),
+                  "total_e4": ("total_e4", "sum")}, split_promo)
 
     def final(batch: pa.Table) -> pa.Table:
         share = round_half_away(
@@ -1432,39 +1267,23 @@ def region_supplier_revenue(sf_dir: str):
         _pq(sf_dir, "lineitem"),
         columns=["l_suppkey", "l_extendedprice", "l_discount"])
 
-    class JoinAndPartial:
-        def __init__(self, ref):
-            self.keys, self.nations, self.regions = ray.get(ref)
+    def join_cells(batch: pa.Table) -> pa.Table:
+        keys, nations, regions = ray.get(lookup_ref)
+        idx = np.searchsorted(keys, batch.column("l_suppkey").to_numpy())
+        cents = np.rint(
+            batch.column("l_extendedprice").to_numpy() * 100.0
+        ).astype(np.int64)
+        disc_bp = np.rint(
+            batch.column("l_discount").to_numpy() * 100.0
+        ).astype(np.int64)
+        return pa.table({
+            "r_name": pa.array(regions[idx], type=pa.string()),
+            "n_name": pa.array(nations[idx], type=pa.string()),
+            "rev_e4": pa.array(cents * (100 - disc_bp), type=pa.int64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            idx = np.searchsorted(self.keys,
-                                  batch.column("l_suppkey").to_numpy())
-            cents = np.rint(
-                batch.column("l_extendedprice").to_numpy() * 100.0
-            ).astype(np.int64)
-            disc_bp = np.rint(
-                batch.column("l_discount").to_numpy() * 100.0
-            ).astype(np.int64)
-            g = pa.table({
-                "r_name": pa.array(self.regions[idx], type=pa.string()),
-                "n_name": pa.array(self.nations[idx], type=pa.string()),
-                "rev_e4": pa.array(cents * (100 - disc_bp),
-                                   type=pa.int64()),
-            }).group_by(["r_name", "n_name"]).aggregate([("rev_e4", "sum")])
-            return pa.table({"r_name": g.column("r_name"),
-                             "n_name": g.column("n_name"),
-                             "rev_e4": g.column("rev_e4_sum")})
-
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(JoinAndPartial,
-                       fn_constructor_kwargs={"ref": lookup_ref},
-                       batch_format="pyarrow", batch_size=65536,
-                       concurrency=2)
-        .groupby(["r_name", "n_name"])
-        .aggregate(Sum("rev_e4", alias_name="rev_e4"))
-    )
+    agg = combine(ds, ["r_name", "n_name"], {"rev_e4": ("rev_e4", "sum")},
+                  join_cells)
     return agg.map_batches(
         lambda b: pa.table({
             "r_name": b["r_name"],
@@ -1512,15 +1331,11 @@ def distinct_users_salted(sf_dir: str, n_salts: int = 16):
                           pa.int64()),
         })
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return fold(
         ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
         .groupby(["event_type", "salt"])
-        .map_groups(salt_distinct, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("nd", alias_name="n_users"))
-    )
+        .map_groups(salt_distinct, batch_format="pyarrow"),
+        "event_type", {"n_users": ("nd", "sum")})
 
 
 def customer_order_counts(sf_dir: str):
@@ -1556,16 +1371,16 @@ def customer_order_counts(sf_dir: str):
     def count_rows(b: pa.Table) -> pa.Table:
         recent = b.filter(
             pc.greater_equal(b.column("o_orderdate"), cutoff))
-        g = pa.table({
+        g = group_agg(pa.table({
             "c_custkey": recent.column("o_custkey"),
             "one": pa.array(
                 np.ones(recent.num_rows, dtype=np.int64)),
-        }).group_by("c_custkey").aggregate([("one", "sum")])
+        }), "c_custkey", {"n": ("one", "sum")})
         key = g.column("c_custkey").to_numpy()
         return pa.table({
             "c_custkey": g.column("c_custkey"),
             "c_name": pa.array([""] * len(key), type=pa.string()),
-            "n": g.column("one_sum"),
+            "n": g.column("n"),
             "tag": pa.array(np.ones(len(key), dtype=np.int8)),
             "kb": pa.array((key % n_buckets).astype(np.int32)),
         })
@@ -1604,30 +1419,19 @@ def props_numeric_agg(sf_dir: str):
     over the zero-copy Arrow column (no per-row json.loads loop, no
     pandas conversion); rows that don't parse are dropped identically
     on both sides. Sums stay int64-exact; only the mean is rounded."""
-    from ray.data.aggregate import Max, Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_type", "props"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         m = pc.extract_regex(b.column("props"),
                              pattern=r'"k": (?P<k>\d+)')
         k = pc.cast(pc.struct_field(m, "k"), pa.int64())
         ok = pc.is_valid(k)
-        g = pa.table({
-            "event_type": pc.filter(b.column("event_type"), ok),
-            "n_events": pa.array(
-                np.ones(int(pc.sum(pc.cast(ok, pa.int8())).as_py() or 0),
-                        dtype=np.int64)),
-            "sum_k": pc.filter(k, ok),
-            "max_k": pc.filter(k, ok),
-        }).group_by("event_type").aggregate([
-            ("n_events", "sum"), ("sum_k", "sum"), ("max_k", "max")])
+        k = pc.filter(k, ok)
         return pa.table({
-            "event_type": g.column("event_type"),
-            "n_events": g.column("n_events_sum"),
-            "sum_k": g.column("sum_k_sum"),
-            "max_k": g.column("max_k_max"),
+            "event_type": pc.filter(b.column("event_type"), ok),
+            "one": pa.array(np.ones(len(k), dtype=np.int64)),
+            "k": k,
         })
 
     def finish(b: pa.Table) -> pa.Table:
@@ -1642,13 +1446,10 @@ def props_numeric_agg(sf_dir: str):
             "max_k": b.column("max_k"),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("event_type")
-            .aggregate(Sum("n_events", alias_name="n_events"),
-                       Sum("sum_k", alias_name="sum_k"),
-                       Max("max_k", alias_name="max_k"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return combine(ds, "event_type", {
+        "n_events": ("one", "sum"), "sum_k": ("k", "sum"),
+        "max_k": ("k", "max"),
+    }, cells).map_batches(finish, batch_format="pyarrow")
 
 
 # -------------------------------------------------------------- rollup
@@ -1679,41 +1480,24 @@ def revenue_rollup(sf_dir: str):
                          columns=["o_custkey", "o_orderdate",
                                   "o_totalprice"])
 
-    class BasePartial:
-        def __init__(self, ref):
-            self.keys, self.nations = ray.get(ref)
+    def base_cells(batch: pa.Table) -> pa.Table:
+        keys, nations = ray.get(lookup_ref)
+        nn = nations[np.searchsorted(keys,
+                                     batch.column("o_custkey").to_numpy())]
+        cents = np.rint(
+            batch.column("o_totalprice").to_numpy() * 100.0
+        ).astype(np.int64)
+        return pa.table({
+            "n_name": pa.array(nn, type=pa.string()),
+            "month": pc.strftime(batch.column("o_orderdate"),
+                                 format="%Y-%m"),
+            "rev_c": pa.array(cents, type=pa.int64()),
+            "n_orders": pa.array(np.ones(len(cents), dtype=np.int64)),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            nn = self.nations[np.searchsorted(
-                self.keys, batch.column("o_custkey").to_numpy())]
-            cents = np.rint(
-                batch.column("o_totalprice").to_numpy() * 100.0
-            ).astype(np.int64)
-            g = pa.table({
-                "n_name": pa.array(nn, type=pa.string()),
-                "month": pc.strftime(batch.column("o_orderdate"),
-                                     format="%Y-%m"),
-                "rev_c": pa.array(cents, type=pa.int64()),
-                "n_orders": pa.array(np.ones(len(cents), dtype=np.int64)),
-            }).group_by(["n_name", "month"]).aggregate([
-                ("rev_c", "sum"), ("n_orders", "sum")])
-            return pa.table({
-                "n_name": g.column("n_name"),
-                "month": g.column("month"),
-                "rev_c": g.column("rev_c_sum"),
-                "n_orders": g.column("n_orders_sum"),
-            })
-
-    from ray.data.aggregate import Sum
-
-    base = (
-        ds.map_batches(BasePartial, fn_constructor_kwargs={"ref": lookup_ref},
-                       batch_format="pyarrow", batch_size=65536,
-                       concurrency=2)
-        .groupby(["n_name", "month"])
-        .aggregate(Sum("rev_c", alias_name="rev_c"),
-                   Sum("n_orders", alias_name="n_orders"))
-    ).to_arrow_refs()
+    base = combine(ds, ["n_name", "month"], {
+        "rev_c": ("rev_c", "sum"), "n_orders": ("n_orders", "sum"),
+    }, base_cells).to_arrow_refs()
     base_tab = pa.concat_tables([ray.get(r) for r in base])
 
     # roll the tiny base up driver-side (bounded: |nation| x |month|)
@@ -1802,18 +1586,15 @@ def k_anonymity(sf_dir: str):
     catalog-bounded: |nations|×|segments|), one bounded fold sums
     class sizes, and the count-of-counts is a second ≤|classes|-key
     fold — all exact integers, nothing rides a float."""
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "customer"),
                          columns=["c_nationkey", "c_mktsegment"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.table({
+    def cells(b: pa.Table) -> pa.Table:
+        return pa.table({
             "nat": b.column("c_nationkey"),
             "seg": b.column("c_mktsegment"),
             "k": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by(["nat", "seg"]).aggregate([("k", "sum")])
-        return g.rename_columns(["nat", "seg", "k"])
+        })
 
     def counts_of_counts(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1822,14 +1603,11 @@ def k_anonymity(sf_dir: str):
             "n_customers": b.column("k"),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby(["nat", "seg"])
-            .aggregate(Sum("k", alias_name="k"))
-            .map_batches(counts_of_counts, batch_format="pyarrow")
-            .groupby("k")
-            .aggregate(Sum("n_groups", alias_name="n_groups"),
-                       Sum("n_customers", alias_name="n_customers")))
+    classes = combine(ds, ["nat", "seg"], {"k": ("k", "sum")}, cells)
+    return combine(classes, "k", {
+        "n_groups": ("n_groups", "sum"),
+        "n_customers": ("n_customers", "sum"),
+    }, counts_of_counts)
 
 
 def benford_order_totals(sf_dir: str):
@@ -1846,23 +1624,17 @@ def benford_order_totals(sf_dir: str):
     driver-side."""
     import math
 
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_totalprice"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         v = np.floor(b.column("o_totalprice").to_numpy()).astype(np.int64)
         digit = v.astype("U20").astype("U1").astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "digit": pa.array(digit),
             "n": pa.array(np.ones(len(v), dtype=np.int64)),
-        }).group_by("digit").aggregate([("n", "sum")])
-        return g.rename_columns(["digit", "n"])
+        })
 
-    hist = (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("digit").aggregate(Sum("n", alias_name="n"))
-            .take_all())
+    hist = combine(ds, "digit", {"n": ("n", "sum")}, cells).take_all()
     hist.sort(key=lambda r: r["digit"])
     n = sum(int(r["n"]) for r in hist)
     dig, obs, of, ef, chi = [], [], [], [], []
@@ -1905,11 +1677,7 @@ def supplier_wilson_rank(sf_dir: str):
     catalog-bounded supplier fold; the Wilson expression then runs
     vectorized on exact integer counts, term-for-term identical to
     the oracle's, and only the final sort+limit sees supplier rows."""
-    try:
-        _lsz = os.path.getsize(_pq(sf_dir, "lineitem"))
-    except OSError:
-        _lsz = 0
-    n_buckets = max(64, int(_lsz // (32 << 20)) + 1)
+    n_buckets = max(64, int(table_bytes(sf_dir, "lineitem") // (32 << 20)) + 1)
 
     def order_rows(b: pa.Table) -> pa.Table:
         ok = b.column("o_orderkey").to_numpy()
@@ -1964,14 +1732,9 @@ def supplier_wilson_rank(sf_dir: str):
             "on_time": pc.cast(agg.column("ot_sum"), pa.int64()),
         })
 
-    from ray.data.aggregate import Sum
-
-    counts = (orders.union(lines)
-              .groupby("bucket")
-              .map_groups(per_bucket, batch_format="pyarrow")
-              .groupby("supp")
-              .aggregate(Sum("n", alias_name="n"),
-                         Sum("on_time", alias_name="on_time")))
+    counts = fold(orders.union(lines).groupby("bucket")
+                  .map_groups(per_bucket, batch_format="pyarrow"),
+                  "supp", {"n": ("n", "sum"), "on_time": ("on_time", "sum")})
 
     def wilson(b: pa.Table) -> pa.Table:
         n = b.column("n").to_numpy().astype(np.float64)
@@ -2020,11 +1783,7 @@ def order_size_regression(sf_dir: str):
     size is capped by construction at ~32 MiB of input, which keeps
     Σy² inside int64; the driver combine is Python unbounded ints);
     the driver then does O(1) determinant algebra."""
-    try:
-        _lsz = os.path.getsize(_pq(sf_dir, "lineitem"))
-    except OSError:
-        _lsz = 0
-    n_buckets = max(64, int(_lsz // (32 << 20)) + 1)
+    n_buckets = max(64, int(table_bytes(sf_dir, "lineitem") // (32 << 20)) + 1)
 
     def order_rows(b: pa.Table) -> pa.Table:
         ok = b.column("o_orderkey").to_numpy()
@@ -2143,17 +1902,12 @@ def part_price_trend(sf_dir: str):
              - _TREND_EPOCH_DAYS)
         y = np.rint(
             b.column("l_extendedprice").to_numpy() * 100).astype(np.int64)
-        g = pa.table({
-            "partkey": b.column("l_partkey"),
-            "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-            "sx": pa.array(x),
-            "sy": pa.array(y),
-            "sxx": pa.array(x * x),
-            "sxy": pa.array(x * y),
-        }).group_by("partkey").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxx", "sum"), ("sxy", "sum")])
-        g = g.rename_columns(["partkey", "n", "sx", "sy", "sxx", "sxy"])
+        cols = {"n": np.ones(b.num_rows, dtype=np.int64), "sx": x,
+                "sy": y, "sxx": x * x, "sxy": x * y}
+        g = group_agg(
+            pa.table({"partkey": b.column("l_partkey"),
+                      **{c: pa.array(v) for c, v in cols.items()}}),
+            "partkey", {c: (c, "sum") for c in cols})
         return g.append_column("pb", pa.array(
             (g.column("partkey").to_numpy() % n_buckets).astype(np.int32)))
 
@@ -2198,11 +1952,7 @@ def customer_running_total(sf_dir: str):
     layout (the only order that matters is the explicit
     (o_orderdate, o_orderkey) sort). Partitioning assumption: one
     customer's order history fits in a worker's heap."""
-    try:
-        _osz = os.path.getsize(_pq(sf_dir, "orders"))
-    except OSError:
-        _osz = 0
-    n_buckets = max(64, int(_osz // (32 << 20)) + 1)
+    n_buckets = max(64, int(table_bytes(sf_dir, "orders") // (32 << 20)) + 1)
 
     ds = rd.read_parquet(
         _pq(sf_dir, "orders"),
@@ -2262,11 +2012,7 @@ def late_suppliers(sf_dir: str):
     merge + groupby, and the per-supplier wait counts fold through a
     second bounded suppkey-hash bucket exchange — the shuffle key space
     is always the bucket count, never |orders| or |supplier|."""
-    try:
-        _lsz = os.path.getsize(_pq(sf_dir, "lineitem"))
-    except OSError:
-        _lsz = 0
-    n_buckets = max(64, int(_lsz // (32 << 20)) + 1)
+    n_buckets = max(64, int(table_bytes(sf_dir, "lineitem") // (32 << 20)) + 1)
 
     orders = rd.read_parquet(
         _pq(sf_dir, "orders"),
@@ -2293,18 +2039,14 @@ def late_suppliers(sf_dir: str):
         # ship date — "any line late" ≡ "max ship date late"
         ship = b.column("l_shipdate").to_numpy().astype(
             "datetime64[us]").astype(np.int64)
-        g = pa.table({
-            "ok": b.column("l_orderkey"),
-            "sk": b.column("l_suppkey"),
+        g = group_agg(pa.table({
+            "ok": pc.cast(b.column("l_orderkey"), pa.int64()),
+            "sk": pc.cast(b.column("l_suppkey"), pa.int64()),
             "ship_us": pa.array(ship, type=pa.int64()),
-        }).group_by(["ok", "sk"]).aggregate([("ship_us", "max")])
+        }), ["ok", "sk"], {"ship_us": ("ship_us", "max")})
         ok = g.column("ok").to_numpy()
-        return pa.table({
-            "ok": pa.array(ok, type=pa.int64()),
-            "sk": pc.cast(g.column("sk"), pa.int64()),
-            "ship_us": g.column("ship_us_max"),
-            "bucket": pa.array((ok % n_buckets).astype(np.int32)),
-        })
+        return g.append_column(
+            "bucket", pa.array((ok % n_buckets).astype(np.int32)))
 
     def per_bucket(g: pa.Table) -> pa.Table:
         sk = g.column("sk")
@@ -2420,14 +2162,8 @@ def idle_customer_balance(sf_dir: str):
     )
 
     def seg_partial(b: pa.Table) -> pa.Table:
-        g = (b.select(["c_mktsegment", "bal_c"])
-             .group_by("c_mktsegment")
-             .aggregate([("bal_c", "sum"), ("bal_c", "count")]))
-        return pa.table({
-            "c_mktsegment": g.column("c_mktsegment"),
-            "bal_c": g.column("bal_c_sum"),
-            "n": pc.cast(g.column("bal_c_count"), pa.int64()),
-        })
+        return group_agg(b, "c_mktsegment", {
+            "bal_c": ("bal_c", "sum"), "n": ("bal_c", "count")})
 
     def seg_fold(t: pa.Table) -> pa.Table:
         g = (t.select(["c_mktsegment", "bal_c", "n"])
@@ -2471,17 +2207,11 @@ def orders_pivot(sf_dir: str):
             b.column("o_totalprice").to_numpy() * 100.0).astype(np.int64)
         yr = b.column("o_orderdate").to_numpy().astype(
             "datetime64[Y]").astype(np.int64) + 1970
-        g = pa.table({
+        return group_agg(pa.table({
             "o_orderpriority": b.column("o_orderpriority"),
             "yr": pa.array(yr, type=pa.int64()),
             "rev_c": pa.array(cents, type=pa.int64()),
-        }).group_by(["o_orderpriority", "yr"]).aggregate(
-            [("rev_c", "sum")])
-        return pa.table({
-            "o_orderpriority": g.column("o_orderpriority"),
-            "yr": g.column("yr"),
-            "rev_c": g.column("rev_c_sum"),
-        })
+        }), ["o_orderpriority", "yr"], {"rev_c": ("rev_c", "sum")})
 
     def widen(g: pa.Table) -> pa.Table:
         f = (g.select(["yr", "rev_c"]).group_by("yr")
@@ -2540,10 +2270,11 @@ def events_quantile_sketch(sf_dir: str):
         return pa.table({"bkt": pa.array(nz, type=pa.int64()),
                          "cnt": pa.array(counts[nz], type=pa.int64())})
 
-    rows = (ds.map_batches(hist, batch_format="pyarrow", batch_size=65536)
-            .groupby("bkt").sum("cnt")).to_pandas().sort_values("bkt")
+    rows = fold(
+        ds.map_batches(hist, batch_format="pyarrow", batch_size=65536),
+        "bkt", {"cnt": ("cnt", "sum")}).to_pandas().sort_values("bkt")
     bkt = rows["bkt"].to_numpy(dtype=np.int64)
-    cum = np.cumsum(rows["sum(cnt)"].to_numpy(dtype=np.int64))
+    cum = np.cumsum(rows["cnt"].to_numpy(dtype=np.int64))
 
     qs, est = [], []
     for q in _SKETCH_QS:
@@ -2615,44 +2346,42 @@ def l_diversity(sf_dir: str):
     throughout; balance bands are integer-cents floor division on the
     SHIFTED (always-positive) value so truncation equals floor on
     both engines."""
-    from ray.data.aggregate import Count, Sum
-
-    ds = rd.read_parquet(_pq(sf_dir, "customer"),
-                         columns=["c_nationkey", "c_acctbal",
-                                  "c_mktsegment"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = np.rint(
-            b.column("c_acctbal").to_numpy() * 100).astype(np.int64)
-        band = (cents + LDIV_BAND_SHIFT) // LDIV_BAND_CENTS
-        g = pa.table({
-            "nat": b.column("c_nationkey"),
-            "band": pa.array(band),
-            "seg": b.column("c_mktsegment"),
-            "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by(["nat", "band", "seg"]).aggregate([("n", "sum")])
-        return g.rename_columns(["nat", "band", "seg", "n"])
-
-    per_class = (ds.map_batches(partial, batch_format="pyarrow",
-                                batch_size=65536)
-                 .groupby(["nat", "band", "seg"])
-                 .aggregate(Sum("n", alias_name="n"))
-                 .groupby(["nat", "band"])
-                 .aggregate(Count(alias_name="l"),
-                            Sum("n", alias_name="n_cust")))
+    per_class = combine(_class_segments(sf_dir), ["nat", "band"],
+                        {"l": ("n", "count"), "n_cust": ("n", "sum")})
 
     def counts_of_counts(b: pa.Table) -> pa.Table:
         return pa.table({
-            "l": pc.cast(b.column("l"), pa.int64()),
+            "l": b.column("l"),
             "n_classes": pa.array(np.ones(b.num_rows, dtype=np.int64)),
             "n_customers": b.column("n_cust"),
         })
 
-    return (per_class.map_batches(counts_of_counts,
-                                  batch_format="pyarrow")
-            .groupby("l")
-            .aggregate(Sum("n_classes", alias_name="n_classes"),
-                       Sum("n_customers", alias_name="n_customers")))
+    return combine(per_class, "l", {
+        "n_classes": ("n_classes", "sum"),
+        "n_customers": ("n_customers", "sum"),
+    }, counts_of_counts)
+
+
+def _class_segments(sf_dir: str):
+    """Customers per (nation, balance band, segment) cell — the
+    catalog-bounded quasi-id × sensitive census under l-diversity and
+    t-closeness."""
+    ds = rd.read_parquet(_pq(sf_dir, "customer"),
+                         columns=["c_nationkey", "c_acctbal",
+                                  "c_mktsegment"])
+
+    def cells(b: pa.Table) -> pa.Table:
+        cents = np.rint(
+            b.column("c_acctbal").to_numpy() * 100).astype(np.int64)
+        band = (cents + LDIV_BAND_SHIFT) // LDIV_BAND_CENTS
+        return pa.table({
+            "nat": b.column("c_nationkey"),
+            "band": pa.array(band),
+            "seg": b.column("c_mktsegment"),
+            "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
+        })
+
+    return combine(ds, ["nat", "band", "seg"], {"n": ("n", "sum")}, cells)
 
 
 def key_skew_audit(sf_dir: str):
@@ -2668,21 +2397,15 @@ def key_skew_audit(sf_dir: str):
     vector — bounded by the supplier catalog, the ONLY driver-side
     hold — and the Gini is the doclen_gini rank formula on exact
     integers with one float expression mirroring the oracle."""
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "lineitem"), columns=["l_suppkey"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.table({
+    def cells(b: pa.Table) -> pa.Table:
+        return pa.table({
             "k": b.column("l_suppkey"),
             "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by("k").aggregate([("n", "sum")])
-        return g.rename_columns(["k", "n"])
+        })
 
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("k").aggregate(Sum("n", alias_name="n"))
-            .take_all())
+    rows = combine(ds, "k", {"n": ("n", "sum")}, cells).take_all()
     k = np.array([r["k"] for r in rows], dtype=np.int64)
     n = np.array([r["n"] for r in rows], dtype=np.int64)
     order = np.lexsort((k, n))          # count asc, key asc on ties
@@ -2783,12 +2506,11 @@ def fk_integrity_audit(sf_dir: str):
                     n = np.zeros(len(k), dtype=np.int64)
                     par = np.ones(len(k), dtype=np.int64)
                 else:
-                    g = pa.table({
+                    g = group_agg(pa.table({
                         "k": b.column(col).cast(pa.int64()),
                         "n": pa.array(
                             np.ones(b.num_rows, dtype=np.int64)),
-                    }).group_by("k").aggregate([("n", "sum")])
-                    g = g.rename_columns(["k", "n"])
+                    }), "k", {"n": ("n", "sum")})
                     k = g.column("k").to_numpy(zero_copy_only=False)
                     n = g.column("n").to_numpy(zero_copy_only=False)
                     par = np.zeros(len(k), dtype=np.int64)
@@ -2860,29 +2582,7 @@ def t_closeness(sf_dir: str):
     t's numerator Σ|cᵢ·N − nᵢ·C| is EXACT INTEGER cross-products
     (class count cᵢ, class size C, global segment count nᵢ, total N)
     divided by 2·C·N once — mirroring the oracle's HUGEINT tree."""
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(_pq(sf_dir, "customer"),
-                         columns=["c_nationkey", "c_acctbal",
-                                  "c_mktsegment"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = np.rint(
-            b.column("c_acctbal").to_numpy() * 100).astype(np.int64)
-        band = (cents + LDIV_BAND_SHIFT) // LDIV_BAND_CENTS
-        g = pa.table({
-            "nat": b.column("c_nationkey"),
-            "band": pa.array(band),
-            "seg": b.column("c_mktsegment"),
-            "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by(["nat", "band", "seg"]).aggregate([("n", "sum")])
-        return g.rename_columns(["nat", "band", "seg", "n"])
-
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby(["nat", "band", "seg"])
-            .aggregate(Sum("n", alias_name="n"))
-            .take_all())
+    rows = _class_segments(sf_dir).take_all()
     segs = sorted({r["seg"] for r in rows})
     sidx = {s: i for i, s in enumerate(segs)}
     classes: dict[tuple, np.ndarray] = {}
@@ -2940,6 +2640,8 @@ GROUP BY g.nat, g.band, csz.c, tot.nn
 
 
 PSI_BUCKETS = 10
+# per-arm counts of the A/B splits below (psi, mannwhitney)
+_ARM_SUMS = {"c_a": ("c_a", "sum"), "c_b": ("c_b", "sum")}
 
 
 def value_psi(sf_dir: str):
@@ -2958,7 +2660,7 @@ def value_psi(sf_dir: str):
     mirroring the oracle term for term."""
     import math
 
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
     ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "value"])
 
@@ -2980,27 +2682,20 @@ def value_psi(sf_dir: str):
     mid = (t0 + t1) // 2
     span = hi - lo
 
-    def bucket_partial(b: pa.Table) -> pa.Table:
+    def bucket_cells(b: pa.Table) -> pa.Table:
         us = b.column("ts").cast(pa.int64()).to_numpy()
         c = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
         bk = (np.minimum(PSI_BUCKETS - 1,
                          (c - lo) * PSI_BUCKETS // span)
               if span else np.zeros(len(c), dtype=np.int64))
         side = (us >= mid).astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "bucket": pa.array(bk),
             "c_a": pa.array((1 - side)),
             "c_b": pa.array(side),
-        }).group_by("bucket").aggregate([("c_a", "sum"),
-                                         ("c_b", "sum")])
-        return g.rename_columns(["bucket", "c_a", "c_b"])
+        })
 
-    rows = (ds.map_batches(bucket_partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("bucket")
-            .aggregate(Sum("c_a", alias_name="c_a"),
-                       Sum("c_b", alias_name="c_b"))
-            .take_all())
+    rows = combine(ds, "bucket", _ARM_SUMS, bucket_cells).take_all()
     ca = np.zeros(PSI_BUCKETS, dtype=np.int64)
     cb = np.zeros(PSI_BUCKETS, dtype=np.int64)
     for r in rows:
@@ -3088,20 +2783,17 @@ def mannwhitney_order_values(sf_dir: str):
         x = np.rint(b.column("o_totalprice").to_numpy() * 100) \
             .astype(np.int64)
         arm = (b.column("o_orderkey").to_numpy() % 2).astype(np.int64)
-        t = pa.table({
+        t = group_agg(pa.table({
             "x": pa.array(x),
             "c_a": pa.array(1 - arm),
             "c_b": pa.array(arm),
-        }).group_by("x").aggregate([("c_a", "sum"), ("c_b", "sum")])
-        t = t.rename_columns(["x", "c_a", "c_b"])
+        }), "x", _ARM_SUMS)
         return t.append_column("kb", pa.array(
             (t.column("x").to_numpy(zero_copy_only=False)
              % n_kb).astype(np.int32)))
 
-    def fold(t: pa.Table) -> pa.Table:
-        g = (t.select(["x", "c_a", "c_b"]).group_by("x")
-             .aggregate([("c_a", "sum"), ("c_b", "sum")]))
-        return g.rename_columns(["x", "c_a", "c_b"])
+    def fold_x(t: pa.Table) -> pa.Table:
+        return group_agg(t, "x", _ARM_SUMS)
 
     # bucketed fold (NOT a native per-key aggregate — Ray's sort
     # aggregate costs ~100us/key at 150k distinct values); the folded
@@ -3110,7 +2802,7 @@ def mannwhitney_order_values(sf_dir: str):
     # domain-bounded take_all + driver numpy sort finishes it
     rows = (ds.map_batches(partial, batch_format="pyarrow",
                            batch_size=65536)
-            .groupby("kb").map_groups(fold, batch_format="pyarrow")
+            .groupby("kb").map_groups(fold_x, batch_format="pyarrow")
             .take_all())
     x = np.array([r["x"] for r in rows], dtype=np.int64)
     order = np.argsort(x, kind="stable")
@@ -3242,22 +2934,19 @@ def bootstrap_median_ci(sf_dir: str):
             bs.append(np.full(int(nz.sum()), rep, dtype=np.int64))
             xs.append(x[nz])
             ws.append(w[nz].astype(np.int64))
-        t = pa.table({
+        t = group_agg(pa.table({
             "b": pa.array(np.concatenate(bs)),
             "x": pa.array(np.concatenate(xs)),
             "w": pa.array(np.concatenate(ws)),
-        }).group_by(["b", "x"]).aggregate([("w", "sum")])
-        t = t.rename_columns(["b", "x", "w"])
+        }), ["b", "x"], {"w": ("w", "sum")})
         return t.append_column("kb", pa.array(
             ((t.column("b").to_numpy(zero_copy_only=False)
               * np.int64(2654435761)
               + t.column("x").to_numpy(zero_copy_only=False))
              % n_kb).astype(np.int32)))
 
-    def fold(t: pa.Table) -> pa.Table:
-        g = (t.select(["b", "x", "w"]).group_by(["b", "x"])
-             .aggregate([("w", "sum")]))
-        return g.rename_columns(["b", "x", "w"])
+    def fold_bx(t: pa.Table) -> pa.Table:
+        return group_agg(t, ["b", "x"], {"w": ("w", "sum")})
 
     # stream the folded (replicate, value, weight) histogram cells to
     # the driver as Arrow batches and fold vectorized — take_all()'s
@@ -3265,7 +2954,7 @@ def bootstrap_median_ci(sf_dir: str):
     bs, xs, ws = [], [], []
     folded = (ds.map_batches(partial, batch_format="pyarrow",
                              batch_size=65536)
-              .groupby("kb").map_groups(fold, batch_format="pyarrow"))
+              .groupby("kb").map_groups(fold_bx, batch_format="pyarrow"))
     for bt in folded.iter_batches(batch_size=65536,
                                   batch_format="pyarrow"):
         bs.append(bt.column("b").to_numpy(zero_copy_only=False))
@@ -3361,14 +3050,12 @@ def weekday_anova(sf_dir: str):
         g = (days + 4) % 7          # 0=Sunday, DuckDB dayofweek()
         x = np.rint(b.column("o_totalprice").to_numpy() * 100) \
             .astype(np.int64)
-        t = pa.table({
+        return group_agg(pa.table({
             "g": pa.array(g),
             "n": pa.array(np.ones(len(x), dtype=np.int64)),
             "s": pa.array(x),
             "q": pa.array(x * x),
-        }).group_by("g").aggregate([("n", "sum"), ("s", "sum"),
-                                    ("q", "sum")])
-        return t.rename_columns(["g", "n", "s", "q"])
+        }), "g", {c: (c, "sum") for c in ("n", "s", "q")})
 
     cells: dict[int, list] = {}
     for b in ds.map_batches(partial, batch_format="pyarrow",
@@ -4192,27 +3879,19 @@ def range_partition_manifest(sf_dir: str, parts: int = RANGE_PARTS):
     cuts = upper[:-1]
     cuts_ref = ray.put(cuts)
 
-    class Assign:
-        def __init__(self, ref):
-            self.cuts = ray.get(ref)
+    def assign(batch: pa.Table) -> pa.Table:
+        # ties go right: partition = |{cuts <= x}|
+        p = np.searchsorted(ray.get(cuts_ref), to_cents(batch),
+                            side="right")
+        return pa.table({
+            "partition": pa.array(p.astype(np.int64)),
+            "n": pa.array(np.ones(len(p), dtype=np.int64)),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            # ties go right: partition = |{cuts <= x}|
-            p = np.searchsorted(self.cuts, to_cents(batch),
-                                side="right")
-            g = pa.table({
-                "partition": pa.array(p.astype(np.int64)),
-                "n": pa.array(np.ones(len(p), dtype=np.int64)),
-            }).group_by("partition").aggregate([("n", "sum")])
-            return g.rename_columns(["partition", "n"])
-
-    per = (ds.map_batches(Assign, fn_constructor_kwargs={"ref": cuts_ref},
-                          batch_format="pyarrow", batch_size=65536,
-                          concurrency=2)
-           .groupby("partition").sum("n")).to_pandas() \
-        .sort_values("partition")
+    per = combine(ds, "partition", {"n": ("n", "sum")}, assign) \
+        .to_pandas().sort_values("partition")
     pid = per["partition"].to_numpy().astype(np.int64)
-    cnt = per["sum(n)"].to_numpy().astype(np.int64)
+    cnt = per["n"].to_numpy().astype(np.int64)
     full = np.zeros(parts, dtype=np.int64)
     full[pid] = cnt
     return pa.table({

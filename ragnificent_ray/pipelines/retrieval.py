@@ -27,7 +27,6 @@ on ``doc_id``.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 
 import pandas as pd
@@ -37,6 +36,7 @@ import ray.data as rd
 
 from ..functions.hashing import stable_hash64
 from ..functions.numeric import round_half_away
+from .inputs import _pq
 
 # fixed benchmark queries (terms exist in the synthetic corpus vocabulary)
 BM25_QUERIES: dict[int, tuple[str, ...]] = {
@@ -47,10 +47,6 @@ BM25_QUERIES: dict[int, tuple[str, ...]] = {
 K1 = 1.2
 B = 0.75
 TOP_K = 10
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
 
 
 def _all_terms() -> tuple[str, ...]:

@@ -15,22 +15,17 @@ table is a tiny module constant, not a broadcast.
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions.hashing import md5_hex
+from .inputs import _pq
 
 # per-stratum keep rates in percent (default 100 = keep everything);
 # the canonical downsample-the-head curation move
 STRATA_RATES: dict[str, int] = {"en": 25, "de": 50}
 _DEFAULT_RATE = 100
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
 
 
 def _keep_bucket(doc_id: int) -> int:

@@ -32,7 +32,8 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..functions.hashing import md5_hex
-from .sampling import _SHUFFLE_KEY_BITS, SHUFFLE_BUCKETS, _pq
+from .inputs import _pq
+from .sampling import _SHUFFLE_KEY_BITS, SHUFFLE_BUCKETS
 
 
 def _part_name(bucket: int) -> str:

@@ -22,8 +22,6 @@ per-entity semantics (cumulative counts, session numbering) do not admit.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -31,30 +29,18 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions.numeric import grouped_cumcount, round_half_away
+from .combine import combine, fold, group_agg
+from .inputs import _pq, table_bytes
 
 _SESSION_GAP_US = 1_800_000_000  # 30-minute session gap
 _MIN_BUCKETS = 64
 
 
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
-
-
 def _bucket_count(sf_dir: str, tables: tuple[str, ...],
                   target_bytes: int = 64 << 20) -> int:
     """One bucket per ~64 MiB of combined input parquet (min 64)."""
-    sz = 0
-    for table in tables:
-        try:
-            path = _pq(sf_dir, table)
-            if os.path.isdir(path):
-                sz += sum(os.path.getsize(os.path.join(path, f))
-                          for f in os.listdir(path))
-            else:
-                sz += os.path.getsize(path)
-        except OSError:
-            pass
-    return max(_MIN_BUCKETS, int(sz // target_bytes) + 1)
+    return max(_MIN_BUCKETS,
+               int(table_bytes(sf_dir, *tables) // target_bytes) + 1)
 
 
 def _ts_us(series: pd.Series) -> np.ndarray:
@@ -682,26 +668,18 @@ def session_duration_stats(sf_dir: str):
     cell combiners plus one ≤241-key fold. Durations compare in exact
     integer seconds (both engines truncate session bounds to seconds),
     so bucket membership can't flip on a float boundary."""
-    from ray.data.aggregate import Sum
-
     sessions = sessionize(sf_dir)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         start = pd.to_datetime(
             b.column("session_start").to_pylist()).asi8 // 1_000_000_000
         end = pd.to_datetime(
             b.column("session_end").to_pylist()).asi8 // 1_000_000_000
         dur_min = np.minimum((end - start) // 60, 240).astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "duration_min": pa.array(dur_min, type=pa.int64()),
             "n_sessions": pa.array(np.ones(len(dur_min), dtype=np.int64)),
             "events": b.column("n_events"),
-        }).group_by("duration_min").aggregate([
-            ("n_sessions", "sum"), ("events", "sum")])
-        return pa.table({
-            "duration_min": g.column("duration_min"),
-            "n_sessions": g.column("n_sessions_sum"),
-            "events": g.column("events_sum"),
         })
 
     def finish(b: pa.Table) -> pa.Table:
@@ -714,12 +692,9 @@ def session_duration_stats(sf_dir: str):
                 ev / n, 4), type=pa.float64()),
         })
 
-    return (sessions.map_batches(partial, batch_format="pyarrow",
-                                 batch_size=65536)
-            .groupby("duration_min")
-            .aggregate(Sum("n_sessions", alias_name="n_sessions"),
-                       Sum("events", alias_name="events"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return combine(sessions, "duration_min", {
+        "n_sessions": ("n_sessions", "sum"), "events": ("events", "sum"),
+    }, cells).map_batches(finish, batch_format="pyarrow")
 
 
 # ------------------------------------------------- Markov transition matrix
@@ -769,16 +744,12 @@ def interarrival_histogram(sf_dir: str):
             "n_pairs": pa.array(cnt.astype(np.int64)),
         })
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return fold(
         ds.map_batches(add_bucket, batch_format="pyarrow",
                        batch_size=65536)
         .groupby("bucket")
-        .map_groups(gap_counts, batch_format="pyarrow")
-        .groupby("digits")
-        .aggregate(Sum("n_pairs", alias_name="n_pairs"))
-    )
+        .map_groups(gap_counts, batch_format="pyarrow"),
+        "digits", {"n_pairs": ("n_pairs", "sum")})
 
 
 def events_late_arrival_stats(sf_dir: str):
@@ -843,21 +814,11 @@ def events_late_arrival_stats(sf_dir: str):
     })
 
 
-def markov_transitions(sf_dir: str):
-    """First-order Markov transition matrix over each user's event
-    stream: for every (event_type → next event_type) pair, the count
-    and the conditional probability P(next | current). The classic
-    click-path model behind "users who view then add-to-cart convert
-    at p" product analytics; the reference has no sequence operator —
-    this extends the brief's windowed-aggregate family.
-
-    Scale shape: one bounded user-bucket exchange (same discipline as
-    :func:`sessionize`) orders each user's events; adjacent pairs fold
-    to per-bucket counts inside the group (vectorized shift + pandas
-    groupby), so the second exchange moves at most |types|² rows per
-    bucket. The final fold groups by the BOUNDED current-type key and
-    computes the row-conditional probabilities inside the group —
-    nothing corpus-sized leaves the stream."""
+def _pair_partials(sf_dir: str):
+    """Per-bucket (event_type, next_type, cnt) adjacent-event counts:
+    one bounded user-bucket exchange orders each user's events
+    (deterministic (ts, event_id) tiebreak) and each bucket pre-counts
+    its pairs, so at most |types|² rows per bucket leave it."""
     n_buckets = _bucket_count(sf_dir, ("events",))
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["user_id", "ts", "event_id",
@@ -879,18 +840,33 @@ def markov_transitions(sf_dir: str):
         uid = g.column("user_id").to_numpy(zero_copy_only=False)
         same_user[:-1] = uid[1:] == uid[:-1]
         same_user[-1] = False
-        out = (pa.table({
+        return group_agg(pa.table({
             "event_type": pa.array(cur[same_user], type=pa.string()),
             "next_type": pa.array(nxt[same_user], type=pa.string()),
-        }).group_by(["event_type", "next_type"])
-            .aggregate([("next_type", "count")]))
-        return pa.table({
-            "event_type": out.column("event_type"),
-            "next_type": out.column("next_type"),
-            "cnt": pc.cast(out.column("next_type_count"), pa.int64()),
-        })
+        }), ["event_type", "next_type"], {"cnt": ("next_type", "count")})
 
-    def fold(g: pa.Table) -> pa.Table:
+    return (ds.map_batches(add_bucket, batch_format="pyarrow",
+                           batch_size=65536)
+            .groupby("bucket")
+            .map_groups(pair_counts, batch_format="pyarrow"))
+
+
+def markov_transitions(sf_dir: str):
+    """First-order Markov transition matrix over each user's event
+    stream: for every (event_type → next event_type) pair, the count
+    and the conditional probability P(next | current). The classic
+    click-path model behind "users who view then add-to-cart convert
+    at p" product analytics; the reference has no sequence operator —
+    this extends the brief's windowed-aggregate family.
+
+    Scale shape: one bounded user-bucket exchange (same discipline as
+    :func:`sessionize`) orders each user's events; adjacent pairs fold
+    to per-bucket counts inside the group (vectorized shift + pandas
+    groupby), so the second exchange moves at most |types|² rows per
+    bucket. The final fold groups by the BOUNDED current-type key and
+    computes the row-conditional probabilities inside the group —
+    nothing corpus-sized leaves the stream."""
+    def row_probs(g: pa.Table) -> pa.Table:
         out = (g.select(["event_type", "next_type", "cnt"])
                .group_by(["event_type", "next_type"])
                .aggregate([("cnt", "sum")])
@@ -905,14 +881,22 @@ def markov_transitions(sf_dir: str):
                 cnt.to_numpy(zero_copy_only=False) / float(tot), 6)),
         })
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow",
-                       batch_size=65536)
-        .groupby("bucket")
-        .map_groups(pair_counts, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return (_pair_partials(sf_dir).groupby("event_type")
+            .map_groups(row_probs, batch_format="pyarrow"))
+
+
+def _hourly_counts(ds, keys: list):
+    """Events per (``keys``…, epoch hour ``hr``) cell, as ``c``."""
+    def cells(b: pa.Table) -> pa.Table:
+        hrs = (b.column("ts").to_numpy().astype("datetime64[h]")
+               .astype(np.int64))
+        return pa.table({
+            **{k: b.column(k) for k in keys},
+            "hr": pa.array(hrs),
+            "c": pa.array(np.ones(b.num_rows, dtype=np.int64)),
+        })
+
+    return combine(ds, keys + ["hr"], {"c": ("c", "sum")}, cells)
 
 
 def events_burstiness(sf_dir: str):
@@ -929,20 +913,10 @@ def events_burstiness(sf_dir: str):
     Σc² over empty hours contributes zero, so only occupied hours
     ever ship. Population variance, matching the oracle's identical
     HUGEINT expression."""
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_type", "ts"])
-
-    def hour_partial(b: pa.Table) -> pa.Table:
-        hrs = (b.column("ts").to_numpy().astype("datetime64[h]")
-               .astype(np.int64))
-        g = pa.table({
-            "event_type": b.column("event_type"),
-            "hr": pa.array(hrs),
-            "c": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by(["event_type", "hr"]).aggregate([("c", "sum")])
-        return g.rename_columns(["event_type", "hr", "c"])
 
     span = ds.map_batches(
         lambda b: pa.table({"hr": pa.array(
@@ -952,20 +926,15 @@ def events_burstiness(sf_dir: str):
         .aggregate(Min("hr"), Max("hr"))
     H = int(span["max(hr)"]) - int(span["min(hr)"]) + 1
 
-    hourly = (ds.map_batches(hour_partial, batch_format="pyarrow",
-                             batch_size=65536)
-              .groupby(["event_type", "hr"])
-              .aggregate(Sum("c", alias_name="c")))
+    hourly = _hourly_counts(ds, ["event_type"])
 
     def moment_partial(b: pa.Table) -> pa.Table:
         c = b.column("c").to_numpy()
-        g = pa.table({
+        return group_agg(pa.table({
             "event_type": b.column("event_type"),
             "sc": b.column("c"),
             "scc": pa.array(c * c),
-        }).group_by("event_type").aggregate(
-            [("sc", "sum"), ("scc", "sum")])
-        return g.rename_columns(["event_type", "sc", "scc"])
+        }), "event_type", {"sc": ("sc", "sum"), "scc": ("scc", "sum")})
 
     def finish(g: pa.Table) -> pa.Table:
         f = (g.group_by("event_type")
@@ -1004,23 +973,8 @@ def events_changepoint(sf_dir: str):
     census folds distributed (one cell per (hour) per block); the
     series walk is driver-side on ≤|hours| rows — the documented
     calendar-bounded-matrix pattern."""
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts"])
-
-    def hour_partial(b: pa.Table) -> pa.Table:
-        hrs = (b.column("ts").to_numpy().astype("datetime64[h]")
-               .astype(np.int64))
-        g = pa.table({
-            "hr": pa.array(hrs),
-            "c": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by("hr").aggregate([("c", "sum")])
-        return g.rename_columns(["hr", "c"])
-
-    hourly = (ds.map_batches(hour_partial, batch_format="pyarrow",
-                             batch_size=65536)
-              .groupby("hr").aggregate(Sum("c", alias_name="c"))
-              .sort("hr").take_all())
+    hourly = _hourly_counts(ds, []).sort("hr").take_all()
     hr = np.array([r["hr"] for r in hourly], dtype=np.int64)
     c = np.array([r["c"] for r in hourly], dtype=np.int64)
     lo, hi = int(hr[0]), int(hr[-1])
@@ -1065,8 +1019,6 @@ def kaplan_meier_reorder(sf_dir: str):
     risk sets and event counts are exact integers and the survival
     product multiplies the same IEEE factors in the same (time) order
     as the oracle's windowed ``product()``."""
-    from ray.data.aggregate import Sum
-
     n_buckets = _bucket_count(sf_dir, ("orders",))
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_custkey", "o_orderdate",
@@ -1108,23 +1060,20 @@ def kaplan_meier_reorder(sf_dir: str):
         ds.aggregate(Max("o_orderdate"))["max(o_orderdate)"], "D")
         .astype(np.int64))
 
-    def dur_partial(b: pa.Table) -> pa.Table:
+    def dur_cells(b: pa.Table) -> pa.Table:
         t1 = b.column("t1_day").to_numpy()
         t2 = b.column("t2_day").to_numpy()
         ev = b.column("ev").to_numpy()
         t = np.where(ev == 1, t2 - t1, max_day - t1)
-        g = pa.table({
+        return pa.table({
             "t": pa.array(t.astype(np.int64)),
             "d_i": pa.array(ev.astype(np.int64)),
             "all_at_t": pa.array(np.ones(len(t), dtype=np.int64)),
-        }).group_by("t").aggregate([("d_i", "sum"), ("all_at_t", "sum")])
-        return g.rename_columns(["t", "d_i", "all_at_t"])
+        })
 
-    hist = (firsts.map_batches(dur_partial, batch_format="pyarrow")
-            .groupby("t")
-            .aggregate(Sum("d_i", alias_name="d_i"),
-                       Sum("all_at_t", alias_name="all_at_t"))
-            .sort("t").take_all())
+    hist = combine(firsts, "t", {
+        "d_i": ("d_i", "sum"), "all_at_t": ("all_at_t", "sum"),
+    }, dur_cells).sort("t").take_all()
     t = np.array([r["t"] for r in hist], dtype=np.int64)
     d = np.array([r["d_i"] for r in hist], dtype=np.int64)
     a = np.array([r["all_at_t"] for r in hist], dtype=np.int64)
@@ -1142,6 +1091,27 @@ def kaplan_meier_reorder(sf_dir: str):
 
 
 _AB_Z_CRIT = 1.96  # two-sided 95%
+
+
+_CONV_MAX = {"conv": ("conv", "max")}
+
+
+def _user_day_conversions(n_buckets: int):
+    """Batch partial of the user-day A/B tests: one (u, day, converted)
+    row per user-day in the batch, tagged with its user bucket ``ub``."""
+    def partial(b: pa.Table) -> pa.Table:
+        day = (b.column("ts").to_numpy().astype("datetime64[D]")
+               .astype(np.int64))
+        g = group_agg(pa.table({
+            "u": b.column("user_id"),
+            "day": pa.array(day),
+            "conv": pc.cast(pc.equal(b.column("event_type"), "purchase"),
+                            pa.int64()),
+        }), ["u", "day"], _CONV_MAX)
+        return g.append_column("ub", pa.array(
+            (g.column("u").to_numpy() % n_buckets).astype(np.int32)))
+
+    return partial
 
 
 def ab_conversion_ztest(sf_dir: str):
@@ -1165,34 +1135,19 @@ def ab_conversion_ztest(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["user_id", "ts", "event_type"])
 
-    def user_partial(b: pa.Table) -> pa.Table:
-        conv = pc.cast(pc.equal(b.column("event_type"), "purchase"),
-                       pa.int64())
-        day = (b.column("ts").to_numpy().astype("datetime64[D]")
-               .astype(np.int64))
-        g = pa.table({
-            "u": b.column("user_id"),
-            "day": pa.array(day),
-            "conv": conv,
-        }).group_by(["u", "day"]).aggregate([("conv", "max")])
-        g = g.rename_columns(["u", "day", "conv"])
-        return g.append_column("ub", pa.array(
-            (g.column("u").to_numpy() % n_buckets).astype(np.int32)))
+    user_partial = _user_day_conversions(n_buckets)
 
     def bucket_fold(g: pa.Table) -> pa.Table:
-        f = (pa.table({"u": g.column("u"), "day": g.column("day"),
-                       "conv": g.column("conv")})
-             .group_by(["u", "day"]).aggregate([("conv", "max")]))
+        f = group_agg(g, ["u", "day"], _CONV_MAX)
         u = f.column("u").to_numpy()
         day = f.column("day").to_numpy()
-        conv = f.column("conv_max").to_numpy()
+        conv = f.column("conv").to_numpy()
         arm = ((u + day) % 2).astype(np.int64)
-        out = pa.table({
+        return group_agg(pa.table({
             "arm": pa.array(arm),
             "n": pa.array(np.ones(len(u), dtype=np.int64)),
             "conv": pa.array(conv.astype(np.int64)),
-        }).group_by("arm").aggregate([("n", "sum"), ("conv", "sum")])
-        return out.rename_columns(["arm", "n", "conv"])
+        }), "arm", {"n": ("n", "sum"), "conv": ("conv", "sum")})
 
     parts = (ds.map_batches(user_partial, batch_format="pyarrow",
                             batch_size=65536)
@@ -1253,35 +1208,19 @@ def purchase_did(sf_dir: str):
     d0, d1 = int(span["min(day)"]), int(span["max(day)"])
     split_day = d0 + (d1 - d0) * 3 // 4
 
-    def user_partial(b: pa.Table) -> pa.Table:
-        conv = pc.cast(pc.equal(b.column("event_type"), "purchase"),
-                       pa.int64())
-        day = (b.column("ts").to_numpy().astype("datetime64[D]")
-               .astype(np.int64))
-        g = pa.table({
-            "u": b.column("user_id"),
-            "day": pa.array(day),
-            "conv": conv,
-        }).group_by(["u", "day"]).aggregate([("conv", "max")])
-        g = g.rename_columns(["u", "day", "conv"])
-        return g.append_column("ub", pa.array(
-            (g.column("u").to_numpy() % n_buckets).astype(np.int32)))
+    user_partial = _user_day_conversions(n_buckets)
 
     def bucket_fold(g: pa.Table) -> pa.Table:
-        f = (pa.table({"u": g.column("u"), "day": g.column("day"),
-                       "conv": g.column("conv")})
-             .group_by(["u", "day"]).aggregate([("conv", "max")]))
+        f = group_agg(g, ["u", "day"], _CONV_MAX)
         u = f.column("u").to_numpy()
         day = f.column("day").to_numpy()
-        conv = f.column("conv_max").to_numpy()
-        out = pa.table({
+        conv = f.column("conv").to_numpy()
+        return group_agg(pa.table({
             "arm": pa.array(((u + day) % 2).astype(np.int64)),
             "per": pa.array((day >= split_day).astype(np.int64)),
             "n": pa.array(np.ones(len(u), dtype=np.int64)),
             "conv": pa.array(conv.astype(np.int64)),
-        }).group_by(["arm", "per"]).aggregate([("n", "sum"),
-                                               ("conv", "sum")])
-        return out.rename_columns(["arm", "per", "n", "conv"])
+        }), ["arm", "per"], {"n": ("n", "sum"), "conv": ("conv", "sum")})
 
     parts = (ds.map_batches(user_partial, batch_format="pyarrow",
                             batch_size=65536)
@@ -1381,32 +1320,26 @@ def ab_cuped(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["user_id", "ts", "event_type"])
 
+    ev_sums = {"n_ev": ("n_ev", "sum"), "n_pur": ("n_pur", "sum")}
+
     def day_partial(b: pa.Table) -> pa.Table:
         day = (b.column("ts").to_numpy().astype("datetime64[D]")
                .astype(np.int64))
         purch = pc.cast(pc.equal(b.column("event_type"), "purchase"),
                         pa.int64())
-        g = pa.table({
+        g = group_agg(pa.table({
             "u": b.column("user_id"),
             "day": pa.array(day),
             "n_ev": pa.array(np.ones(b.num_rows, dtype=np.int64)),
             "n_pur": purch,
-        }).group_by(["u", "day"]).aggregate(
-            [("n_ev", "sum"), ("n_pur", "sum")])
-        g = g.rename_columns(["u", "day", "n_ev", "n_pur"])
+        }), ["u", "day"], ev_sums)
         return g.append_column("ub", pa.array(
             (g.column("u").to_numpy() % n_buckets).astype(np.int32)))
 
     _C = ("n", "sx", "sy", "sxx", "sxy", "syy")
 
     def bucket_moments(g: pa.Table) -> pa.Table:
-        f = (pa.table({"u": g.column("u"), "day": g.column("day"),
-                       "n_ev": g.column("n_ev"),
-                       "n_pur": g.column("n_pur")})
-             .group_by(["u", "day"]).aggregate(
-                 [("n_ev", "sum"), ("n_pur", "sum")]))
-        df = f.to_pandas()
-        df.columns = ["u", "day", "n_ev", "n_pur"]
+        df = group_agg(g, ["u", "day"], ev_sums).to_pandas()
         prev = df[["u", "day", "n_ev"]].copy()
         prev["day"] += 1
         m = df.merge(prev.rename(columns={"n_ev": "x"}),
@@ -1471,47 +1404,8 @@ def _pair_matrix(sf_dir: str) -> list[dict]:
     :func:`next_event_entropy`; same two-exchange shape as
     :func:`markov_transitions` (ordering in bounded user buckets,
     pair counts pre-summed in-group)."""
-    n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_id",
-                                  "event_type"])
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        bucket = b.column("user_id").to_numpy() % n_buckets
-        return b.append_column(
-            "bucket", pa.array(bucket.astype(np.int32)))
-
-    def pair_counts(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
-                       ("event_id", "ascending")])
-        n = g.num_rows
-        cur = g.column("event_type").to_numpy(
-            zero_copy_only=False).astype(object)
-        nxt = np.roll(cur, -1)
-        same_user = np.empty(n, dtype=bool)
-        uid = g.column("user_id").to_numpy(zero_copy_only=False)
-        same_user[:-1] = uid[1:] == uid[:-1]
-        same_user[-1] = False
-        out = (pa.table({
-            "event_type": pa.array(cur[same_user], type=pa.string()),
-            "next_type": pa.array(nxt[same_user], type=pa.string()),
-        }).group_by(["event_type", "next_type"])
-            .aggregate([("next_type", "count")]))
-        return pa.table({
-            "event_type": out.column("event_type"),
-            "next_type": out.column("next_type"),
-            "cnt": pc.cast(out.column("next_type_count"), pa.int64()),
-        })
-
-    from ray.data.aggregate import Sum
-
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("bucket")
-            .map_groups(pair_counts, batch_format="pyarrow")
-            .groupby(["event_type", "next_type"])
-            .aggregate(Sum("cnt", alias_name="cnt"))
-            .take_all())
+    return fold(_pair_partials(sf_dir), ["event_type", "next_type"],
+                {"cnt": ("cnt", "sum")}).take_all()
 
 
 MARKOV_ITERS = 3
@@ -1644,13 +1538,11 @@ def session_path_topk(sf_dir: str):
             "n": pa.array(cnt.astype(np.int64)),
         })
 
-    from ray.data.aggregate import Sum
-
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("bucket")
-            .map_groups(tri_counts, batch_format="pyarrow")
-            .groupby("path").aggregate(Sum("n", alias_name="n"))
+    return (fold(ds.map_batches(add_bucket, batch_format="pyarrow",
+                                batch_size=65536)
+                 .groupby("bucket")
+                 .map_groups(tri_counts, batch_format="pyarrow"),
+                 "path", {"n": ("n", "sum")})
             .sort(["n", "path"], descending=[True, False])
             .limit(PATH_TOPK))
 
@@ -1862,6 +1754,29 @@ FROM m
 ACF_MAX_LAG = 7
 
 
+def _daily_order_counts(sf_dir: str) -> tuple[int, np.ndarray]:
+    """(first epoch day, orders per day) over the calendar-filled
+    [min, max] order-date range — empty days are real zeros."""
+    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_orderdate"])
+
+    def cells(b: pa.Table) -> pa.Table:
+        days = (b.column("o_orderdate").to_numpy()
+                .astype("datetime64[D]").astype(np.int64))
+        return pa.table({
+            "day": pa.array(days),
+            "c": pa.array(np.ones(b.num_rows, dtype=np.int64)),
+        })
+
+    daily = combine(ds, "day", {"c": ("c", "sum")}, cells) \
+        .sort("day").take_all()
+    dy = np.array([r["day"] for r in daily], dtype=np.int64)
+    c = np.array([r["c"] for r in daily], dtype=np.int64)
+    lo, hi = int(dy[0]), int(dy[-1])
+    x = np.zeros(hi - lo + 1, dtype=np.int64)
+    x[dy - lo] = c
+    return lo, x
+
+
 def acf_daily_orders(sf_dir: str):
     """Autocorrelation function of the daily order-count series at
     lags 1..ACF_MAX_LAG — the seasonality/memory fingerprint (Box &
@@ -1876,28 +1791,7 @@ def acf_daily_orders(sf_dir: str):
     rₖ = (n²·Cₖ − n·S·(Hₖ+Tₖ) + (n−k)·S²) / (n·(n·Q − S²)) divides
     exact integers ONCE per lag — the oracle's HUGEINT expression
     term for term."""
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_orderdate"])
-
-    def day_partial(b: pa.Table) -> pa.Table:
-        days = (b.column("o_orderdate").to_numpy()
-                .astype("datetime64[D]").astype(np.int64))
-        g = pa.table({
-            "day": pa.array(days),
-            "c": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by("day").aggregate([("c", "sum")])
-        return g.rename_columns(["day", "c"])
-
-    daily = (ds.map_batches(day_partial, batch_format="pyarrow",
-                            batch_size=65536)
-             .groupby("day").aggregate(Sum("c", alias_name="c"))
-             .sort("day").take_all())
-    dy = np.array([r["day"] for r in daily], dtype=np.int64)
-    c = np.array([r["c"] for r in daily], dtype=np.int64)
-    lo, hi = int(dy[0]), int(dy[-1])
-    x = np.zeros(hi - lo + 1, dtype=np.int64)
-    x[dy - lo] = c
+    lo, x = _daily_order_counts(sf_dir)
     n = len(x)
     s = int(x.sum())
     q = int((x * x).sum())
@@ -1934,28 +1828,7 @@ def ewma_daily_orders(sf_dir: str):
     recursive CTE over the day index. Daily counts fold distributed;
     the walk is driver-side on the calendar-bounded series (the
     ``events_changepoint`` pattern)."""
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_orderdate"])
-
-    def day_partial(b: pa.Table) -> pa.Table:
-        days = (b.column("o_orderdate").to_numpy()
-                .astype("datetime64[D]").astype(np.int64))
-        g = pa.table({
-            "day": pa.array(days),
-            "c": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by("day").aggregate([("c", "sum")])
-        return g.rename_columns(["day", "c"])
-
-    daily = (ds.map_batches(day_partial, batch_format="pyarrow",
-                            batch_size=65536)
-             .groupby("day").aggregate(Sum("c", alias_name="c"))
-             .sort("day").take_all())
-    dy = np.array([r["day"] for r in daily], dtype=np.int64)
-    c = np.array([r["c"] for r in daily], dtype=np.int64)
-    lo, hi = int(dy[0]), int(dy[-1])
-    x = np.zeros(hi - lo + 1, dtype=np.int64)
-    x[dy - lo] = c
+    lo, x = _daily_order_counts(sf_dir)
     ewma = np.zeros(len(x), dtype=np.int64)
     alert = np.zeros(len(x), dtype=np.int64)
     s = int(x[0]) * EWMA_SCALE
@@ -2071,7 +1944,6 @@ def events_watermark_windows(sf_dir: str,
     groupby over the hours present. The oracle replays the identical
     rule as one SQL running-max window over the same arrival order."""
     import ray
-    from ray.data.aggregate import Sum
 
     from ..functions.hashing import md5_hex
 
@@ -2092,17 +1964,14 @@ def events_watermark_windows(sf_dir: str,
 
     def narrow(b: pa.Table) -> pa.Table:
         _, ts, arr = _arrival(b)
-        g = (pa.table({
+        return pa.table({
             "bucket": pa.array(arr // _HOUR_US),
             "mx": pa.array(ts),
-        }).group_by("bucket").aggregate([("mx", "max")]))
-        return g.rename_columns(["bucket", "mx"])
+        })
 
-    sub = (ds.map_batches(narrow, batch_format="pyarrow",
-                          batch_size=65536)
-           .groupby("bucket").max("mx").to_pandas()
-           .sort_values("bucket").reset_index(drop=True))
-    mx = sub["max(mx)"].to_numpy(dtype=np.int64)
+    sub = (combine(ds, "bucket", {"mx": ("mx", "max")}, narrow)
+           .to_pandas().sort_values("bucket").reset_index(drop=True))
+    mx = sub["mx"].to_numpy(dtype=np.int64)
     base = np.concatenate(
         ([_WM_NEG], np.maximum.accumulate(mx)[:-1]))
     base_ref = ray.put(dict(zip(
@@ -2133,21 +2002,19 @@ def events_watermark_windows(sf_dir: str,
                 pa.array(ts, type=pa.timestamp("us")), unit="hour"),
                 pa.timestamp("s")),
             format="%Y-%m-%d %H:%M:%S")
-        f = (pa.table({
+        return group_agg(pa.table({
             "window_start": win,
             "n_accepted": pa.array(ok),
             "n_late": pa.array(1 - ok),
-        }).group_by("window_start").aggregate([
-            ("n_accepted", "sum"), ("n_late", "sum")]))
-        return f.rename_columns(["window_start", "n_accepted", "n_late"])
+        }), "window_start", counts)
 
-    return (ds.map_batches(tag, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("bucket")
-            .map_groups(admit, batch_format="pyarrow")
-            .groupby("window_start")
-            .aggregate(Sum("n_accepted", alias_name="n_accepted"),
-                       Sum("n_late", alias_name="n_late")))
+    counts = {"n_accepted": ("n_accepted", "sum"),
+              "n_late": ("n_late", "sum")}
+    return fold(ds.map_batches(tag, batch_format="pyarrow",
+                               batch_size=65536)
+                .groupby("bucket")
+                .map_groups(admit, batch_format="pyarrow"),
+                "window_start", counts)
 
 
 _WATERMARK_SQL = f"""
@@ -2627,15 +2494,11 @@ def cohort_retention(sf_dir: str):
             "n": pa.array(np.ones(len(weeks), dtype=np.int64)),
         })
 
-    from ray.data.aggregate import Sum
-
-    cells = (
+    cells = fold(
         ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
         .groupby("user_id")
-        .map_groups(per_user, batch_format="pyarrow")
-        .groupby(["cohort_week", "k"])
-        .aggregate(Sum("n", alias_name="n_users"))
-    ).to_pandas()
+        .map_groups(per_user, batch_format="pyarrow"),
+        ["cohort_week", "k"], {"n_users": ("n", "sum")}).to_pandas()
 
     base = cells.loc[cells["k"] == 0] \
         .set_index("cohort_week")["n_users"]

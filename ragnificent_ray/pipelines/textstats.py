@@ -8,7 +8,6 @@ profiles are compiled once per actor (stateful stage pattern).
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
@@ -18,10 +17,21 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
+from .combine import combine, fold, group_agg
+from .inputs import _pq, table_bytes
 from .orderstats import boundary_rows, histogram
 
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "it")
+
+
+def _sums(*cols: str) -> dict:
+    """Combiner aggs summing each of ``cols`` under its own name."""
+    return {c: (c, "sum") for c in cols}
+
+
+# the (key…, n) count partials most folds here merge
+_N_SUM = _sums("n")
 
 # tiny per-language stopword profiles for the n-gram/stopword heuristic
 _LANG_PROFILES = {
@@ -33,10 +43,6 @@ _LANG_PROFILES = {
 }
 
 _BPEISH = re.compile(r"\w+|[^\w\s]")
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
 
 
 def token_stats(sf_dir: str):
@@ -163,6 +169,43 @@ def fingerprints(sf_dir: str):
     return ds.map_batches(fp, batch_format="pyarrow", batch_size=8192)
 
 
+def _token_counts(ds):
+    """Corpus token frequencies ``(token, n)`` of the ``text`` column:
+    one row per distinct token per block, folded by token."""
+    from collections import Counter
+
+    def partial(batch: pa.Table) -> pa.Table:
+        c: Counter = Counter()
+        for t in batch.column("text").to_pylist():
+            c.update(t.strip().split())
+        return pa.table({
+            "token": pa.array(list(c.keys()), type=pa.string()),
+            "n": pa.array(list(c.values()), type=pa.int64()),
+        })
+
+    return fold(ds.map_batches(partial, batch_format="pyarrow",
+                               batch_size=8192), "token", _N_SUM)
+
+
+def _bigram_partials(ds):
+    """Per-block ``(w1, w2, n)`` adjacent-token-pair counts of the
+    ``text`` column, one row per distinct pair per block."""
+    from collections import Counter
+
+    def partial(batch: pa.Table) -> pa.Table:
+        c: Counter = Counter()
+        for t in batch.column("text").to_pylist():
+            toks = t.strip().split()
+            c.update(zip(toks, toks[1:]))
+        return pa.table({
+            "w1": pa.array([k[0] for k in c], type=pa.string()),
+            "w2": pa.array([k[1] for k in c], type=pa.string()),
+            "n": pa.array(list(c.values()), type=pa.int64()),
+        })
+
+    return ds.map_batches(partial, batch_format="pyarrow", batch_size=8192)
+
+
 def doc_length_histogram(sf_dir: str):
     """Corpus length profile: documents bucketed by the DECIMAL DIGIT
     COUNT of their character length (1=1–9 chars, 2=10–99, …) with
@@ -171,24 +214,16 @@ def doc_length_histogram(sf_dir: str):
     engines (``len(str(n))`` ≡ ``LENGTH(CAST(n AS VARCHAR))``), unlike
     a float ``log10`` boundary. Pure metadata scan (``n_chars`` column
     only — text bytes never leave storage) + one ≤20-key fold."""
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["doc_id", "n_chars"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         n = b.column("n_chars").to_numpy()
         digits = np.char.str_len(n.astype("U20")).astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "digits": pa.array(digits, type=pa.int64()),
             "n_docs": pa.array(np.ones(len(n), dtype=np.int64)),
             "chars": pa.array(n, type=pa.int64()),
-        }).group_by("digits").aggregate([
-            ("n_docs", "sum"), ("chars", "sum")])
-        return pa.table({
-            "digits": g.column("digits"),
-            "n_docs": g.column("n_docs_sum"),
-            "chars": g.column("chars_sum"),
         })
 
     def finish(b: pa.Table) -> pa.Table:
@@ -201,12 +236,9 @@ def doc_length_histogram(sf_dir: str):
                                   type=pa.float64()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("digits")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("chars", alias_name="chars"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return combine(ds, "digits", {
+        "n_docs": ("n_docs", "sum"), "chars": ("chars", "sum"),
+    }, cells).map_batches(finish, batch_format="pyarrow")
 
 
 def doclen_gini(sf_dir: str):
@@ -230,12 +262,11 @@ def doclen_gini(sf_dir: str):
                          columns=["source", "n_chars"])
 
     def partial(b: pa.Table) -> pa.Table:
-        g = pa.table({
+        return group_agg(pa.table({
             "source": b.column("source"),
             "n_chars": b.column("n_chars"),
             "c": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by(["source", "n_chars"]).aggregate([("c", "sum")])
-        return g.rename_columns(["source", "n_chars", "c"])
+        }), ["source", "n_chars"], {"c": ("c", "sum")})
 
     def gini_fold(g: pa.Table) -> pa.Table:
         src = g.column("source")[0].as_py()
@@ -440,12 +471,10 @@ def vocab_top(sf_dir: str):
             "df": pa.array(list(c.values()), type=pa.int64()),
         })
 
-    from ray.data.aggregate import Sum
-
     return (
-        ds.map_batches(partial_df, batch_format="pyarrow", batch_size=8192)
-        .groupby("token")
-        .aggregate(Sum("df", alias_name="df"))
+        fold(ds.map_batches(partial_df, batch_format="pyarrow",
+                            batch_size=8192),
+             "token", {"df": ("df", "sum")})
         .sort(["df", "token"], descending=[True, False])
         .limit(100)
     )
@@ -468,25 +497,8 @@ def zipf_fit(sf_dir: str):
     regression then runs on exactly 100 driver rows. Ranks and counts
     are exact integers on both engines; ln() is libm on both; the
     4-dp rounding absorbs the float-sum association order."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
-
-    def partial_tc(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            c.update(tok for tok in t.strip().split() if tok)
-        return pa.table({
-            "token": pa.array(list(c.keys()), type=pa.string()),
-            "n": pa.array(list(c.values()), type=pa.int64()),
-        })
-
-    top = (ds.map_batches(partial_tc, batch_format="pyarrow",
-                          batch_size=8192)
-           .groupby("token")
-           .aggregate(Sum("n", alias_name="n"))
+    top = (_token_counts(ds)
            .sort(["n", "token"], descending=[True, False])
            .limit(ZIPF_TOPK)
            .take(ZIPF_TOPK))
@@ -562,13 +574,9 @@ def naive_bayes_source(sf_dir: str):
             "n": pa.array(out_n, type=pa.int64()),
         })
 
-    from ray.data.aggregate import Sum
-
-    folded = (ds.map_batches(count_partial, batch_format="pyarrow",
-                             batch_size=8192)
-              .groupby(["source", "b"])
-              .aggregate(Sum("n", alias_name="n"))
-              .take_all())
+    folded = fold(ds.map_batches(count_partial, batch_format="pyarrow",
+                                 batch_size=8192),
+                  ["source", "b"], _N_SUM).take_all()
     srcs = sorted({r["source"] for r in folded})
     sidx = {s: i for i, s in enumerate(srcs)}
     cnt = np.zeros((len(srcs), NB_BUCKETS), dtype=np.int64)
@@ -599,17 +607,27 @@ def naive_bayes_source(sf_dir: str):
         scores = C @ W.T + prior             # exact int64
         # first max = alphabetically smallest source (srcs sorted)
         pred = np.asarray(srcs, dtype=object)[np.argmax(scores, axis=1)]
-        g = pa.table({
+        return pa.table({
             "actual": batch.column("source"),
             "predicted": pa.array(pred, type=pa.string()),
             "n": pa.array(np.ones(rows, dtype=np.int64)),
-        }).group_by(["actual", "predicted"]).aggregate([("n", "sum")])
-        return g.rename_columns(["actual", "predicted", "n"])
+        })
 
-    return (ds.map_batches(classify, batch_format="pyarrow",
-                           batch_size=8192)
-            .groupby(["actual", "predicted"])
-            .aggregate(Sum("n", alias_name="n")))
+    return combine(ds, ["actual", "predicted"], _N_SUM, classify,
+                   batch_size=8192)
+
+
+def _lang_source_counts(sf_dir: str):
+    """Documents per (lang, source) cell — the catalog-bounded
+    contingency table under the lang × source dependency tests."""
+    ds = rd.read_parquet(_pq(sf_dir, "documents"),
+                         columns=["lang", "source"])
+
+    def cells(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "n", pa.array(np.ones(b.num_rows, dtype=np.int64)))
+
+    return combine(ds, ["lang", "source"], _N_SUM, cells)
 
 
 def lang_source_mi(sf_dir: str):
@@ -627,24 +645,7 @@ def lang_source_mi(sf_dir: str):
     order is pinned."""
     import math
 
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["lang", "source"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.table({
-            "lang": b.column("lang"),
-            "source": b.column("source"),
-            "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by(["lang", "source"]).aggregate([("n", "sum")])
-        return g.rename_columns(["lang", "source", "n"])
-
-    cells = (ds.map_batches(partial, batch_format="pyarrow",
-                            batch_size=65536)
-             .groupby(["lang", "source"])
-             .aggregate(Sum("n", alias_name="n"))
-             .take_all())
+    cells = _lang_source_counts(sf_dir).take_all()
     cells.sort(key=lambda r: (r["lang"], r["source"]))
     n = sum(int(r["n"]) for r in cells)
     pl: dict[str, int] = {}
@@ -693,12 +694,9 @@ def bigram_top(sf_dir: str):
             "n": pa.array(list(c.values()), type=pa.int64()),
         })
 
-    from ray.data.aggregate import Sum
-
     return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=8192)
-        .groupby("bigram")
-        .aggregate(Sum("n", alias_name="n"))
+        fold(ds.map_batches(partial, batch_format="pyarrow",
+                            batch_size=8192), "bigram", _N_SUM)
         .sort(["n", "bigram"], descending=[True, False])
         .limit(100)
     )
@@ -741,9 +739,8 @@ def heavy_hitter_tokens(sf_dir: str):
         return pa.table({"token": pa.array(keep, type=pa.string())})
 
     cand = set()
-    for b in (ds.map_batches(mg_partial, batch_format="pyarrow",
-                             batch_size=8192)
-              .groupby("token").count()
+    for b in (combine(ds, "token", {"n": ("token", "count")}, mg_partial,
+                      batch_size=8192)
               .iter_batches(batch_format="pyarrow")):
         cand.update(b.column("token").to_pylist())
     cand_ref = ray.put(frozenset(cand))
@@ -758,12 +755,9 @@ def heavy_hitter_tokens(sf_dir: str):
             "n": pa.array(list(c.values()), type=pa.int64()),
         })
 
-    from ray.data.aggregate import Sum
-
     return (
-        ds.map_batches(recount, batch_format="pyarrow", batch_size=8192)
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
+        fold(ds.map_batches(recount, batch_format="pyarrow",
+                            batch_size=8192), "token", _N_SUM)
         .sort(["n", "token"], descending=[True, False])
         .limit(_HH_TOP)
     )
@@ -814,11 +808,9 @@ def countmin_tokens(sf_dir: str):
             "c": pa.array(arr[d_idx, h_idx]),
         })
 
-    from ray.data.aggregate import Sum
-
-    cm_rows = (ds.map_batches(cm_partial, batch_format="pyarrow",
-                              batch_size=8192)
-               .groupby("cell").aggregate(Sum("c", alias_name="c")))
+    cm_rows = fold(ds.map_batches(cm_partial, batch_format="pyarrow",
+                                  batch_size=8192),
+                   "cell", {"c": ("c", "sum")})
     cm = np.zeros(CM_D * CM_W, dtype=np.int64)
     for b in cm_rows.iter_batches(batch_format="pyarrow"):
         cm[b.column("cell").to_numpy()] = b.column("c").to_numpy()
@@ -969,43 +961,14 @@ def bigram_logprob(sf_dir: str):
     import numpy as np
     import ray
 
-    from collections import Counter
-
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
 
-    def uni_partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            c.update(t.strip().split())
-        return pa.table({
-            "token": pa.array(list(c.keys()), type=pa.string()),
-            "n": pa.array(list(c.values()), type=pa.int64()),
-        })
-
-    def bi_partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            toks = t.strip().split()
-            c.update(zip(toks, toks[1:]))
-        return pa.table({
-            "w1": pa.array([k[0] for k in c], type=pa.string()),
-            "w2": pa.array([k[1] for k in c], type=pa.string()),
-            "n": pa.array(list(c.values()), type=pa.int64()),
-        })
-
-    uni = (
-        ds.map_batches(uni_partial, batch_format="pyarrow", batch_size=8192)
-        .groupby("token").sum("n")
-    ).to_pandas()
+    uni = _token_counts(ds).to_pandas()
     vsize = len(uni)
-    ucount = dict(zip(uni["token"], uni["sum(n)"].astype(np.int64)))
+    ucount = dict(zip(uni["token"], uni["n"].astype(np.int64)))
 
-    bi = (
-        ds.map_batches(bi_partial, batch_format="pyarrow", batch_size=8192)
-        .groupby(["w1", "w2"]).sum("n")
-    ).to_pandas()
-    bcount = dict(zip(zip(bi["w1"], bi["w2"]),
-                      bi["sum(n)"].astype(np.int64)))
+    bi = fold(_bigram_partials(ds), ["w1", "w2"], _N_SUM).to_pandas()
+    bcount = dict(zip(zip(bi["w1"], bi["w2"]), bi["n"].astype(np.int64)))
     ref = ray.put((ucount, bcount, vsize))
 
     class Score:
@@ -1053,8 +1016,6 @@ def source_mixture(sf_dir: str):
     size."""
     from collections import defaultdict
 
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["source", "text"])
 
@@ -1072,11 +1033,10 @@ def source_mixture(sf_dir: str):
             "n_tokens": pa.array([toks[k] for k in keys], type=pa.int64()),
         })
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow", batch_size=8192)
-           .groupby("source")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("n_tokens", alias_name="n_tokens"))
-           ).materialize()
+    agg = fold(ds.map_batches(partial, batch_format="pyarrow",
+                              batch_size=8192), "source", {
+        "n_docs": ("n_docs", "sum"), "n_tokens": ("n_tokens", "sum"),
+    }).materialize()
     total = agg.sum("n_tokens")
 
     def frac(t: pa.Table) -> pa.Table:
@@ -1094,8 +1054,6 @@ def lang_confusion(sf_dir: str):
     per batch with the ground-truth column carried through, then one
     tiny two-key groupby folds the partial counts."""
     from collections import Counter
-
-    from ray.data.aggregate import Sum
 
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["doc_id", "text", "lang"])
@@ -1120,10 +1078,9 @@ def lang_confusion(sf_dir: str):
             "n": pa.array([c[k] for k in keys], type=pa.int64()),
         })
 
-    return (ds.map_batches(guess_and_count, batch_format="pyarrow",
-                           batch_size=8192)
-            .groupby(["lang", "guessed_lang"])
-            .aggregate(Sum("n", alias_name="n")))
+    return fold(ds.map_batches(guess_and_count, batch_format="pyarrow",
+                               batch_size=8192),
+                ["lang", "guessed_lang"], _N_SUM)
 
 
 def _fit_unigram_model(sf_dir: str):
@@ -1137,26 +1094,11 @@ def _fit_unigram_model(sf_dir: str):
     import numpy as np
     import ray
 
-    from collections import Counter
-
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
-
-    def cnt_partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            c.update(t.strip().split())
-        return pa.table({
-            "token": pa.array(list(c.keys()), type=pa.string()),
-            "n": pa.array(list(c.values()), type=pa.int64()),
-        })
-
-    counts = (
-        ds.map_batches(cnt_partial, batch_format="pyarrow", batch_size=8192)
-        .groupby("token").sum("n")
-    ).to_pandas()
-    total = int(counts["sum(n)"].sum())
+    counts = _token_counts(ds).to_pandas()
+    total = int(counts["n"].sum())
     vsize = len(counts)
-    logp = np.log((counts["sum(n)"].to_numpy(dtype=np.float64) + 1.0)
+    logp = np.log((counts["n"].to_numpy(dtype=np.float64) + 1.0)
                   / (total + vsize))
     model = dict(zip(counts["token"], logp))
     oov = math.log(1.0 / (total + vsize))
@@ -1248,26 +1190,14 @@ def pmi_bigrams(sf_dir: str):
             "n": pa.array(list(c.values()) + [nb], type=pa.int64()),
         })
 
-    uc = (ds.map_batches(uni_partial, batch_format="pyarrow",
-                         batch_size=8192)
-          .groupby("token").sum("n")).to_pandas()
+    uc = fold(ds.map_batches(uni_partial, batch_format="pyarrow",
+                             batch_size=8192), "token", _N_SUM).to_pandas()
     nb_mask = uc["token"] == "\x00nb"
-    n_bi = int(uc.loc[nb_mask, "sum(n)"].sum())
+    n_bi = int(uc.loc[nb_mask, "n"].sum())
     uc = uc[~nb_mask]
-    n_uni = int(uc["sum(n)"].sum())
-    uni = dict(zip(uc["token"], uc["sum(n)"].astype(int)))
+    n_uni = int(uc["n"].sum())
+    uni = dict(zip(uc["token"], uc["n"].astype(int)))
     ref = ray.put((uni, float(n_uni), float(n_bi)))
-
-    def bi_partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            toks = t.strip().split()
-            c.update(zip(toks, toks[1:]))
-        return pa.table({
-            "w1": pa.array([k[0] for k in c], type=pa.string()),
-            "w2": pa.array([k[1] for k in c], type=pa.string()),
-            "cnt": pa.array(list(c.values()), type=pa.int64()),
-        })
 
     def score(batch: pa.Table) -> pa.Table:
         uni, nu, nbf = ray.get(ref)
@@ -1287,13 +1217,8 @@ def pmi_bigrams(sf_dir: str):
             "pmi": pa.array(pmi, type=pa.float64()),
         })
 
-    from ray.data.aggregate import Sum
-
     return (
-        ds.map_batches(bi_partial, batch_format="pyarrow",
-                       batch_size=8192)
-        .groupby(["w1", "w2"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
+        fold(_bigram_partials(ds), ["w1", "w2"], {"cnt": ("n", "sum")})
         .map_batches(score, batch_format="pyarrow", batch_size=65536)
         .sort(["pmi", "w1", "w2"], descending=[True, False, False])
         .limit(PMI_TOP)
@@ -1349,22 +1274,22 @@ def perplexity_buckets(sf_dir: str):
                     sum(model.get(w, oov) for w in toks) / n, 4) if n \
                     else 0.0
                 s_e4[i] = np.int64(np.rint(mean * 10000.0))
-            g = pa.table({
+            return group_agg(pa.table({
                 "lang": pa.array(langs, type=pa.string()),
                 "s_e4": pa.array(s_e4),
                 "cnt": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }).group_by(["lang", "s_e4"]).aggregate([("cnt", "sum")])
-            return g.rename_columns(["lang", "s_e4", "cnt"])
+            }), ["lang", "s_e4"], cnt_sum)
 
-    hist = (ds.map_batches(Cells, fn_constructor_kwargs={"ref": ref},
-                           batch_format="pyarrow", batch_size=8192,
-                           concurrency=2)
-            .groupby(["lang", "s_e4"]).sum("cnt")).to_pandas()
+    cnt_sum = {"cnt": ("cnt", "sum")}
+    hist = fold(ds.map_batches(Cells, fn_constructor_kwargs={"ref": ref},
+                               batch_format="pyarrow", batch_size=8192,
+                               concurrency=2),
+                ["lang", "s_e4"], cnt_sum).to_pandas()
 
     out_lang, out_bucket, out_n, out_mean = [], [], [], []
     for lang, grp in hist.groupby("lang", sort=True):
         grp = grp.sort_values("s_e4")
-        cnt = grp["sum(cnt)"].to_numpy(dtype=np.int64)
+        cnt = grp["cnt"].to_numpy(dtype=np.int64)
         val = grp["s_e4"].to_numpy(dtype=np.int64)
         n = int(cnt.sum())
         cum = np.cumsum(cnt)
@@ -1477,10 +1402,7 @@ def quality_rank(sf_dir: str):
         ["doc_id", "mean_logprob"]).materialize()
 
     # bucket count scaled to input (bounded groups at any corpus size)
-    try:
-        sz = os.path.getsize(_pq(sf_dir, "documents"))
-    except OSError:
-        sz = 0
+    sz = table_bytes(sf_dir, "documents")
     h = histogram(scores, "mean_logprob",
                   nbuckets=max(2048, int(sz // (64 << 20)) + 1))
     # buckets ascend with the score, so a bucket's rank offset (1 = best)
@@ -1659,8 +1581,6 @@ def heaps_law_fit(sf_dir: str):
     exchange (sentinel rows, the basket_lift discipline); the OLS
     runs on ≤|docs| exact-integer driver rows with the zipf_fit float
     tree."""
-    from ray.data.aggregate import Sum
-
     from ..functions.hashing import md5_hex
     from .dedup import _bucket_count
 
@@ -1720,14 +1640,11 @@ def heaps_law_fit(sf_dir: str):
             ]).astype(np.int64)),
         })
 
-    rows = (ds.map_batches(grams, batch_format="pyarrow",
-                           batch_size=8192)
-            .groupby("bk").map_groups(bucket_fold,
-                                      batch_format="pyarrow")
-            .groupby("doc")
-            .aggregate(Sum("v", alias_name="v"),
-                       Sum("n", alias_name="n"))
-            .take_all())
+    rows = fold(ds.map_batches(grams, batch_format="pyarrow",
+                               batch_size=8192)
+                .groupby("bk").map_groups(bucket_fold,
+                                          batch_format="pyarrow"),
+                "doc", {"v": ("v", "sum"), "n": ("n", "sum")}).take_all()
     rows.sort(key=lambda r: r["doc"])
     cn = np.cumsum([r["n"] for r in rows])
     cv = np.cumsum([r["v"] for r in rows])
@@ -1767,8 +1684,6 @@ def kl_source_divergence(sf_dir: str):
     division per pair, mirroring the oracle."""
     import math
 
-    from ray.data.aggregate import Sum
-
     from ..functions.hashing import md5_hex
 
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
@@ -1798,11 +1713,9 @@ def kl_source_divergence(sf_dir: str):
             "n": pa.array(out_n, type=pa.int64()),
         })
 
-    folded = (ds.map_batches(count_partial, batch_format="pyarrow",
-                             batch_size=8192)
-              .groupby(["source", "b"])
-              .aggregate(Sum("n", alias_name="n"))
-              .take_all())
+    folded = fold(ds.map_batches(count_partial, batch_format="pyarrow",
+                                 batch_size=8192),
+                  ["source", "b"], _N_SUM).take_all()
     srcs = sorted({r["source"] for r in folded})
     sidx = {s: i for i, s in enumerate(srcs)}
     cnt = np.zeros((len(srcs), NB_BUCKETS), dtype=np.int64)
@@ -1848,8 +1761,6 @@ def ams_f2_tokens(sf_dir: str):
     one float division at the end."""
     from collections import Counter
 
-    from ray.data.aggregate import Sum
-
     from ..functions.hashing import md5_hex
 
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
@@ -1869,19 +1780,9 @@ def ams_f2_tokens(sf_dir: str):
             "s": pa.array(s),
         })
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            c.update(tok for tok in t.strip().split() if tok)
-        return pa.table({
-            "token": pa.array(list(c.keys()), type=pa.string()),
-            "n": pa.array(list(c.values()), type=pa.int64()),
-        })
-
-    srows = (ds.map_batches(sign_partial, batch_format="pyarrow",
-                            batch_size=8192)
-             .groupby("j").aggregate(Sum("s", alias_name="s"))
-             .take_all())
+    srows = fold(ds.map_batches(sign_partial, batch_format="pyarrow",
+                                batch_size=8192),
+                 "j", {"s": ("s", "sum")}).take_all()
     ss = sum(int(r["s"]) ** 2 for r in srows)     # exact Python ints
 
     def sq_partial(b: pa.Table) -> pa.Table:
@@ -1889,9 +1790,7 @@ def ams_f2_tokens(sf_dir: str):
         return pa.table({"f2": pa.array([int((n * n).sum())],
                                         type=pa.int64())})
 
-    f2 = int(ds.map_batches(count_partial, batch_format="pyarrow",
-                            batch_size=8192)
-             .groupby("token").aggregate(Sum("n", alias_name="n"))
+    f2 = int(_token_counts(ds)
              .map_batches(sq_partial, batch_format="pyarrow")
              .sum("f2"))
     est = float(ss) / float(AMS_R)
@@ -1949,24 +1848,7 @@ def chi2_lang_source(sf_dir: str):
     absorbed by the 4-dp round, mirroring the oracle."""
     import math
 
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["lang", "source"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.table({
-            "lang": b.column("lang"),
-            "source": b.column("source"),
-            "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by(["lang", "source"]).aggregate([("n", "sum")])
-        return g.rename_columns(["lang", "source", "n"])
-
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby(["lang", "source"])
-            .aggregate(Sum("n", alias_name="n"))
-            .take_all())
+    rows = _lang_source_counts(sf_dir).take_all()
     langs = sorted({r["lang"] for r in rows})
     srcs = sorted({r["source"] for r in rows})
     li = {v: i for i, v in enumerate(langs)}
@@ -2850,12 +2732,13 @@ def logreg_quality_gd(sf_dir: str, iters: int = LOGREG_ITERS):
     w = np.zeros(K, dtype=np.int64)
     for _ in range(iters):
         ref = ray.put(w)
-        small = (ints.map_batches(Grad, fn_constructor_kwargs={"ref": ref},
-                                  batch_format="pyarrow", batch_size=8192,
-                                  concurrency=2)
-                 .groupby("k").sum(["hi", "lo"])).to_pandas().sort_values("k")
+        small = ints.map_batches(Grad, fn_constructor_kwargs={"ref": ref},
+                                 batch_format="pyarrow", batch_size=8192,
+                                 concurrency=2)
+        small = fold(small, "k", {"hi": ("hi", "sum"), "lo": ("lo", "sum")}
+                     ).to_pandas().sort_values("k")
         g = [int(h) * _LOGREG_SPLIT + int(l)
-             for h, l in zip(small["sum(hi)"], small["sum(lo)"])]
+             for h, l in zip(small["hi"], small["lo"])]
         # Python // is floor division on exact ints (= np.floor_divide)
         w = np.array([int(wk) - gk // (n * LOGREG_LR_DIV)
                       for wk, gk in zip(w, g)], dtype=np.int64)
@@ -2955,7 +2838,7 @@ def domain_quality_gate(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["text", "source"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         texts = b.column("text").to_pylist()
         toks = np.empty(len(texts), dtype=np.int64)
         hits = np.empty(len(texts), dtype=np.int64)
@@ -2963,23 +2846,19 @@ def domain_quality_gate(sf_dir: str):
             ws = t.strip().lower().split()
             toks[i] = len(ws)
             hits[i] = sum(w in stops for w in ws)
-        g = pa.table({
+        return pa.table({
             "source": b.column("source"),
             "n_docs": pa.array(np.ones(len(texts), dtype=np.int64)),
             "toks": pa.array(toks),
             "hits": pa.array(hits),
-        }).group_by("source").aggregate(
-            [("n_docs", "sum"), ("toks", "sum"), ("hits", "sum")])
-        return g.rename_columns(["source", "n_docs", "toks", "hits"])
+        })
 
-    per_src = (ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=8192)
-               .groupby("source").sum(["n_docs", "toks", "hits"])
-               .to_pandas())
+    per_src = combine(ds, "source", _sums("n_docs", "toks", "hits"), cells,
+                      batch_size=8192).to_pandas()
     src = per_src["source"].to_numpy()
-    n_docs = per_src["sum(n_docs)"].to_numpy().astype(np.int64)
-    toks = per_src["sum(toks)"].to_numpy().astype(np.int64)
-    hits = per_src["sum(hits)"].to_numpy().astype(np.int64)
+    n_docs = per_src["n_docs"].to_numpy().astype(np.int64)
+    toks = per_src["toks"].to_numpy().astype(np.int64)
+    hits = per_src["hits"].to_numpy().astype(np.int64)
     gt, gh = int(toks.sum()), int(hits.sum())
     keep = np.fromiter(
         (1 if int(h) * gt * 10 >= gh * int(tk) * 9 else 0
@@ -3035,33 +2914,29 @@ def token_fertility(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["text", "lang"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         texts = b.column("text").to_pylist()
         ws = np.empty(len(texts), dtype=np.int64)
         bp = np.empty(len(texts), dtype=np.int64)
         for i, t in enumerate(texts):
             ws[i] = len(t.split())
             bp[i] = len(_BPEISH.findall(t))
-        g = pa.table({
+        return pa.table({
             "lang": b.column("lang"),
             "n_docs": pa.array(np.ones(len(texts), dtype=np.int64)),
             "ws": pa.array(ws),
             "bp": pa.array(bp),
-        }).group_by("lang").aggregate(
-            [("n_docs", "sum"), ("ws", "sum"), ("bp", "sum")])
-        return g.rename_columns(["lang", "n_docs", "ws", "bp"])
+        })
 
-    per_lang = (ds.map_batches(partial, batch_format="pyarrow",
-                               batch_size=8192)
-                .groupby("lang").sum(["n_docs", "ws", "bp"])
-                .to_pandas())
-    ws = per_lang["sum(ws)"].to_numpy().astype(np.int64)
-    bp = per_lang["sum(bp)"].to_numpy().astype(np.int64)
+    per_lang = combine(ds, "lang", _sums("n_docs", "ws", "bp"), cells,
+                       batch_size=8192).to_pandas()
+    ws = per_lang["ws"].to_numpy().astype(np.int64)
+    bp = per_lang["bp"].to_numpy().astype(np.int64)
     fert = np.where(ws > 0, bp / np.maximum(ws, 1), 0.0)
     return pa.table({
         "lang": pa.array(per_lang["lang"].to_numpy(), type=pa.string()),
         "n_docs": pa.array(
-            per_lang["sum(n_docs)"].to_numpy().astype(np.int64)),
+            per_lang["n_docs"].to_numpy().astype(np.int64)),
         "ws_tokens": pa.array(ws),
         "bpeish_tokens": pa.array(bp),
         "fertility": pa.array(round_half_away(fert, 6),
@@ -3109,26 +2984,22 @@ def logreg_calibration(sf_dir: str, bins: int = 10):
     only in the last ≤``bins``-row step."""
     preds = logreg_quality_gd(sf_dir)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         p = b.column("p").to_numpy(zero_copy_only=False)
         y = b.column("y").to_numpy(zero_copy_only=False)
         bn = np.minimum(p * bins // LOGREG_SCALE, bins - 1)
-        g = pa.table({
+        return pa.table({
             "bin": pa.array(bn.astype(np.int64)),
             "n": pa.array(np.ones(len(p), dtype=np.int64)),
             "sum_p": pa.array(p, type=pa.int64()),
             "sum_y": pa.array(y, type=pa.int64()),
-        }).group_by("bin").aggregate(
-            [("n", "sum"), ("sum_p", "sum"), ("sum_y", "sum")])
-        return g.rename_columns(["bin", "n", "sum_p", "sum_y"])
+        })
 
-    per_bin = (preds.map_batches(partial, batch_format="pyarrow",
-                                 batch_size=8192)
-               .groupby("bin").sum(["n", "sum_p", "sum_y"])
-               .to_pandas())
-    n = per_bin["sum(n)"].to_numpy().astype(np.int64)
-    sp = per_bin["sum(sum_p)"].to_numpy().astype(np.int64)
-    sy = per_bin["sum(sum_y)"].to_numpy().astype(np.int64)
+    per_bin = combine(preds, "bin", _sums("n", "sum_p", "sum_y"), cells,
+                      batch_size=8192).to_pandas()
+    n = per_bin["n"].to_numpy().astype(np.int64)
+    sp = per_bin["sum_p"].to_numpy().astype(np.int64)
+    sy = per_bin["sum_y"].to_numpy().astype(np.int64)
     return pa.table({
         "bin": pa.array(per_bin["bin"].to_numpy().astype(np.int64)),
         "n": pa.array(n),
@@ -3171,17 +3042,13 @@ def temperature_mix_weights(sf_dir: str, alpha: float = MIX_ALPHA):
     driver arithmetic on the catalog-bounded source rows."""
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["source"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.table({
-            "source": b.column("source"),
-            "n_docs": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by("source").aggregate([("n_docs", "sum")])
-        return g.rename_columns(["source", "n_docs"])
+    def cells(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "n_docs", pa.array(np.ones(b.num_rows, dtype=np.int64)))
 
-    per_src = (ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=8192)
-               .groupby("source").sum("n_docs").to_pandas())
-    n = per_src["sum(n_docs)"].to_numpy().astype(np.int64)
+    per_src = combine(ds, "source", _sums("n_docs"), cells,
+                      batch_size=8192).to_pandas()
+    n = per_src["n_docs"].to_numpy().astype(np.int64)
     w = np.floor(np.power(n.astype(np.float64), alpha)
                  * MIX_QUANT).astype(np.int64)
     total_w, total_n = int(w.sum()), int(n.sum())

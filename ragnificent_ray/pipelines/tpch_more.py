@@ -11,7 +11,8 @@ pipeline with a value-checked DuckDB oracle:
 * Q18 — HAVING filter then join back to the parent row (``large_orders``)
 
 Shared discipline (see ``relational.py`` header): column-pruned reads,
-per-batch Arrow ``group_by`` combiners before any exchange, bounded
+per-batch Arrow ``group_by`` combiners before any exchange
+(:mod:`combine`: ``group_agg`` per batch, ``fold`` across blocks), bounded
 key-hash buckets + ``map_groups`` for corpus-scale keyed folds (never a
 native Ray Aggregate over an unbounded key space), hash-partitioned
 ``Dataset.join`` for big ⋈ big, broadcast lookups for true dimensions,
@@ -22,7 +23,6 @@ the result depend on summation order.
 from __future__ import annotations
 
 import datetime as _dt
-import os
 
 import numpy as np
 import pandas as pd
@@ -32,10 +32,8 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
+from .combine import combine, group_agg
+from .inputs import _pq, table_bytes
 
 
 def _buckets(sf_dir: str, table: str, target_bytes: int = 32 << 20,
@@ -43,24 +41,26 @@ def _buckets(sf_dir: str, table: str, target_bytes: int = 32 << 20,
     """Key-hash bucket count scaled to the table's bytes (one bucket per
     ~32 MiB, min ``floor``) — per-group frames stay block-sized at any
     corpus scale while the groupby key space is bounded."""
-    try:
-        sz = os.path.getsize(_pq(sf_dir, table))
-    except OSError:
-        sz = 0
-    return max(floor, int(sz // target_bytes) + 1)
+    return max(floor, int(table_bytes(sf_dir, table) // target_bytes) + 1)
+
+
+def _with_kb(t: pa.Table, key: str, n_buckets: int) -> pa.Table:
+    """``t`` tagged with its key-hash bucket ``kb`` for a keyed fold."""
+    return t.append_column("kb", pa.array(
+        (t.column(key).to_numpy() % n_buckets).astype(np.int32)))
 
 
 def _join_partitions(sf_dir: str, table: str = "lineitem") -> int:
     """Hash-join width scaled like dedup._join_partition_count: small
     inputs get 2 partitions (aggregator-actor startup dominates below
     ~64 MiB), growing with bytes and capped by cluster CPUs."""
-    try:
-        sz = os.path.getsize(_pq(sf_dir, table))
-    except OSError:
-        sz = 0
+    sz = table_bytes(sf_dir, table)
     cpus = int(ray.cluster_resources().get("CPU", 8)) if \
         ray.is_initialized() else 8
     return max(2, min(cpus, int(sz // (64 << 20)) + 1))
+
+
+_REV_SUM = {"rev_e4": ("rev_e4", "sum")}
 
 
 def _rev_e4(batch: pa.Table) -> np.ndarray:
@@ -99,19 +99,11 @@ def order_priority_exists(sf_dir: str):
                          columns=["l_orderkey", "l_shipdate"])
 
     def max_partial(b: pa.Table) -> pa.Table:
-        g = (b.group_by("l_orderkey")
-             .aggregate([("l_shipdate", "max")]))
-        key = g.column("l_orderkey").to_numpy()
-        return pa.table({
-            "l_orderkey": g.column("l_orderkey"),
-            "max_ship": g.column("l_shipdate_max"),
-            "kb": pa.array((key % n_buckets).astype(np.int32)),
-        })
+        return _with_kb(group_agg(b, "l_orderkey", {
+            "max_ship": ("l_shipdate", "max")}), "l_orderkey", n_buckets)
 
     def max_fold(g: pa.Table) -> pa.Table:
-        f = g.group_by("l_orderkey").aggregate([("max_ship", "max")])
-        return pa.table({"l_orderkey": f.column("l_orderkey"),
-                         "max_ship": f.column("max_ship_max")})
+        return group_agg(g, "l_orderkey", {"max_ship": ("max_ship", "max")})
 
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_orderkey", "o_orderdate",
@@ -119,32 +111,24 @@ def order_priority_exists(sf_dir: str):
 
     thirty_days_us = np.int64(30 * 86400 * 1_000_000)
 
-    def prio_partial(b: pa.Table) -> pa.Table:
+    def late_cells(b: pa.Table) -> pa.Table:
         ship = b.column("max_ship").cast(pa.int64()).to_numpy()
         odate = b.column("o_orderdate").cast(pa.int64()).to_numpy()
         late = b.filter(pa.array(ship > odate + thirty_days_us))
-        g = pa.table({
+        return pa.table({
             "o_orderpriority": late.column("o_orderpriority"),
             "n": pa.array(np.ones(late.num_rows, dtype=np.int64)),
-        }).group_by("o_orderpriority").aggregate([("n", "sum")])
-        return pa.table({"o_orderpriority": g.column("o_orderpriority"),
-                         "n_orders": g.column("n_sum")})
+        })
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return combine(
         li.map_batches(max_partial, batch_format="pyarrow",
                        batch_size=65536)
         .groupby("kb")
         .map_groups(max_fold, batch_format="pyarrow")
         .join(orders, "inner", num_partitions=P,
               on=("l_orderkey",), right_on=("o_orderkey",),
-              aggregator_ray_remote_args={"num_cpus": 0.25})
-        .map_batches(prio_partial, batch_format="pyarrow",
-                     batch_size=65536)
-        .groupby("o_orderpriority")
-        .aggregate(Sum("n_orders", alias_name="n_orders"))
-    )
+              aggregator_ray_remote_args={"num_cpus": 0.25}),
+        "o_orderpriority", {"n_orders": ("n", "sum")}, late_cells)
 
 
 # --------------------------------------------------------------- Q7 shape
@@ -193,20 +177,13 @@ def trade_volume(sf_dir: str):
             skey, snat, _, _ = ray.get(lookup_ref)
             supp_n = snat[np.searchsorted(
                 skey, b.column("l_suppkey").to_numpy())]
-            g = pa.table({
+            return group_agg(pa.table({
                 "l_orderkey": b.column("l_orderkey"),
                 "supp_nation": pa.array(supp_n, type=pa.string()),
                 "ship_year": pc.cast(
                     pc.year(b.column("l_shipdate")), pa.int32()),
                 "rev_e4": pa.array(_rev_e4(b), type=pa.int64()),
-            }).group_by(["l_orderkey", "supp_nation", "ship_year"]) \
-              .aggregate([("rev_e4", "sum")])
-            return pa.table({
-                "l_orderkey": g.column("l_orderkey"),
-                "supp_nation": g.column("supp_nation"),
-                "ship_year": g.column("ship_year"),
-                "rev_e4": g.column("rev_e4_sum"),
-            })
+            }), ["l_orderkey", "supp_nation", "ship_year"], _REV_SUM)
 
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_orderkey", "o_custkey"])
@@ -217,19 +194,12 @@ def trade_volume(sf_dir: str):
             _, _, nk2, nn2 = ray.get(lookup_ref)
             cust_n = nn2[np.searchsorted(
                 nk2, b.column("c_nationkey").to_numpy())]
-            g = pa.table({
+            return group_agg(pa.table({
                 "supp_nation": b.column("supp_nation"),
                 "cust_nation": pa.array(cust_n, type=pa.string()),
                 "ship_year": b.column("ship_year"),
                 "rev_e4": b.column("rev_e4"),
-            }).group_by(["supp_nation", "cust_nation", "ship_year"]) \
-              .aggregate([("rev_e4", "sum")])
-            return pa.table({
-                "supp_nation": g.column("supp_nation"),
-                "cust_nation": g.column("cust_nation"),
-                "ship_year": g.column("ship_year"),
-                "rev_e4": g.column("rev_e4_sum"),
-            })
+            }), ["supp_nation", "cust_nation", "ship_year"], _REV_SUM)
 
     def finish(g: pa.Table) -> pa.Table:
         f = g.group_by(["supp_nation", "cust_nation", "ship_year"]) \
@@ -279,17 +249,10 @@ def important_parts(sf_dir: str):
                                   "l_discount"])
 
     def partial(b: pa.Table) -> pa.Table:
-        key = b.column("l_partkey").to_numpy()
-        g = pa.table({
+        return _with_kb(group_agg(pa.table({
             "l_partkey": b.column("l_partkey"),
             "rev_e4": pa.array(_rev_e4(b), type=pa.int64()),
-        }).group_by("l_partkey").aggregate([("rev_e4", "sum")])
-        key = g.column("l_partkey").to_numpy()
-        return pa.table({
-            "l_partkey": g.column("l_partkey"),
-            "rev_e4": g.column("rev_e4_sum"),
-            "kb": pa.array((key % n_buckets).astype(np.int32)),
-        })
+        }), "l_partkey", _REV_SUM), "l_partkey", n_buckets)
 
     partials = li.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536)
@@ -323,22 +286,14 @@ def order_count_distribution(sf_dir: str):
     space (max orders per customer is small at any corpus size)."""
     from .relational import customer_order_counts
 
-    from ray.data.aggregate import Sum
-
-    counts = customer_order_counts(sf_dir)
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.table({
+    def cells(b: pa.Table) -> pa.Table:
+        return pa.table({
             "n_orders": b.column("n_orders"),
             "c": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by("n_orders").aggregate([("c", "sum")])
-        return pa.table({"n_orders": g.column("n_orders"),
-                         "n_customers": g.column("c_sum")})
+        })
 
-    return (counts.map_batches(partial, batch_format="pyarrow",
-                               batch_size=65536)
-            .groupby("n_orders")
-            .aggregate(Sum("n_customers", alias_name="n_customers")))
+    return combine(customer_order_counts(sf_dir), "n_orders",
+                   {"n_customers": ("c", "sum")}, cells)
 
 
 # -------------------------------------------------------------- Q15 shape
@@ -365,16 +320,10 @@ def top_supplier(sf_dir: str):
         win = b.filter(pc.and_(
             pc.greater_equal(b.column("l_shipdate"), lo),
             pc.less(b.column("l_shipdate"), hi)))
-        g = pa.table({
+        return _with_kb(group_agg(pa.table({
             "l_suppkey": win.column("l_suppkey"),
             "rev_e4": pa.array(_rev_e4(win), type=pa.int64()),
-        }).group_by("l_suppkey").aggregate([("rev_e4", "sum")])
-        key = g.column("l_suppkey").to_numpy()
-        return pa.table({
-            "l_suppkey": g.column("l_suppkey"),
-            "rev_e4": g.column("rev_e4_sum"),
-            "kb": pa.array((key % n_buckets).astype(np.int32)),
-        })
+        }), "l_suppkey", _REV_SUM), "l_suppkey", n_buckets)
 
     def bucket_max(g: pa.Table) -> pa.Table:
         f = g.group_by("l_suppkey").aggregate([("rev_e4", "sum")])
@@ -428,25 +377,19 @@ def small_quantity_revenue(sf_dir: str):
                          columns=["l_partkey", "l_quantity",
                                   "l_extendedprice"])
 
+    stat_sums = {"sq": ("sq", "sum"), "cnt": ("cnt", "sum")}
+
     def stat_partial(b: pa.Table) -> pa.Table:
         q_e2 = np.rint(
             b.column("l_quantity").to_numpy() * 100.0).astype(np.int64)
-        g = pa.table({
+        return _with_kb(group_agg(pa.table({
             "p": b.column("l_partkey"),
             "sq": pa.array(q_e2, type=pa.int64()),
             "cnt": pa.array(np.ones(len(q_e2), dtype=np.int64)),
-        }).group_by("p").aggregate([("sq", "sum"), ("cnt", "sum")])
-        key = g.column("p").to_numpy()
-        return pa.table({
-            "p": g.column("p"), "sq": g.column("sq_sum"),
-            "cnt": g.column("cnt_sum"),
-            "kb": pa.array((key % n_buckets).astype(np.int32)),
-        })
+        }), "p", stat_sums), "p", n_buckets)
 
     def stat_fold(g: pa.Table) -> pa.Table:
-        f = g.group_by("p").aggregate([("sq", "sum"), ("cnt", "sum")])
-        return pa.table({"p": f.column("p"), "sq": f.column("sq_sum"),
-                         "cnt": f.column("cnt_sum")})
+        return group_agg(g, "p", stat_sums)
 
     stats = (li.map_batches(stat_partial, batch_format="pyarrow",
                             batch_size=65536)
@@ -494,16 +437,10 @@ def large_orders(sf_dir: str):
     def qty_partial(b: pa.Table) -> pa.Table:
         q_e2 = np.rint(
             b.column("l_quantity").to_numpy() * 100.0).astype(np.int64)
-        g = pa.table({
+        return _with_kb(group_agg(pa.table({
             "l_orderkey": b.column("l_orderkey"),
             "q": pa.array(q_e2, type=pa.int64()),
-        }).group_by("l_orderkey").aggregate([("q", "sum")])
-        key = g.column("l_orderkey").to_numpy()
-        return pa.table({
-            "l_orderkey": g.column("l_orderkey"),
-            "q": g.column("q_sum"),
-            "kb": pa.array((key % n_buckets).astype(np.int32)),
-        })
+        }), "l_orderkey", {"q": ("q", "sum")}), "l_orderkey", n_buckets)
 
     def qty_fold(g: pa.Table) -> pa.Table:
         f = g.group_by("l_orderkey").aggregate([("q", "sum")])
@@ -554,7 +491,6 @@ def priority_line_counts(sf_dir: str):
     import datetime as dt
 
     import pyarrow.dataset as pads
-    from ray.data.aggregate import Sum
 
     P = _join_partitions(sf_dir)
     lo = dt.datetime(1996, 1, 1)
@@ -566,12 +502,11 @@ def priority_line_counts(sf_dir: str):
                & (pads.field("l_shipdate") < hi))
 
     def li_partial(b: pa.Table) -> pa.Table:
-        g = pa.table({
+        return group_agg(pa.table({
             "l_orderkey": b.column("l_orderkey"),
             "flag": b.column("l_returnflag"),
             "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).group_by(["l_orderkey", "flag"]).aggregate([("n", "sum")])
-        return g.rename_columns(["l_orderkey", "flag", "n"])
+        }), ["l_orderkey", "flag"], {"n": ("n", "sum")})
 
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_orderkey", "o_orderpriority"])
@@ -580,26 +515,20 @@ def priority_line_counts(sf_dir: str):
         pr = b.column("o_orderpriority").to_numpy(zero_copy_only=False)
         hi_mask = (pr == "1-URGENT") | (pr == "2-HIGH")
         n = b.column("n").to_numpy(zero_copy_only=False)
-        g = pa.table({
+        return pa.table({
             "flag": b.column("flag"),
-            "high_line_count": pa.array(np.where(hi_mask, n, 0)),
-            "low_line_count": pa.array(np.where(hi_mask, 0, n)),
-        }).group_by("flag").aggregate([("high_line_count", "sum"),
-                                       ("low_line_count", "sum")])
-        return g.rename_columns(["flag", "high_line_count",
-                                 "low_line_count"])
+            "high": pa.array(np.where(hi_mask, n, 0)),
+            "low": pa.array(np.where(hi_mask, 0, n)),
+        })
 
-    return (
+    return combine(
         li.map_batches(li_partial, batch_format="pyarrow",
                        batch_size=65536)
         .join(orders, "inner", num_partitions=P,
               on=("l_orderkey",), right_on=("o_orderkey",),
-              aggregator_ray_remote_args={"num_cpus": 0.25})
-        .map_batches(split, batch_format="pyarrow", batch_size=65536)
-        .groupby("flag")
-        .aggregate(Sum("high_line_count", alias_name="high_line_count"),
-                   Sum("low_line_count", alias_name="low_line_count"))
-    )
+              aggregator_ray_remote_args={"num_cpus": 0.25}),
+        "flag", {"high_line_count": ("high", "sum"),
+                 "low_line_count": ("low", "sum")}, split)
 
 
 _Q12_SQL = """

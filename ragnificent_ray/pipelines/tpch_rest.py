@@ -14,10 +14,11 @@ value-checked DuckDB oracle:
 
 Shared discipline (see ``relational.py`` / ``tpch_more.py`` headers):
 column-pruned reads, per-batch Arrow ``group_by`` combiners before any
-exchange, bounded key-hash buckets + ``map_groups`` for corpus-scale
-keyed folds, hash-partitioned ``Dataset.join`` for big ⋈ big, broadcast
-``ray.put`` lookups for true dimensions (part/supplier/nation — the
-tables that stay catalog-sized as lineitem/orders/customer grow), and
+exchange (:mod:`combine`'s ``group_agg``/``fold``), bounded key-hash
+buckets + ``map_groups`` for corpus-scale keyed folds, hash-partitioned
+``Dataset.join`` for big ⋈ big, broadcast ``ray.put`` lookups for true
+dimensions (part/supplier/nation — the tables that stay catalog-sized
+as lineitem/orders/customer grow), and
 integer currency/quantity units everywhere a float sum could make the
 result depend on summation order. Ordering ties are always broken on
 the EXACT integer value plus a unique key, and the oracle sorts on the
@@ -35,8 +36,10 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from .tpch_more import (_REV_E4_SQL, _buckets, _join_partitions, _pq,
-                        _rev_e4)
+from .combine import combine, fold, group_agg
+from .inputs import _pq
+from .tpch_more import (_REV_E4_SQL, _REV_SUM, _buckets, _join_partitions,
+                        _rev_e4, _with_kb)
 
 _JOIN_ARGS = {"aggregator_ray_remote_args": {"num_cpus": 0.25}}
 
@@ -112,34 +115,21 @@ def local_supplier_revenue(sf_dir: str):
         s_nat = sn[np.searchsorted(sk, b.column("l_suppkey").to_numpy())]
         keep = np.isin(s_nat, in_region_arr)
         sub = b.filter(pa.array(keep))
-        g = pa.table({
+        return group_agg(pa.table({
             "l_orderkey": sub.column("l_orderkey"),
             "s_nationkey": pa.array(s_nat[keep].astype(np.int32)),
             "rev_e4": pa.array(_rev_e4(sub), type=pa.int64()),
-        }).group_by(["l_orderkey", "s_nationkey"]).aggregate(
-            [("rev_e4", "sum")])
-        return g.rename_columns(["l_orderkey", "s_nationkey", "rev_e4"])
+        }), ["l_orderkey", "s_nationkey"], _REV_SUM)
 
     def same_nation(b: pa.Table) -> pa.Table:
-        m = pc.equal(b.column("s_nationkey").cast(pa.int32()),
-                     b.column("c_nationkey").cast(pa.int32()))
-        sub = b.filter(m)
-        g = pa.table({
-            "s_nationkey": sub.column("s_nationkey"),
-            "rev_e4": sub.column("rev_e4"),
-        }).group_by("s_nationkey").aggregate([("rev_e4", "sum")])
-        return g.rename_columns(["s_nationkey", "rev_e4"])
+        return b.filter(pc.equal(b.column("s_nationkey").cast(pa.int32()),
+                                 b.column("c_nationkey").cast(pa.int32())))
 
-    from ray.data.aggregate import Sum
-
-    folded = (
+    folded = combine(
         li.map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
         .join(oc, "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS)
-        .map_batches(same_nation, batch_format="pyarrow", batch_size=65536)
-        .groupby("s_nationkey")
-        .aggregate(Sum("rev_e4", alias_name="rev_e4"))
-    ).to_pandas()
+              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS),
+        "s_nationkey", _REV_SUM, same_nation).to_pandas()
 
     names = [nation_of[int(k)] for k in folded["s_nationkey"]]
     rev = [round_half_away(int(v) / 10000.0, 2) for v in folded["rev_e4"]]
@@ -194,26 +184,20 @@ def market_share(sf_dir: str):
         s_nat = sn[np.searchsorted(sk, sub.column("l_suppkey").to_numpy())]
         rev = _rev_e4(sub)
         is_tgt = np.isin(s_nat, tgt)
-        g = pa.table({
+        return group_agg(pa.table({
             "l_orderkey": sub.column("l_orderkey"),
             "rev_e4": pa.array(rev, type=pa.int64()),
             "tgt_e4": pa.array(np.where(is_tgt, rev, 0), type=pa.int64()),
-        }).group_by("l_orderkey").aggregate(
-            [("rev_e4", "sum"), ("tgt_e4", "sum")])
-        return g.rename_columns(["l_orderkey", "rev_e4", "tgt_e4"])
+        }), "l_orderkey", sums)
 
-    from ray.data.aggregate import Sum
-
-    folded = (
+    sums = {"rev_e4": ("rev_e4", "sum"), "tgt_e4": ("tgt_e4", "sum")}
+    folded = combine(
         li.map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
         .join(orders.map_batches(o_window, batch_format="pyarrow",
                                  batch_size=65536),
               "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS)
-        .groupby("o_year")
-        .aggregate(Sum("rev_e4", alias_name="rev_e4"),
-                   Sum("tgt_e4", alias_name="tgt_e4"))
-    ).to_pandas().sort_values("o_year")
+              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS),
+        "o_year", sums).to_pandas().sort_values("o_year")
 
     share = [round_half_away(float(t) / float(r), 6)
              for t, r in zip(folded["tgt_e4"], folded["rev_e4"])]
@@ -272,25 +256,20 @@ def product_type_profit(sf_dir: str):
             sub.column("l_quantity").to_numpy() * 100.0).astype(np.int64)
         profit_e5 = _rev_e4(sub) * 10 - cents[pos] * qty_e2
         s_nat = sn[np.searchsorted(sk, sub.column("l_suppkey").to_numpy())]
-        g = pa.table({
+        return group_agg(pa.table({
             "l_orderkey": sub.column("l_orderkey"),
             "s_nationkey": pa.array(s_nat.astype(np.int32)),
             "profit_e5": pa.array(profit_e5, type=pa.int64()),
-        }).group_by(["l_orderkey", "s_nationkey"]).aggregate(
-            [("profit_e5", "sum")])
-        return g.rename_columns(["l_orderkey", "s_nationkey", "profit_e5"])
+        }), ["l_orderkey", "s_nationkey"], profit_sum)
 
-    from ray.data.aggregate import Sum
-
-    folded = (
+    profit_sum = {"profit_e5": ("profit_e5", "sum")}
+    folded = combine(
         li.map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
         .join(orders.map_batches(o_year, batch_format="pyarrow",
                                  batch_size=65536),
               "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS)
-        .groupby(["s_nationkey", "o_year"])
-        .aggregate(Sum("profit_e5", alias_name="profit_e5"))
-    ).to_pandas()
+              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS),
+        ["s_nationkey", "o_year"], profit_sum).to_pandas()
 
     names = [nation_of[int(k)] for k in folded["s_nationkey"]]
     profit = [round_half_away(int(v) / 100000.0, 2)
@@ -335,23 +314,14 @@ def returned_item_customers(sf_dir: str):
 
     def li_partial(b: pa.Table) -> pa.Table:
         sub = b.filter(pc.equal(b.column("l_returnflag"), "R"))
-        g = pa.table({
+        return group_agg(pa.table({
             "l_orderkey": sub.column("l_orderkey"),
             "rev_e4": pa.array(_rev_e4(sub), type=pa.int64()),
-        }).group_by("l_orderkey").aggregate([("rev_e4", "sum")])
-        return g.rename_columns(["l_orderkey", "rev_e4"])
+        }), "l_orderkey", _REV_SUM)
 
     def cust_partial(b: pa.Table) -> pa.Table:
-        g = pa.table({
-            "o_custkey": b.column("o_custkey"),
-            "rev_e4": b.column("rev_e4"),
-        }).group_by("o_custkey").aggregate([("rev_e4", "sum")])
-        key = g.column("o_custkey").to_numpy()
-        return pa.table({
-            "o_custkey": g.column("o_custkey"),
-            "rev_e4": g.column("rev_e4_sum"),
-            "kb": pa.array((key % n_buckets).astype(np.int32)),
-        })
+        return _with_kb(group_agg(b, "o_custkey", _REV_SUM),
+                        "o_custkey", n_buckets)
 
     def bucket_top(g: pa.Table) -> pa.Table:
         f = g.group_by("o_custkey").aggregate([("rev_e4", "sum")])
@@ -516,28 +486,19 @@ def supplier_part_variety(sf_dir: str):
     def group_fold(g: pa.Table) -> pa.Table:
         f = g.group_by(["p_brand", "p_type", "p_size",
                         "l_suppkey"]).aggregate([])
-        c = pa.table({
-            "p_brand": f.column("p_brand"),
-            "p_type": f.column("p_type"),
-            "p_size": f.column("p_size"),
-            "n": pa.array(np.ones(f.num_rows, dtype=np.int64)),
-        }).group_by(["p_brand", "p_type", "p_size"]).aggregate(
-            [("n", "sum")])
-        return c.rename_columns(["p_brand", "p_type", "p_size",
-                                 "supplier_cnt"])
+        return group_agg(f.append_column(
+            "n", pa.array(np.ones(f.num_rows, dtype=np.int64))),
+            group, {"supplier_cnt": ("n", "sum")})
 
-    from ray.data.aggregate import Sum
-
-    return (
+    group = ["p_brand", "p_type", "p_size"]
+    return fold(
         li.map_batches(pair_partial, batch_format="pyarrow",
                        batch_size=65536)
         .groupby("kb")
         .map_groups(pair_fold, batch_format="pyarrow")
         .groupby("gb")
-        .map_groups(group_fold, batch_format="pyarrow")
-        .groupby(["p_brand", "p_type", "p_size"])
-        .aggregate(Sum("supplier_cnt", alias_name="supplier_cnt"))
-    )
+        .map_groups(group_fold, batch_format="pyarrow"),
+        group, {"supplier_cnt": ("supplier_cnt", "sum")})
 
 
 # -------------------------------------------------------------- Q20 shape
@@ -570,19 +531,12 @@ def bulk_suppliers(sf_dir: str):
         sub = b.filter(pa.array(keep))
         qty_e2 = np.rint(
             sub.column("l_quantity").to_numpy() * 100.0).astype(np.int64)
-        g = pa.table({
+        return _with_kb(group_agg(pa.table({
             "l_partkey": sub.column("l_partkey"),
             "l_suppkey": sub.column("l_suppkey"),
             "qty_e2": pa.array(qty_e2, type=pa.int64()),
-        }).group_by(["l_partkey", "l_suppkey"]).aggregate(
-            [("qty_e2", "sum")])
-        key = g.column("l_partkey").to_numpy()
-        return pa.table({
-            "l_partkey": g.column("l_partkey"),
-            "l_suppkey": g.column("l_suppkey"),
-            "qty_e2": g.column("qty_e2_sum"),
-            "kb": pa.array((key % n_buckets).astype(np.int32)),
-        })
+        }), ["l_partkey", "l_suppkey"], {"qty_e2": ("qty_e2", "sum")}),
+            "l_partkey", n_buckets)
 
     def bucket_share(g: pa.Table) -> pa.Table:
         f = g.group_by(["l_partkey", "l_suppkey"]).aggregate(

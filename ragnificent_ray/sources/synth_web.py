@@ -211,7 +211,7 @@ class SynthWorld:
             f'alt="{self.caption(self.image_id(d, pid, k))}">'
             for k in range(self.images_per_page)
         )
-        if 1 <= pid < P:
+        if 1 <= pid < P and self.images_per_page > 0:
             # cross-page duplicate image URL: sitemap pages also embed
             # the previous page's first image (same alt text), so
             # within-round duplicate image claims are exercised — the

@@ -73,3 +73,25 @@ def test_page_html_parses_with_expected_structure():
     # deep page reachable only by link
     assert any("/page/8" in u or "/page/9" in u or "/page/10" in u or "/page/11" in u
                for u in links)
+
+
+def _all_html(w: SynthWorld) -> list[str]:
+    return [w.page_html(d, pid) for d in range(w.n_domains)
+            for pid in range(w.n_pages(d))]
+
+
+def test_zero_image_world_embeds_no_image():
+    """With no images per page there is no first image to duplicate,
+    so no page may point at one (it would 404 and back the domain off)."""
+    w = SynthWorld(n_domains=2, pages_per_domain=4, images_per_page=0)
+    assert not any("<img" in html for html in _all_html(w))
+
+
+def test_image_world_html_is_pinned():
+    """Pages with images keep their exact HTML, the cross-page
+    duplicate included (md5 over every page of a 3-image world)."""
+    import hashlib
+
+    w = SynthWorld(n_domains=2, pages_per_domain=4, images_per_page=3)
+    digest = hashlib.md5("".join(_all_html(w)).encode()).hexdigest()
+    assert digest == "bbc67668da335c4d0e98ac090f56e6d9"
