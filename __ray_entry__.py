@@ -105,6 +105,15 @@ def _crawl_chunks(sf_dir: str):
                       "nested_level", "position", "is_continuation"])
 
 
+# the run-stable per-round counters ``crawl_round_metrics`` reports
+ROUND_METRIC_KEYS = (
+    "n_frontier", "pages_parsed", "pages_from_cache", "pages_failed",
+    "rendered", "chunks", "image_frontier", "harvest_rows",
+    "next_frontier", "seen_shard_bytes", "seen_rpc_calls",
+    "seen_rpc_rows", "polite_domains", "polite_rpc_calls",
+    "polite_rpc_rows")
+
+
 def _crawl_round_metrics(sf_dir: str):
     """Per-round crawl lineage/metrics census — the north rule's
     "resumable from checkpoint with per-partition lineage + metrics"
@@ -122,15 +131,10 @@ def _crawl_round_metrics(sf_dir: str):
     import pyarrow as pa
 
     res = _crawl(sf_dir)
-    keys = ("n_frontier", "pages_parsed", "pages_from_cache",
-            "pages_failed", "rendered", "chunks", "image_frontier",
-            "harvest_rows", "next_frontier", "seen_shard_bytes",
-            "seen_rpc_calls", "seen_rpc_rows", "polite_domains",
-            "polite_rpc_calls", "polite_rpc_rows")
     rounds = sorted(int(k.split("_", 1)[1]) for k in res.metrics
                     if k.startswith("round_"))
     cols: dict = {"round": pa.array(rounds, type=pa.int64())}
-    for key in keys:
+    for key in ROUND_METRIC_KEYS:
         cols[key] = pa.array(
             [int(res.metrics[f"round_{r}"].get(key) or 0)
              for r in rounds], type=pa.int64())
@@ -469,7 +473,7 @@ def _image_quality_scores(sf_dir: str):
     harvest = _crawl_harvest(sf_dir)
     return rd.from_arrow(harvest.select(["image_id", "bytes", "fmt"])) \
         .map_batches(ImageQualityStage, batch_format="pyarrow",
-                     batch_size=64, concurrency=2)
+                     batch_size=64, concurrency=(1, 2))
 
 
 def _image_psnr_audit(sf_dir: str):

@@ -277,7 +277,8 @@ def write_vectors(ds, uri: str, vector_size: int | None = None,
                                **stage_kwargs},
         batch_format="pyarrow",
         batch_size=1024,
-        concurrency=concurrency,
+        # (1, N): a one-block input starts one actor instead of warning
+        concurrency=(1, concurrency),
         num_cpus=0.5,
     )
     total = 0

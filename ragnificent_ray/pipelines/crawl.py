@@ -25,9 +25,12 @@ into the map stages (content-addressed per-block files — a retried
 task overwrites, never duplicates).
 
 Control crosses process boundaries only at the seen/politeness shard
-RPCs; per-domain politeness state never moves (SURVEY §3.1). There is
-no all-to-all shuffle anywhere in the round: the outlink min-rank
-dedup is a two-phase claim on the hash-sharded seen actors.
+RPCs; per-domain politeness state never moves (SURVEY §3.1). Seen
+shard *i* and politeness shard *i* share one shard-host process, and
+hosts are leased per Ray session (state/hosts.py), so every crawl after
+a session's first starts on warm processes. There is no all-to-all
+shuffle anywhere in the round: the outlink min-rank dedup is a
+two-phase claim on the hash-sharded seen shards.
 
 Ordering contract (SURVEY §7.4): Ray gives no execution order; the
 ``(depth, seed_rank)`` columns define the reference order, and parity
@@ -67,6 +70,7 @@ from ..stages.extract import (
     render_batch,
 )
 from ..stages.fetch import FetchWorker, cached_backend
+from ..state import hosts as shard_hosts
 from ..state.checkpoint import CheckpointManager, config_hash
 from ..state.politeness import PolitenessService
 from ..state.seen import SeenSet
@@ -396,7 +400,15 @@ def _block_writer(path: str, drop_columns: tuple = (), tag: str = ""):
 
 def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResult:
     """Run the full crawl. Ray must already be initialized by the caller
-    (driver contract); this function owns only its shard actors.
+    (driver contract); this function holds only its shard hosts, and
+    only for the call. It leases ``max(n_seen_shards,
+    n_politeness_shards)`` hosts from the session's idle pool (host *i*
+    holds seen shard *i* and politeness shard *i*), builds fresh shard
+    state on them, and hands them back when it returns normally; on any
+    exception they are killed. An idle set is killed after
+    ``state.hosts.IDLE_GRACE_S``. ``metrics["shard_hosts"]`` says how
+    many hosts ran, whether they were reused, and the seconds from the
+    lease to every shard built (``ready_s``).
 
     Execution shape: a Ray Data execution has a fixed dispatch cost and
     concurrent executions serialize their dispatch, so each round's
@@ -426,31 +438,6 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
     chash = config_hash(cfg)
     world_cfg = asdict(cfg.world)
 
-    politeness = PolitenessService(
-        n_shards=cfg.n_politeness_shards,
-        default_rate=cfg.default_rate,
-        domain_limits=cfg.domain_limits,
-        adaptive=cfg.adaptive_throttling,
-        retry_delay=cfg.retry_delay,
-        adaptive_max_rate=cfg.adaptive_max_rate,
-        spread=cfg.seen_spread,
-    )
-    seen = SeenSet(
-        n_shards=cfg.n_seen_shards,
-        capacity_per_shard=cfg.seen_capacity_per_shard,
-        spread=cfg.seen_spread,
-    )
-
-    fetcher = FetchWorker(
-        world_cfg=world_cfg,
-        politeness=politeness,
-        max_retries=cfg.max_retries,
-        retry_delay=cfg.retry_delay,
-        cache_dir=cfg.request_cache_dir,
-        cache_ttl=cfg.request_cache_ttl,
-        fetch_concurrency=cfg.fetch_threads,
-    )
-
     result = CrawlResult(out_dir=out_dir)
     t_start = time.monotonic()
     pool = ThreadPoolExecutor(max_workers=16)
@@ -464,7 +451,50 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
         max_workers=int(os.environ.get("RAGNIFICENT_BG_LANES", "4")))
     manifest_lock = threading.Lock()
     finalizers = []
+    lease = shard_hosts.lease(
+        max(cfg.n_seen_shards, cfg.n_politeness_shards), cfg.seen_spread)
+    clean = False
     try:
+        politeness = PolitenessService(
+            n_shards=cfg.n_politeness_shards,
+            default_rate=cfg.default_rate,
+            domain_limits=cfg.domain_limits,
+            adaptive=cfg.adaptive_throttling,
+            retry_delay=cfg.retry_delay,
+            adaptive_max_rate=cfg.adaptive_max_rate,
+            spread=cfg.seen_spread,
+            lease=lease,
+        )
+        seen = SeenSet(
+            n_shards=cfg.n_seen_shards,
+            capacity_per_shard=cfg.seen_capacity_per_shard,
+            spread=cfg.seen_spread,
+            lease=lease,
+        )
+        # kept out of the per-round metrics: wall time, and it differs
+        # between a session's first crawl and the later ones
+        result.metrics["shard_hosts"] = {
+            "hosts": len(lease.hosts),
+            "reused": lease.reused,
+            "ready_s": round(time.monotonic() - t_start, 3),
+        }
+
+        def _fetcher(politeness):
+            return FetchWorker(
+                world_cfg=world_cfg,
+                politeness=politeness,
+                max_retries=cfg.max_retries,
+                retry_delay=cfg.retry_delay,
+                cache_dir=cfg.request_cache_dir,
+                cache_ttl=cfg.request_cache_ttl,
+                fetch_concurrency=cfg.fetch_threads,
+            )
+
+        fetcher = _fetcher(politeness)
+        # the harvest lane overlaps later rounds' critical paths, so its
+        # reservations are counted apart from the per-round watermarks
+        image_fetcher = _fetcher(politeness.background())
+
         done = ckpt.completed_rounds(chash) if resume else []
         if done:
             # Replay completed rounds' hashes (pages + images) PLUS the
@@ -564,7 +594,7 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                               tag=f"imgf{depth}:"),
                 batch_format="pyarrow",
             ).map_batches(
-                fetcher,
+                image_fetcher,
                 batch_format="pyarrow",
                 batch_size=cfg.fetch_batch_size,
             ).map_batches(harvest_decode_batch, batch_format="pyarrow")
@@ -726,11 +756,12 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                 "seen_rpc_calls": sum(st["rpc_calls"] for st in _sst),
                 "seen_rpc_rows": sum(st["rpc_rows_in"] for st in _sst),
                 # the other cross-process chatter on the critical path:
-                # per-domain slot reservations. Only the SYNCHRONOUS
+                # per-domain slot reservations. Only the critical path's
                 # reservation counters go into round metrics — outcome
-                # reports are fire-and-forget, so their arrival at this
-                # snapshot is racy and would break the rows-only
-                # determinism gate on crawl_round_metrics.
+                # reports are fire-and-forget and the harvest lane's
+                # reservations overlap this snapshot, so their arrival
+                # is racy and would break the rows-only determinism
+                # gate on crawl_round_metrics.
                 "polite_domains": sum(st["domains"] for st in _pst),
                 "polite_rpc_calls": sum(
                     st["reserve_rpc_calls"] for st in _pst),
@@ -842,9 +873,10 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
             )
         result.metrics["seen_hashes"] = None  # fetched via seen_snapshot()
         result.metrics["_seen_snapshot"] = seen.snapshot()
+        clean = True
         return result
     finally:
         bg_pool.shutdown(wait=True)
         pool.shutdown(wait=True)
-        politeness.shutdown()
-        seen.shutdown()
+        # only hosts of a crawl that returned normally are reused
+        lease.release(reuse=clean)

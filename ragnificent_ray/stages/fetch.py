@@ -8,7 +8,7 @@ Arrow batch of URLs.
 
 Politeness protocol per batch (SURVEY §4.2 "partitioning/skew"):
 group the batch's URLs by domain, request slots from the owning
-:class:`PolitenessShard` (one RPC per domain), fire each fetch at its
+politeness shard (one RPC per shard the batch touches), fire each fetch at its
 slot time, then fire-and-forget the outcome report (feeding the shard's
 adaptive-rate state). Because slot allocation is centralized per domain,
 per-domain rate limits hold no matter which pool actor handles which

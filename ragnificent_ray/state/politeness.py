@@ -2,10 +2,21 @@
 
 A1 in SURVEY §2.4. The reference serializes every request through one
 lock-guarded ``RequestThrottler`` (``core/throttle.py:85-174``); here
-the per-domain state lives in ``PolitenessShard`` actors keyed by
-``hash(domain) % N``, so there is no cross-actor locking and the state
-for a domain never moves (the "join" of frontier rows with their
-politeness budget is actor-local — J4 in SURVEY §2.5).
+the per-domain state lives in N politeness shards keyed by
+``stable_hash64(domain) % N``, so there is no cross-shard locking and
+the state for a domain never moves (the "join" of frontier rows with
+their politeness budget is shard-local — J4 in SURVEY §2.5).
+
+Shard *i* is the "politeness" part of shard host *i*
+(``state/hosts.py``), the process that also holds seen shard *i*. A
+crawl leases its hosts from the session's idle pool and builds a fresh
+:class:`_PolitenessShardRPC` on each, so the clock, backoff, rates and
+RPC counters start as on a new shard. Outcome reports are
+fire-and-forget and can arrive after the next crawl has re-leased the
+host; each carries its lease's epoch, and a shard drops any report of
+another epoch. Constructed without a lease, :class:`PolitenessService`
+spawns hosts of its own and kills them on
+:meth:`PolitenessService.shutdown`.
 
 Semantics ported from the reference (same constants, same thresholds):
 
@@ -26,11 +37,14 @@ Scale note: one shard comfortably owns tens of thousands of domains
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 import ray
+
+from . import hosts as shard_hosts
 
 
 @dataclass
@@ -70,13 +84,17 @@ class _PolitenessCore:
         self.domains: dict[str, _DomainState] = {}
         # RPC telemetry (incremented at the shard RPC boundary, same
         # audit as state/seen.py: cross-process fan-out on the crawl
-        # critical path must stay O(batches × shards)). Reservations
-        # are synchronous critical-path RPCs — their counters are exact
-        # per-round watermarks; outcome reports are fire-and-forget and
-        # tracked separately (racy at snapshot time by design).
+        # critical path must stay O(batches × shards)). Critical-path
+        # reservations are synchronous RPCs — their counters are exact
+        # per-round watermarks. Background-lane reservations (the image
+        # fetches, which overlap later rounds) and outcome reports
+        # (fire-and-forget) are tracked separately: their arrival at a
+        # round's snapshot is racy by design.
         self.reserve_rpc_calls = 0
         self.reserve_rpc_rows_in = 0
         self.reserve_rpc_rows_out = 0
+        self.bg_reserve_rpc_calls = 0
+        self.bg_reserve_rpc_rows_in = 0
         self.report_rpc_calls = 0
         self.report_rpc_rows_in = 0
 
@@ -171,12 +189,16 @@ class _PolitenessCore:
 
     def rpc_stats(self) -> dict:
         return {"rpc_calls": (self.reserve_rpc_calls
+                              + self.bg_reserve_rpc_calls
                               + self.report_rpc_calls),
                 "rpc_rows_in": (self.reserve_rpc_rows_in
+                                + self.bg_reserve_rpc_rows_in
                                 + self.report_rpc_rows_in),
                 "rpc_rows_out": self.reserve_rpc_rows_out,
                 "reserve_rpc_calls": self.reserve_rpc_calls,
                 "reserve_rpc_rows": self.reserve_rpc_rows_in,
+                "bg_reserve_rpc_calls": self.bg_reserve_rpc_calls,
+                "bg_reserve_rpc_rows": self.bg_reserve_rpc_rows_in,
                 "report_rpc_calls": self.report_rpc_calls,
                 "report_rpc_rows": self.report_rpc_rows_in,
                 "memory_bytes": self.memory_bytes(),
@@ -193,7 +215,15 @@ class _PolitenessShardRPC(_PolitenessCore):
     counters increment in these wrappers (rows_in = domain requests /
     outcome reports carried by the call, rows_out = slots returned) —
     mirroring ``state/seen.py``'s shard audit. Plain class so unit
-    tests exercise the counters actor-free."""
+    tests exercise the counters actor-free.
+
+    ``epoch`` is the host lease's: an outcome report of any other epoch
+    was sent during an earlier lease of the host and is dropped whole,
+    counters included."""
+
+    def __init__(self, *args, epoch: int = 0, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.epoch = epoch
 
     def reserve_with_now(self, domain: str, n: int) -> tuple[list[float], float]:
         self.reserve_rpc_calls += 1
@@ -201,34 +231,42 @@ class _PolitenessShardRPC(_PolitenessCore):
         self.reserve_rpc_rows_out += n
         return self.reserve(domain, n), self.clock()
 
-    def reserve_many(self, pairs: list[tuple[str, int]]) -> tuple[dict, float]:
+    def reserve_many(self, pairs: list[tuple[str, int]],
+                     background: bool = False) -> tuple[dict, float]:
         """Batched reservation: one RPC covers every domain a fetch batch
-        touches on this shard (RPC count per batch = shards, not domains)."""
-        self.reserve_rpc_calls += 1
-        self.reserve_rpc_rows_in += len(pairs)
+        touches on this shard (RPC count per batch = shards, not domains).
+        ``background`` reservations are counted apart (see __init__)."""
+        if background:
+            self.bg_reserve_rpc_calls += 1
+            self.bg_reserve_rpc_rows_in += len(pairs)
+        else:
+            self.reserve_rpc_calls += 1
+            self.reserve_rpc_rows_in += len(pairs)
         self.reserve_rpc_rows_out += sum(n for _, n in pairs)
         return {d: self.reserve(d, n) for d, n in pairs}, self.clock()
 
     def report_one(self, domain: str,
-                   outcomes: list[tuple[int, float, bool]]) -> None:
+                   outcomes: list[tuple[int, float, bool]],
+                   epoch: int = 0) -> None:
+        if epoch != self.epoch:
+            return
         self.report_rpc_calls += 1
         self.report_rpc_rows_in += len(outcomes)
         self.report(domain, outcomes)
 
-    def report_many(self, per_domain: dict) -> None:
+    def report_many(self, per_domain: dict, epoch: int = 0) -> None:
+        if epoch != self.epoch:
+            return
         self.report_rpc_calls += 1
         self.report_rpc_rows_in += sum(len(o) for o in per_domain.values())
         for d, outcomes in per_domain.items():
             self.report(d, outcomes)
 
 
-@ray.remote(num_cpus=0.05)
-class PolitenessShard(_PolitenessShardRPC):
-    """Ray actor wrapper; tiny CPU reservation — it's a pacing service."""
-
-
 class PolitenessService:
-    """Client over N shards; ``hash(domain) % N`` routing (stable hash)."""
+    """Client over N shards on shard hosts; ``stable_hash64(domain) % N``
+    routing. ``lease`` is the crawl's host lease; without one the
+    service spawns its own hosts."""
 
     def __init__(
         self,
@@ -239,20 +277,33 @@ class PolitenessService:
         retry_delay: float = 2.0,
         adaptive_max_rate: float = 10.0,
         spread: bool = False,
+        lease: shard_hosts.HostLease | None = None,
     ):
         self.n_shards = n_shards
-        cls = (PolitenessShard.options(scheduling_strategy="SPREAD")
-               if spread else PolitenessShard)
-        self.shards = [
-            cls.remote(
-                default_rate=default_rate,
-                domain_limits=domain_limits,
-                adaptive=adaptive,
-                retry_delay=retry_delay,
-                adaptive_max_rate=adaptive_max_rate,
-            )
-            for _ in range(n_shards)
-        ]
+        self._background = False
+        self._owned = None
+        if lease is None:
+            lease = self._owned = shard_hosts.lease(
+                n_shards, spread, pooled=False)
+        self.epoch = lease.epoch
+        shard_kwargs = {
+            "default_rate": default_rate,
+            "domain_limits": domain_limits,
+            "adaptive": adaptive,
+            "retry_delay": retry_delay,
+            "adaptive_max_rate": adaptive_max_rate,
+            "epoch": lease.epoch,
+        }
+        self.shards = lease.init("politeness", _PolitenessShardRPC,
+                                 n_shards, shard_kwargs)
+
+    def background(self) -> PolitenessService:
+        """This client for a background lane: same shards, but its batch
+        reservations are counted apart from the critical path's, so the
+        per-round reservation watermarks stay exact."""
+        view = copy.copy(self)
+        view._background = True
+        return view
 
     def shard_for(self, domain: str):
         from ..functions.hashing import stable_hash64
@@ -261,9 +312,8 @@ class PolitenessService:
 
     def reserve(self, domain: str, n: int) -> list[float]:
         """Relative delays (seconds from now) for n requests to domain."""
-        slots, shard_now = ray.get(
-            self.shard_for(domain).reserve_with_now.remote(domain, n)
-        )
+        slots, shard_now = ray.get(self.shard_for(domain).call.remote(
+            "politeness", "reserve_with_now", domain, n))
         return [max(0.0, s - shard_now) for s in slots]
 
     def reserve_batch(self, counts: dict[str, int]) -> dict[str, list[float]]:
@@ -274,8 +324,11 @@ class PolitenessService:
         by_shard: dict[int, list[tuple[str, int]]] = {}
         for d, n in counts.items():
             by_shard.setdefault(stable_hash64(d) % self.n_shards, []).append((d, n))
-        refs = [self.shards[i].reserve_many.remote(pairs)
-                for i, pairs in by_shard.items()]
+        refs = [
+            self.shards[i].call.remote(
+                "politeness", "reserve_many", pairs, self._background)
+            for i, pairs in by_shard.items()
+        ]
         out: dict[str, list[float]] = {}
         for slots_map, shard_now in ray.get(refs):
             for d, slots in slots_map.items():
@@ -284,7 +337,8 @@ class PolitenessService:
 
     def report(self, domain: str, outcomes: list[tuple[int, float, bool]]):
         # fire-and-forget: stats/adaptive updates need not block fetching
-        self.shard_for(domain).report_one.remote(domain, outcomes)
+        self.shard_for(domain).tell.remote(
+            "politeness", "report_one", domain, outcomes, self.epoch)
 
     def report_batch(self, per_domain: dict) -> None:
         """Fire-and-forget batched outcome report, one RPC per shard."""
@@ -295,17 +349,22 @@ class PolitenessService:
             by_shard.setdefault(
                 stable_hash64(d) % self.n_shards, {})[d] = outcomes
         for i, m in by_shard.items():
-            self.shards[i].report_many.remote(m)
+            self.shards[i].tell.remote(
+                "politeness", "report_many", m, self.epoch)
 
     def stats_rows(self) -> list[dict]:
-        parts = ray.get([s.stats_rows.remote() for s in self.shards])
+        parts = ray.get([s.call.remote("politeness", "stats_rows")
+                         for s in self.shards])
         return [r for p in parts for r in p]
 
     def rpc_stats(self) -> list[dict]:
-        """Per-shard RPC/memory telemetry (see PolitenessShard)."""
-        return ray.get([s.rpc_stats.remote() for s in self.shards])
+        """Per-shard RPC/memory telemetry (see _PolitenessShardRPC)."""
+        return ray.get([s.call.remote("politeness", "rpc_stats")
+                        for s in self.shards])
 
     def shutdown(self) -> None:
-        for s in self.shards:
-            ray.kill(s)
+        """Kill the hosts this service spawned itself; a leased
+        service's hosts are the lease holder's to release."""
+        if self._owned is not None:
+            self._owned.release(reuse=False)
         self.shards = []

@@ -1,6 +1,6 @@
-"""Sharded URL-seen set — exact cuckoo-table actors, fully vectorized.
+"""Sharded URL-seen set — exact cuckoo-table shards, fully vectorized.
 
-D1 in SURVEY §2.7: N lightweight ``SeenShard`` actors, shard key =
+D1 in SURVEY §2.7: N lightweight seen shards, shard key =
 ``url_hash % N``. Each shard's membership structure is a
 :class:`~.cuckoo.CuckooHashSet` — a cuckoo table whose slots store the
 key's full remainder, so membership is EXACT (SURVEY §7.4's
@@ -12,11 +12,21 @@ frontier, vs TBs of Python-set heap. The shard is the single
 serialization point for its key range, so two concurrent tasks
 submitting the same URL race safely: exactly one gets "new".
 
-Every actor-side pass is vectorized: membership is one numpy
+Shard *i* is the "seen" part of shard host *i* (``state/hosts.py``),
+the process that also holds politeness shard *i*. A crawl leases its
+hosts from the session's idle pool and builds a fresh
+:class:`_SeenShardState` on each, so a re-leased host starts with the
+capacity, pending proposals and RPC counters of a new shard. Every
+seen RPC is ``ray.get``-synchronous inside a crawl's executions, so
+none is in flight when a crawl returns and hands its hosts back.
+Constructed without a lease, :class:`SeenSet` spawns hosts of its own
+and kills them on :meth:`SeenSet.shutdown`.
+
+Every shard-side pass is vectorized: membership is one numpy
 gather+compare over the whole RPC batch, min-rank pending state is
 kept as sorted numpy arrays (lexsort + first-per-key reductions), and
 winner emission is a single mask — no per-element Python loop touches
-the actor hot path.
+the shard hot path.
 
 Batches route client-side: a ``map_batches`` task groups its
 ``url_hash`` column by shard and issues ONE RPC per shard per batch
@@ -31,6 +41,7 @@ from __future__ import annotations
 import numpy as np
 import ray
 
+from . import hosts as shard_hosts
 from .cuckoo import CuckooHashSet
 
 
@@ -280,23 +291,25 @@ class _SeenShardState:
                 "seen": self.members.count}
 
 
-@ray.remote(num_cpus=0.05)
-class SeenShard(_SeenShardState):
-    """Ray actor wrapper; tiny CPU reservation — it's a lookup service."""
-
-
 class SeenSet:
-    """Client handle over N shard actors; lives on the driver and inside
-    ``map_batches`` workers (actor handles serialize fine)."""
+    """Client handle over N seen shards on shard hosts; lives on the
+    driver and inside ``map_batches`` workers (actor handles serialize
+    fine). ``lease`` is the crawl's host lease; without one the set
+    spawns its own hosts."""
 
     def __init__(self, n_shards: int = 8, capacity_per_shard: int = 1 << 16,
-                 spread: bool = False):
+                 spread: bool = False,
+                 lease: shard_hosts.HostLease | None = None):
         self.n_shards = n_shards
-        opts = {"scheduling_strategy": "SPREAD"} if spread else {}
-        cls = SeenShard.options(**opts) if opts else SeenShard
-        self.shards = [
-            cls.remote(capacity=capacity_per_shard) for _ in range(n_shards)
-        ]
+        self._owned = None
+        if lease is None:
+            lease = self._owned = shard_hosts.lease(
+                n_shards, spread, pooled=False)
+        self.shards = lease.init("seen", _SeenShardState, n_shards,
+                                 {"capacity": capacity_per_shard})
+
+    def _rpc(self, s: int, method: str, *args):
+        return self.shards[s].call.remote("seen", method, *args)
 
     def check_and_add(self, hashes: np.ndarray) -> np.ndarray:
         """Bulk filter a uint64 hash array → boolean "is new" mask.
@@ -310,7 +323,7 @@ class SeenSet:
         result = np.zeros(n, dtype=bool)
         refs, spans = [], []
         for s, idx in self._route(_u64(hashes)):
-            refs.append(self.shards[s].check_and_add.remote(hashes[idx]))
+            refs.append(self._rpc(s, "check_and_add", hashes[idx]))
             spans.append(idx)
         for idx, flags in zip(spans, ray.get(refs)):
             result[idx] = flags
@@ -329,7 +342,7 @@ class SeenSet:
         enclosing dataset execution)."""
         h, r = _u64(hashes), _i64(ranks)
         refs = [
-            self.shards[s].propose_min.remote(h[idx], r[idx])
+            self._rpc(s, "propose_min", h[idx], r[idx])
             for s, idx in self._route(h)
         ]
         ray.get(refs)
@@ -341,7 +354,7 @@ class SeenSet:
         result = np.zeros(n, dtype=bool)
         refs, spans = [], []
         for s, idx in self._route(h):
-            refs.append(self.shards[s].resolve_min.remote(h[idx], r[idx]))
+            refs.append(self._rpc(s, "resolve_min", h[idx], r[idx]))
             spans.append(idx)
         for idx, flags in zip(spans, ray.get(refs)):
             result[idx] = flags
@@ -359,8 +372,8 @@ class SeenSet:
         dep = _i64(depths)
         refs = []
         for s, idx in self._route(h):
-            refs.append(self.shards[s].propose_full.remote(
-                h[idx], r[idx], u[idx], dom[idx], dep[idx]))
+            refs.append(self._rpc(s, "propose_full", h[idx], r[idx],
+                                  u[idx], dom[idx], dep[idx]))
         ray.get(refs)
 
     def take_winners_to_parquet(self, path: str):
@@ -373,7 +386,8 @@ class SeenSet:
         the small first return so the driver can fabricate the block
         metadata without scheduling metadata tasks on a busy cluster."""
         pairs = [
-            s.take_winners_to_parquet.options(num_returns=2).remote(path, i)
+            s.call.options(num_returns=2).remote(
+                "seen", "take_winners_to_parquet", path, i)
             for i, s in enumerate(self.shards)
         ]
         counts = ray.get([c for c, _ in pairs])
@@ -381,27 +395,32 @@ class SeenSet:
         return int(sum(n for n, _ in counts)), blocks
 
     def snapshot(self) -> list[int]:
-        parts = ray.get([s.snapshot.remote() for s in self.shards])
+        parts = ray.get([self._rpc(s, "snapshot")
+                         for s in range(self.n_shards)])
         return sorted(h for p in parts for h in p)
 
     def restore(self, hashes: list[int]) -> None:
         arr = _u64(hashes)
         ray.get([
-            self.shards[s].restore.remote(arr[idx])
+            self._rpc(s, "restore", arr[idx])
             for s, idx in self._route(arr)
         ])
 
     def size(self) -> int:
-        return sum(ray.get([s.size.remote() for s in self.shards]))
+        return sum(ray.get([self._rpc(s, "size")
+                            for s in range(self.n_shards)]))
 
     def rpc_stats(self) -> list[dict]:
         """Per-shard RPC/memory telemetry (multi-node fan-out audit)."""
-        return ray.get([s.rpc_stats.remote() for s in self.shards])
+        return ray.get([self._rpc(s, "rpc_stats")
+                        for s in range(self.n_shards)])
 
     def memory_bytes(self) -> int:
         return sum(st["memory_bytes"] for st in self.rpc_stats())
 
     def shutdown(self) -> None:
-        for s in self.shards:
-            ray.kill(s)
+        """Kill the hosts this set spawned itself; a leased set's hosts
+        are the lease holder's to release."""
+        if self._owned is not None:
+            self._owned.release(reuse=False)
         self.shards = []

@@ -1,0 +1,199 @@
+"""Shard hosts: co-hosted seen/politeness shards, leased per Ray session.
+
+A crawl's hosts go back to the session's idle pool when it returns
+normally and are killed when it raises; a re-leased host must behave
+exactly like a new one, so a crawl on warm hosts is compared with a
+crawl on fresh ones and with the sequential oracle.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+import pytest
+import ray
+
+from ragnificent_ray.config import CrawlConfig, WorldConfig
+from ragnificent_ray.pipelines import crawl
+from ragnificent_ray.state import hosts as shard_hosts
+from ragnificent_ray.state.politeness import PolitenessService
+from ragnificent_ray.state.seen import SeenSet
+
+# 3 hosts: a shape no other test crawls with, so the pool slot is ours
+N_SEEN, N_POLITE = 3, 2
+
+
+def _cfg():
+    return CrawlConfig(
+        world=WorldConfig(n_domains=2, pages_per_domain=4, images_per_page=1),
+        default_rate=1000.0, adaptive_throttling=False, retry_delay=0.05,
+        n_seen_shards=N_SEEN, n_politeness_shards=N_POLITE, max_depth=2)
+
+
+def _key():
+    return (shard_hosts._session(), max(N_SEEN, N_POLITE), False)
+
+
+def _idle_hosts() -> list:
+    with shard_hosts._LOCK:
+        entry = shard_hosts._IDLE.get(_key())
+    return entry[0] if entry else []
+
+
+def _pids(hosts) -> list[int]:
+    return ray.get([h.pid.remote() for h in hosts], timeout=30)
+
+
+def _drop_idle() -> None:
+    """Kill this shape's idle set so the next crawl starts on new hosts."""
+    hosts = _idle_hosts()
+    with shard_hosts._LOCK:
+        entry = shard_hosts._IDLE.pop(_key(), None)
+    if entry:
+        entry[1].cancel()
+    shard_hosts._kill(hosts)
+
+
+def _assert_dead(hosts) -> None:
+    for h in hosts:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(h.pid.remote(), timeout=30)
+
+
+def _outputs(res) -> dict:
+    import __ray_entry__ as entry
+
+    def rows(table, key):
+        return sorted(res.table(table).to_pylist(), key=lambda r: r[key])
+
+    rounds = sorted(r for r in res.rounds if f"round_{r}" in res.metrics)
+    return {
+        "frontier": rows("frontier", "url"),
+        "documents": rows("documents", "url"),
+        "harvest": rows("harvest", "image_id"),
+        "seen": res.metrics["_seen_snapshot"],
+        "round_metrics": [
+            [res.metrics[f"round_{r}"].get(k) for k in entry.ROUND_METRIC_KEYS]
+            for r in rounds],
+    }
+
+
+def _crawl(tmp_path, name):
+    return crawl.run_crawl(_cfg(), str(tmp_path / name))
+
+
+def test_second_crawl_reuses_hosts_and_matches_fresh(ray_session, tmp_path):
+    _drop_idle()
+    fresh = _crawl(tmp_path, "fresh")
+    assert fresh.metrics["shard_hosts"]["reused"] is False
+    assert fresh.metrics["shard_hosts"]["hosts"] == max(N_SEEN, N_POLITE)
+    assert fresh.metrics["shard_hosts"]["ready_s"] >= 0
+    pids = _pids(_idle_hosts())
+    assert len(pids) == max(N_SEEN, N_POLITE)
+
+    warm = _crawl(tmp_path, "warm")
+    assert warm.metrics["shard_hosts"]["reused"] is True
+    assert _pids(_idle_hosts()) == pids
+    assert "shard_hosts" not in warm.metrics["round_0"]
+    assert _outputs(warm) == _outputs(fresh)
+
+
+def test_raising_crawl_kills_its_hosts(ray_session, tmp_path, monkeypatch):
+    """Even a reused set is killed, not pooled, when the crawl raises
+    (KeyboardInterrupt is no Exception); the next crawl starts on new
+    hosts and is oracle-exact."""
+    from ragnificent_ray.oracle.reference import run_oracle
+
+    _crawl(tmp_path, "warmup")  # pools a set for the raising crawl
+    leased = []
+    real_lease = shard_hosts.lease
+
+    def spy(*args, **kwargs):
+        lease = real_lease(*args, **kwargs)
+        leased.append((lease.reused, list(lease.hosts)))
+        return lease
+
+    def interrupted(blocks):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(shard_hosts, "lease", spy)
+    monkeypatch.setattr(crawl, "_frontier_from_refs", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _crawl(tmp_path, "raises")
+    monkeypatch.undo()
+
+    reused, hosts = leased[0]
+    assert reused is True
+    assert _idle_hosts() == []
+    _assert_dead(hosts)
+
+    res = _crawl(tmp_path, "after")
+    assert res.metrics["shard_hosts"]["reused"] is False
+    oracle = run_oracle(_cfg())
+    assert set(res.metrics["_seen_snapshot"]) == oracle.seen_hashes
+    ft = res.table("frontier")
+    assert sorted(zip(ft.column("depth").to_pylist(),
+                      ft.column("seed_rank").to_pylist(),
+                      ft.column("url").to_pylist())) == sorted(oracle.order)
+
+
+def test_idle_set_killed_out_of_band_falls_back(ray_session, tmp_path):
+    _crawl(tmp_path, "first")
+    idle = _idle_hosts()
+    assert idle
+    shard_hosts._kill(idle)
+    res = _crawl(tmp_path, "second")
+    assert res.metrics["shard_hosts"]["reused"] is False
+    assert _pids(_idle_hosts())  # the new set is pooled and alive
+    assert res.metrics["pages_parsed_total"] > 0
+
+
+def test_politeness_and_seen_shard_i_share_a_process(ray_session):
+    lease = shard_hosts.lease(3, pooled=False)
+    try:
+        pol = PolitenessService(n_shards=2, lease=lease)
+        seen = SeenSet(n_shards=3, lease=lease)
+        assert len(lease.hosts) == 3
+        assert _pids(pol.shards) == _pids(seen.shards[:2])
+        assert len(set(_pids(seen.shards))) == 3
+        # the parts are independent: each answers its own RPC surface
+        assert list(seen.check_and_add(
+            np.array([1, 2, 3], dtype=np.uint64))) == [True, True, True]
+        assert set(pol.reserve_batch({"a.test": 2, "b.test": 1})) == {
+            "a.test", "b.test"}
+    finally:
+        lease.release(reuse=False)
+
+
+def test_release_keeps_one_idle_set_per_key(ray_session, monkeypatch):
+    monkeypatch.setattr(shard_hosts, "IDLE_GRACE_S", 0.5)
+    key = (shard_hosts._session(), 2, False)
+    a = shard_hosts.lease(2)
+    b = shard_hosts.lease(2)  # concurrent: a second, fresh set
+    a_hosts, b_hosts = list(a.hosts), list(b.hosts)
+    a_pids = _pids(a_hosts)
+    assert set(a_pids).isdisjoint(_pids(b_hosts))
+    a.release(reuse=True)
+    b.release(reuse=True)  # the slot is taken: the surplus set is killed
+    _assert_dead(b_hosts)
+    with shard_hosts._LOCK:
+        assert _pids(shard_hosts._IDLE[key][0]) == a_pids
+    time.sleep(1.5)  # past the idle grace: the pooled set is killed too
+    with shard_hosts._LOCK:
+        assert key not in shard_hosts._IDLE
+    _assert_dead(a_hosts)
+
+
+def test_idle_set_of_another_session_is_not_reused(ray_session, monkeypatch):
+    a = shard_hosts.lease(2)
+    a_hosts = list(a.hosts)
+    a.release(reuse=True)
+    monkeypatch.setattr(shard_hosts, "_session", lambda: ("job", "node"))
+    b = shard_hosts.lease(2)
+    try:
+        assert b.reused is False
+        assert set(_pids(a_hosts)).isdisjoint(_pids(b.hosts))
+    finally:
+        b.release(reuse=False)
+        shard_hosts._kill(a_hosts)

@@ -114,6 +114,59 @@ def test_politeness_shard_rpc_telemetry():
     assert 0 < st["memory_bytes"] < 2 * 1024
 
 
+def test_politeness_reports_of_a_stale_epoch_are_dropped():
+    """A shard re-built for a new host lease ignores late outcome
+    reports sent during the previous lease: no domain state and no
+    report counter moves. Reports of its own epoch still apply."""
+    from ragnificent_ray.state.politeness import _PolitenessShardRPC
+
+    t = [0.0]
+    s = _PolitenessShardRPC(default_rate=2.0, adaptive=True,
+                            clock=lambda: t[0], epoch=7)
+    s.reserve_many([("a.test", 1), ("b.test", 1)])
+
+    def state():
+        st = s.rpc_stats()
+        return ([(d.success_count, d.error_count, d.consecutive_errors,
+                  d.backoff_until, d.rate_limit, list(d.request_times))
+                 for d in s.domains.values()],
+                st["report_rpc_calls"], st["report_rpc_rows"])
+
+    before = state()
+    s.report_many({"a.test": [(500, 0.1, True)] * 3,
+                   "b.test": [(200, 0.1, False)] * 6}, epoch=6)
+    s.report_one("a.test", [(500, 0.1, True)] * 2, epoch=6)
+    s.report_one("b.test", [(200, 0.1, False)] * 6)  # no epoch: epoch 0
+    assert state() == before
+
+    s.report_many({"a.test": [(500, 0.1, True)] * 2}, epoch=7)
+    s.report_one("b.test", [(200, 0.1, False)] * 6, epoch=7)
+    a, b = s.domains["a.test"], s.domains["b.test"]
+    assert (a.error_count, a.consecutive_errors) == (2, 2)
+    assert a.backoff_until == 4.0            # retry_delay 2 s × 2^(2-1)
+    assert (b.success_count, len(b.request_times)) == (6, 6)
+    st = s.rpc_stats()
+    assert (st["report_rpc_calls"], st["report_rpc_rows"]) == (2, 8)
+
+
+def test_politeness_background_reservations_counted_apart():
+    """Background-lane reservations (the harvest lane's image fetches)
+    leave the critical-path reservation watermarks alone."""
+    from ragnificent_ray.state.politeness import _PolitenessShardRPC
+
+    s = _PolitenessShardRPC(default_rate=2.0, adaptive=False,
+                            clock=lambda: 0.0)
+    s.reserve_many([("a.test", 3)])
+    s.reserve_many([("a.test", 2), ("b.test", 1)], True)
+    st = s.rpc_stats()
+    assert (st["reserve_rpc_calls"], st["reserve_rpc_rows"]) == (1, 1)
+    assert (st["bg_reserve_rpc_calls"], st["bg_reserve_rpc_rows"]) == (1, 2)
+    assert st["rpc_calls"] == 2 and st["rpc_rows_out"] == 6
+    # both lanes share one slot schedule per domain
+    slots, _ = s.reserve_many([("a.test", 1)])
+    assert slots["a.test"] == [2.5]
+
+
 def test_min_rank_claim_two_phase(ray_session):
     """Propose/resolve protocol: the minimum-rank proposal wins, already
     -seen hashes never win, the owner drains pending win or lose, and
