@@ -26,11 +26,12 @@ task overwrites, never duplicates).
 
 Control crosses process boundaries only at the seen/politeness shard
 RPCs; per-domain politeness state never moves (SURVEY §3.1). Seen
-shard *i* and politeness shard *i* share one shard-host process, and
-hosts are leased per Ray session (state/hosts.py), so every crawl after
-a session's first starts on warm processes. There is no all-to-all
-shuffle anywhere in the round: the outlink min-rank dedup is a
-two-phase claim on the hash-sharded seen shards.
+shard *i* and politeness shard *i* share shard-host process ``i % H``,
+with at most one host per CPU, and hosts are leased per Ray session
+(state/hosts.py), so every crawl after a session's first starts on warm
+processes. There is no all-to-all shuffle anywhere in the round: the
+outlink min-rank dedup is a two-phase claim on the hash-sharded seen
+shards.
 
 Ordering contract (SURVEY §7.4): Ray gives no execution order; the
 ``(depth, seed_rank)`` columns define the reference order, and parity
@@ -257,10 +258,12 @@ def _write_parquet(ds: rd.Dataset, path: str) -> int:
 
 
 def _fetch_parallelism(n_rows: int) -> int:
-    """Blocks for a fetch fan-out. A frontier table is KBs while the
-    fetch work it fans into is seconds-per-block, so Ray's size-based
-    block coalescing would starve the pool — split to ≥2 blocks per
-    CPU, capped so huge frontiers keep ~2k URLs per block."""
+    """Blocks the frontier is split into before the fetch: ``4 × CPUs``,
+    or ~2k URLs per block for huge frontiers. These are not the fetch
+    tasks: the fused chain's ``batch_size=cfg.fetch_batch_size`` makes
+    Ray Data regroup the blocks into tasks of at least that many rows
+    (but the last), so a 400-row round runs 2 fetch tasks and a 200-row
+    round runs 1. One task per block was slower (ROADMAP direction 3)."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
     return max(1, min(n_rows, max(4 * cpus, n_rows // 2048)))
 
@@ -401,14 +404,15 @@ def _block_writer(path: str, drop_columns: tuple = (), tag: str = ""):
 def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResult:
     """Run the full crawl. Ray must already be initialized by the caller
     (driver contract); this function holds only its shard hosts, and
-    only for the call. It leases ``max(n_seen_shards,
-    n_politeness_shards)`` hosts from the session's idle pool (host *i*
-    holds seen shard *i* and politeness shard *i*), builds fresh shard
-    state on them, and hands them back when it returns normally; on any
-    exception they are killed. An idle set is killed after
-    ``state.hosts.IDLE_GRACE_S``. ``metrics["shard_hosts"]`` says how
-    many hosts ran, whether they were reused, and the seconds from the
-    lease to every shard built (``ready_s``).
+    only for the call. It leases ``H = min(max(n_seen_shards,
+    n_politeness_shards), CPUs)`` hosts from the session's idle pool
+    (seen shard *i* and politeness shard *i* live on host ``i % H``;
+    ``state.hosts.host_count``), builds fresh shard state on them, and
+    hands them back when it returns normally; on any exception they are
+    killed. An idle set is killed after ``state.hosts.IDLE_GRACE_S``.
+    ``metrics["shard_hosts"]`` says how many hosts ran, whether they
+    were reused, and the seconds from the lease to every shard built
+    (``ready_s``).
 
     Execution shape: a Ray Data execution has a fixed dispatch cost and
     concurrent executions serialize their dispatch, so each round's

@@ -7,16 +7,16 @@ the per-domain state lives in N politeness shards keyed by
 the state for a domain never moves (the "join" of frontier rows with
 their politeness budget is shard-local — J4 in SURVEY §2.5).
 
-Shard *i* is the "politeness" part of shard host *i*
-(``state/hosts.py``), the process that also holds seen shard *i*. A
-crawl leases its hosts from the session's idle pool and builds a fresh
-:class:`_PolitenessShardRPC` on each, so the clock, backoff, rates and
-RPC counters start as on a new shard. Outcome reports are
-fire-and-forget and can arrive after the next crawl has re-leased the
-host; each carries its lease's epoch, and a shard drops any report of
-another epoch. Constructed without a lease, :class:`PolitenessService`
-spawns hosts of its own and kills them on
-:meth:`PolitenessService.shutdown`.
+Shard *i* is the ("politeness", *i*) part of shard host ``i % H``
+(``state/hosts.py``; ``H`` is at most the session's CPU count), the
+process that also holds seen shard *i*. A crawl leases its hosts from
+the session's idle pool and builds a fresh :class:`_PolitenessShardRPC`
+per shard, so the clock, backoff, rates and RPC counters start as on a
+new shard. Outcome reports are fire-and-forget and can arrive after the
+next crawl has re-leased the host; each carries its lease's epoch, and
+a shard drops any report of another epoch. Constructed without a
+lease, :class:`PolitenessService` spawns hosts of its own and kills
+them on :meth:`PolitenessService.shutdown`.
 
 Semantics ported from the reference (same constants, same thresholds):
 
@@ -264,9 +264,9 @@ class _PolitenessShardRPC(_PolitenessCore):
 
 
 class PolitenessService:
-    """Client over N shards on shard hosts; ``stable_hash64(domain) % N``
-    routing. ``lease`` is the crawl's host lease; without one the
-    service spawns its own hosts."""
+    """Client over N shards on shard hosts (``shards[i]`` is the host of
+    shard *i*); ``stable_hash64(domain) % N`` routing. ``lease`` is the
+    crawl's host lease; without one the service spawns its own hosts."""
 
     def __init__(
         self,
@@ -305,30 +305,31 @@ class PolitenessService:
         view._background = True
         return view
 
-    def shard_for(self, domain: str):
+    def shard_for(self, domain: str) -> int:
         from ..functions.hashing import stable_hash64
 
-        return self.shards[stable_hash64(domain) % self.n_shards]
+        return stable_hash64(domain) % self.n_shards
+
+    def _call(self, i: int, method: str, *args):
+        return self.shards[i].call.remote(("politeness", i), method, *args)
+
+    def _tell(self, i: int, method: str, *args) -> None:
+        self.shards[i].tell.remote(("politeness", i), method, *args)
 
     def reserve(self, domain: str, n: int) -> list[float]:
         """Relative delays (seconds from now) for n requests to domain."""
-        slots, shard_now = ray.get(self.shard_for(domain).call.remote(
-            "politeness", "reserve_with_now", domain, n))
+        slots, shard_now = ray.get(self._call(
+            self.shard_for(domain), "reserve_with_now", domain, n))
         return [max(0.0, s - shard_now) for s in slots]
 
     def reserve_batch(self, counts: dict[str, int]) -> dict[str, list[float]]:
         """Relative delays for a whole fetch batch: RPCs = shards touched
         (issued in parallel), not domains touched."""
-        from ..functions.hashing import stable_hash64
-
         by_shard: dict[int, list[tuple[str, int]]] = {}
         for d, n in counts.items():
-            by_shard.setdefault(stable_hash64(d) % self.n_shards, []).append((d, n))
-        refs = [
-            self.shards[i].call.remote(
-                "politeness", "reserve_many", pairs, self._background)
-            for i, pairs in by_shard.items()
-        ]
+            by_shard.setdefault(self.shard_for(d), []).append((d, n))
+        refs = [self._call(i, "reserve_many", pairs, self._background)
+                for i, pairs in by_shard.items()]
         out: dict[str, list[float]] = {}
         for slots_map, shard_now in ray.get(refs):
             for d, slots in slots_map.items():
@@ -337,30 +338,26 @@ class PolitenessService:
 
     def report(self, domain: str, outcomes: list[tuple[int, float, bool]]):
         # fire-and-forget: stats/adaptive updates need not block fetching
-        self.shard_for(domain).tell.remote(
-            "politeness", "report_one", domain, outcomes, self.epoch)
+        self._tell(self.shard_for(domain), "report_one", domain, outcomes,
+                   self.epoch)
 
     def report_batch(self, per_domain: dict) -> None:
         """Fire-and-forget batched outcome report, one RPC per shard."""
-        from ..functions.hashing import stable_hash64
-
         by_shard: dict[int, dict] = {}
         for d, outcomes in per_domain.items():
-            by_shard.setdefault(
-                stable_hash64(d) % self.n_shards, {})[d] = outcomes
+            by_shard.setdefault(self.shard_for(d), {})[d] = outcomes
         for i, m in by_shard.items():
-            self.shards[i].tell.remote(
-                "politeness", "report_many", m, self.epoch)
+            self._tell(i, "report_many", m, self.epoch)
 
     def stats_rows(self) -> list[dict]:
-        parts = ray.get([s.call.remote("politeness", "stats_rows")
-                         for s in self.shards])
+        parts = ray.get([self._call(i, "stats_rows")
+                         for i in range(len(self.shards))])
         return [r for p in parts for r in p]
 
     def rpc_stats(self) -> list[dict]:
         """Per-shard RPC/memory telemetry (see _PolitenessShardRPC)."""
-        return ray.get([s.call.remote("politeness", "rpc_stats")
-                        for s in self.shards])
+        return ray.get([self._call(i, "rpc_stats")
+                        for i in range(len(self.shards))])
 
     def shutdown(self) -> None:
         """Kill the hosts this service spawned itself; a leased

@@ -12,15 +12,18 @@ frontier, vs TBs of Python-set heap. The shard is the single
 serialization point for its key range, so two concurrent tasks
 submitting the same URL race safely: exactly one gets "new".
 
-Shard *i* is the "seen" part of shard host *i* (``state/hosts.py``),
-the process that also holds politeness shard *i*. A crawl leases its
-hosts from the session's idle pool and builds a fresh
-:class:`_SeenShardState` on each, so a re-leased host starts with the
-capacity, pending proposals and RPC counters of a new shard. Every
-seen RPC is ``ray.get``-synchronous inside a crawl's executions, so
-none is in flight when a crawl returns and hands its hosts back.
-Constructed without a lease, :class:`SeenSet` spawns hosts of its own
-and kills them on :meth:`SeenSet.shutdown`.
+Shard *i* is the ("seen", *i*) part of shard host ``i % H``
+(``state/hosts.py``; ``H`` is at most the session's CPU count), the
+process that also holds politeness shard *i*. A host may hold several
+seen shards; each stays its own :class:`_SeenShardState`, with its own
+RPCs, counters and frontier part. A crawl leases its hosts from the
+session's idle pool and builds a fresh :class:`_SeenShardState` per
+shard, so a re-leased host starts with the capacity, pending proposals
+and RPC counters of a new shard. Every seen RPC is
+``ray.get``-synchronous inside a crawl's executions, so none is in
+flight when a crawl returns and hands its hosts back. Constructed
+without a lease, :class:`SeenSet` spawns hosts of its own and kills
+them on :meth:`SeenSet.shutdown`.
 
 Every shard-side pass is vectorized: membership is one numpy
 gather+compare over the whole RPC batch, min-rank pending state is
@@ -292,10 +295,10 @@ class _SeenShardState:
 
 
 class SeenSet:
-    """Client handle over N seen shards on shard hosts; lives on the
-    driver and inside ``map_batches`` workers (actor handles serialize
-    fine). ``lease`` is the crawl's host lease; without one the set
-    spawns its own hosts."""
+    """Client handle over N seen shards on shard hosts (``shards[i]``
+    is the host of shard *i*); lives on the driver and inside
+    ``map_batches`` workers (actor handles serialize fine). ``lease`` is
+    the crawl's host lease; without one the set spawns its own hosts."""
 
     def __init__(self, n_shards: int = 8, capacity_per_shard: int = 1 << 16,
                  spread: bool = False,
@@ -309,7 +312,7 @@ class SeenSet:
                                  {"capacity": capacity_per_shard})
 
     def _rpc(self, s: int, method: str, *args):
-        return self.shards[s].call.remote("seen", method, *args)
+        return self.shards[s].call.remote(("seen", s), method, *args)
 
     def check_and_add(self, hashes: np.ndarray) -> np.ndarray:
         """Bulk filter a uint64 hash array → boolean "is new" mask.
@@ -387,7 +390,7 @@ class SeenSet:
         metadata without scheduling metadata tasks on a busy cluster."""
         pairs = [
             s.call.options(num_returns=2).remote(
-                "seen", "take_winners_to_parquet", path, i)
+                ("seen", i), "take_winners_to_parquet", path, i)
             for i, s in enumerate(self.shards)
         ]
         counts = ray.get([c for c, _ in pairs])

@@ -3,11 +3,17 @@
 A crawl's hosts go back to the session's idle pool when it returns
 normally and are killed when it raises; a re-leased host must behave
 exactly like a new one, so a crawl on warm hosts is compared with a
-crawl on fresh ones and with the sequential oracle.
+crawl on fresh ones and with the sequential oracle. With more shards
+than CPUs (the 4-CPU session fixture) a host holds several shards of a
+part, and the crawl must not notice.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -24,20 +30,21 @@ from ragnificent_ray.state.seen import SeenSet
 N_SEEN, N_POLITE = 3, 2
 
 
-def _cfg():
+def _cfg(world=None, n_seen=N_SEEN, n_polite=N_POLITE):
     return CrawlConfig(
-        world=WorldConfig(n_domains=2, pages_per_domain=4, images_per_page=1),
+        world=world or WorldConfig(
+            n_domains=2, pages_per_domain=4, images_per_page=1),
         default_rate=1000.0, adaptive_throttling=False, retry_delay=0.05,
-        n_seen_shards=N_SEEN, n_politeness_shards=N_POLITE, max_depth=2)
+        n_seen_shards=n_seen, n_politeness_shards=n_polite, max_depth=2)
 
 
-def _key():
-    return (shard_hosts._session(), max(N_SEEN, N_POLITE), False)
+def _key(n_shards=max(N_SEEN, N_POLITE)):
+    return (shard_hosts._session(), shard_hosts.host_count(n_shards), False)
 
 
-def _idle_hosts() -> list:
+def _idle_hosts(key=None) -> list:
     with shard_hosts._LOCK:
-        entry = shard_hosts._IDLE.get(_key())
+        entry = shard_hosts._IDLE.get(key or _key())
     return entry[0] if entry else []
 
 
@@ -45,14 +52,15 @@ def _pids(hosts) -> list[int]:
     return ray.get([h.pid.remote() for h in hosts], timeout=30)
 
 
-def _drop_idle() -> None:
+def _drop_idle(key=None) -> None:
     """Kill this shape's idle set so the next crawl starts on new hosts."""
-    hosts = _idle_hosts()
+    key = key or _key()
+    hosts = _idle_hosts(key)
     with shard_hosts._LOCK:
-        entry = shard_hosts._IDLE.pop(_key(), None)
+        entry = shard_hosts._IDLE.pop(key, None)
     if entry:
         entry[1].cancel()
-    shard_hosts._kill(hosts)
+    shard_hosts._kill(hosts, key[0])
 
 
 def _assert_dead(hosts) -> None:
@@ -79,8 +87,19 @@ def _outputs(res) -> dict:
     }
 
 
-def _crawl(tmp_path, name):
-    return crawl.run_crawl(_cfg(), str(tmp_path / name))
+def _crawl(tmp_path, name, cfg=None):
+    return crawl.run_crawl(cfg or _cfg(), str(tmp_path / name))
+
+
+def _assert_oracle_exact(res, cfg) -> None:
+    from ragnificent_ray.oracle.reference import run_oracle
+
+    oracle = run_oracle(cfg)
+    assert set(res.metrics["_seen_snapshot"]) == oracle.seen_hashes
+    ft = res.table("frontier")
+    assert sorted(zip(ft.column("depth").to_pylist(),
+                      ft.column("seed_rank").to_pylist(),
+                      ft.column("url").to_pylist())) == sorted(oracle.order)
 
 
 def test_second_crawl_reuses_hosts_and_matches_fresh(ray_session, tmp_path):
@@ -103,8 +122,6 @@ def test_raising_crawl_kills_its_hosts(ray_session, tmp_path, monkeypatch):
     """Even a reused set is killed, not pooled, when the crawl raises
     (KeyboardInterrupt is no Exception); the next crawl starts on new
     hosts and is oracle-exact."""
-    from ragnificent_ray.oracle.reference import run_oracle
-
     _crawl(tmp_path, "warmup")  # pools a set for the raising crawl
     leased = []
     real_lease = shard_hosts.lease
@@ -130,19 +147,14 @@ def test_raising_crawl_kills_its_hosts(ray_session, tmp_path, monkeypatch):
 
     res = _crawl(tmp_path, "after")
     assert res.metrics["shard_hosts"]["reused"] is False
-    oracle = run_oracle(_cfg())
-    assert set(res.metrics["_seen_snapshot"]) == oracle.seen_hashes
-    ft = res.table("frontier")
-    assert sorted(zip(ft.column("depth").to_pylist(),
-                      ft.column("seed_rank").to_pylist(),
-                      ft.column("url").to_pylist())) == sorted(oracle.order)
+    _assert_oracle_exact(res, _cfg())
 
 
 def test_idle_set_killed_out_of_band_falls_back(ray_session, tmp_path):
     _crawl(tmp_path, "first")
     idle = _idle_hosts()
     assert idle
-    shard_hosts._kill(idle)
+    shard_hosts._kill(idle, shard_hosts._session())
     res = _crawl(tmp_path, "second")
     assert res.metrics["shard_hosts"]["reused"] is False
     assert _pids(_idle_hosts())  # the new set is pooled and alive
@@ -164,6 +176,79 @@ def test_politeness_and_seen_shard_i_share_a_process(ray_session):
             "a.test", "b.test"}
     finally:
         lease.release(reuse=False)
+
+
+def test_lease_puts_shard_i_on_host_i_mod_cpus(ray_session):
+    """8 shards per part on the 4-CPU session: 4 processes, seen shard i
+    and politeness shard i on host i % 4, every shard its own part."""
+    assert shard_hosts.host_count(8) == 4
+    lease = shard_hosts.lease(8, pooled=False)
+    try:
+        seen = SeenSet(n_shards=8, lease=lease)
+        pol = PolitenessService(n_shards=8, lease=lease)
+        host_pids = _pids(lease.hosts)
+        assert len(set(host_pids)) == 4
+        expected = [host_pids[i % 4] for i in range(8)]
+        assert _pids(seen.shards) == expected
+        assert _pids(pol.shards) == expected
+        hashes = np.arange(64, dtype=np.uint64)
+        assert seen.check_and_add(hashes).all()
+        assert not seen.check_and_add(hashes).any()
+        # co-hosted shards (0 and 4, ...) keep their own members
+        assert [st["seen"] for st in seen.rpc_stats()] == [8] * 8
+    finally:
+        lease.release(reuse=False)
+
+
+def test_crawl_with_more_shards_than_cpus(ray_session, tmp_path, monkeypatch):
+    """8 seen and 4 politeness shards on 4 hosts: every round still writes
+    one frontier part per seen shard, and outputs and rows-only round
+    metrics equal a crawl with one fresh host per shard, and the oracle."""
+    cfg = _cfg(WorldConfig(n_domains=4, pages_per_domain=24,
+                           images_per_page=1), n_seen=8, n_polite=4)
+    shared = _crawl(tmp_path, "shared", cfg)
+    assert shared.metrics["shard_hosts"]["hosts"] == 4
+    # round 0's frontier comes from discovery, later ones from the shards
+    resolved = sorted((tmp_path / "shared" / "rounds").glob(
+        "round=*/frontier"))[1:]
+    assert resolved
+    for frontier in resolved:
+        assert sorted(p.name for p in frontier.iterdir()) == [
+            f"part-shard{i:04d}.parquet" for i in range(8)]
+
+    monkeypatch.setattr(shard_hosts, "host_count", lambda n: n)
+    own = _crawl(tmp_path, "own", cfg)
+    _drop_idle(_key(8))
+    assert own.metrics["shard_hosts"]["hosts"] == 8
+    assert own.metrics["shard_hosts"]["reused"] is False
+    assert _outputs(shared) == _outputs(own)
+    _assert_oracle_exact(shared, cfg)
+
+
+def test_kill_after_ray_shutdown_is_skipped():
+    """A standalone client shut down after ``ray.shutdown()`` must not
+    ``ray.kill`` hosts of the ended session (that aborts the process)."""
+    script = textwrap.dedent("""
+        import ray
+        from ragnificent_ray.state.politeness import PolitenessService
+        from ragnificent_ray.state.seen import SeenSet
+
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR", object_store_memory=80 * 2**20)
+        seen = SeenSet(n_shards=2)
+        pol = PolitenessService(n_shards=2)
+        assert seen.size() == 0 and len(pol.rpc_stats()) == 2
+        ray.shutdown()
+        seen.shutdown()
+        pol.shutdown()
+        print("ok")
+    """)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": repo}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=repo, env=env,
+                          capture_output=True, text=True, timeout=180)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip().endswith("ok")
 
 
 def test_release_keeps_one_idle_set_per_key(ray_session, monkeypatch):
@@ -196,4 +281,5 @@ def test_idle_set_of_another_session_is_not_reused(ray_session, monkeypatch):
         assert set(_pids(a_hosts)).isdisjoint(_pids(b.hosts))
     finally:
         b.release(reuse=False)
-        shard_hosts._kill(a_hosts)
+        monkeypatch.undo()
+        shard_hosts._kill(a_hosts, shard_hosts._session())
