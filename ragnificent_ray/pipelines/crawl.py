@@ -17,6 +17,16 @@ Per round (SURVEY §3.1-new; stages/claims.py)::
                          image_frontier ──▶ fetch ──▶ decode+phash ──▶
                          harvest sink (Lance adapter)
 
+Every execution is a pure streaming map chain: no repartition or
+other all-to-all operator runs anywhere in a crawl. The frontier is cut
+where it is made, into blocks of at most ``fetch_batch_size`` rows —
+round 0 by one discovery task per seed (``_discover_blocks``), every
+later round by the seen shards' resolve — so Ray Data bundles those
+blocks straight into fetch tasks of at least ``fetch_batch_size`` rows.
+The crawl's Datasets carry their own ``target_max_block_size``
+(``_bounded``), so Ray Data starts an execution's tasks side by side
+instead of one at a time, and no other Dataset of the session sees it.
+
 Background sinks run on a bounded lane pool and overlap the next
 round's critical path; a round is marked complete only after all its
 writes land, so the crawl is resumable from per-round checkpoints with
@@ -74,7 +84,7 @@ from ..stages.fetch import FetchWorker, cached_backend
 from ..state import hosts as shard_hosts
 from ..state.checkpoint import CheckpointManager, config_hash
 from ..state.politeness import PolitenessService
-from ..state.seen import SeenSet
+from ..state.seen import SeenSet, cut_blocks, streamed_blocks
 
 SEED_STRIDE = 1_000_000
 RANK_STRIDE = 100_000
@@ -84,10 +94,10 @@ RANK_STRIDE = 100_000
 
 class DiscoverWorker:
     """Sitemap discovery per seed (S2-S4): robots → sitemap recursion →
-    reference-order filter → ranked frontier rows. Runs task-based over
-    the seed list (one batch = one seed); each seed's discovery is
-    inherently sequential (first-hit-wins), so parallelism is across
-    seeds."""
+    reference-order filter → ranked frontier rows. Runs in one
+    :func:`_discover_blocks` task per seed (one batch = one seed); each
+    seed's discovery is inherently sequential (first-hit-wins), so
+    parallelism is across seeds."""
 
     def __init__(self, world_cfg: dict, politeness=None, crawl_cfg: dict | None = None):
         self.world_cfg = world_cfg
@@ -186,8 +196,6 @@ class CrawlResult:
     def dataset(self, table: str) -> rd.Dataset:
         dirs = self._round_dirs(table)
         if not dirs:
-            import pyarrow as pa
-
             return rd.from_arrow(pa.table({}))
         # explicit file list: Ray's read_parquet accepts one directory
         # but not a LIST of directories (pyarrow treats multi-path input
@@ -257,17 +265,6 @@ def _write_parquet(ds: rd.Dataset, path: str) -> int:
     return _dir_rows(path)
 
 
-def _fetch_parallelism(n_rows: int) -> int:
-    """Blocks the frontier is split into before the fetch: ``4 × CPUs``,
-    or ~2k URLs per block for huge frontiers. These are not the fetch
-    tasks: the fused chain's ``batch_size=cfg.fetch_batch_size`` makes
-    Ray Data regroup the blocks into tasks of at least that many rows
-    (but the last), so a 400-row round runs 2 fetch tasks and a 200-row
-    round runs 1. One task per block was slower (ROADMAP direction 3)."""
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(1, min(n_rows, max(4 * cpus, n_rows // 2048)))
-
-
 def _failure_sampler(path: str, per_block: int = 5):
     """O4 — failure-log sampling (``core/scraper.py:884-891``: log the
     first 5 failed URLs + a count). Fused pass-through stage between
@@ -309,8 +306,46 @@ def _failure_samples(path: str, limit: int = 5) -> list[dict]:
     return rows[:limit]
 
 
+# An upper bound on the bytes of one crawl row: a frontier URL, a fetched
+# page with its parsed document, or an image with its bytes (synthetic
+# pages carry ~3 KB of HTML, images 4-12 KB). A crawl block holds at most
+# ``fetch_batch_size`` rows, so ``fetch_batch_size × ROW_BYTES_BOUND``
+# (8 MiB at the default 256) bounds a block; a larger row only makes Ray
+# Data cut its output blocks smaller.
+ROW_BYTES_BOUND = 32 << 10
+
+
+def _bounded(ds: rd.Dataset, rows: int) -> rd.Dataset:
+    """``ds`` with a ``target_max_block_size`` of ``rows ×
+    ROW_BYTES_BOUND``, which every Dataset derived from it inherits.
+
+    Until an operator has produced output, Ray Data sizes each of its
+    tasks at ``target_max_block_size`` × 2 buffered blocks: 256 MiB at
+    Ray's default, the whole Data budget of a 512 MiB object store, so
+    each execution ran one task until its first output. A Dataset owns
+    the copy of the DataContext made at its creation, so the bound stays
+    inside the crawl: ``DataContext.get_current()`` is never changed."""
+    ds.context.target_max_block_size = rows * ROW_BYTES_BOUND
+    return ds
+
+
+@ray.remote
+def _discover_blocks(discover, keep_new, write, seed: pa.Table, rows: int):
+    """Round 0's frontier from one seed (a one-row seed table): discover
+    → canonicalize → seen-filter → frontier checkpoint, streamed as
+    :func:`~..state.seen.cut_blocks` slices of at most ``rows`` rows,
+    owned by the caller. A Ray Data map cannot cut them: its per-task
+    output buffer merges a UDF's tables back into blocks of up to
+    ``target_max_block_size`` bytes."""
+    head, blocks = cut_blocks(
+        write(keep_new(canonicalize_batch(discover(seed)))), rows)
+    yield head
+    yield from blocks
+
+
 def _frontier_from_refs(blocks: list) -> rd.Dataset:
-    """Next-round frontier Dataset from shard-returned table refs.
+    """A round's frontier Dataset from ``(rows, bytes, ref)`` blocks
+    streamed by the seen shards' resolve or by round 0's discovery tasks.
 
     ``ray.data.from_arrow_refs`` schedules one remote metadata task per
     ref; on a cluster saturated by the background sinks those tiny tasks
@@ -419,16 +454,29 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
     critical path is ONE execution plus one RPC fan-out
     (stages/claims.py):
 
+    0. round 0 only — one ``_discover_blocks`` Ray task per seed:
+       discover → canonicalize → seen-filter → frontier checkpoint,
+       streamed back as blocks of at most ``fetch_batch_size`` rows.
     1. critical — fetch → parse → AttachClaims (image seen-claims +
        payload-carrying outlink min-rank proposals on the sharded seen
        set) → block-write(documents) → materialize (= phase-1 barrier).
     2. critical RPC — seen.take_winners_to_parquet: each shard claims
-       its pending winners and writes its own next-frontier parquet
-       part (phase-2 resolve without a dataset execution).
+       its pending winners, writes its own next-frontier parquet part
+       and streams them back as blocks of at most ``fetch_batch_size``
+       rows (phase-2 resolve without a dataset execution).
     3. background — render → block-write(rendered) → chunk (→ embed)
        → chunks sink.
     4. background — ExplodeClaimedImages → block-write(image_frontier)
        → fetch → decode → harvest sink.
+
+    Each execution is a chain of maps over frontier blocks that already
+    hold at most one fetch batch: Ray Data bundles them into fetch
+    tasks of at least ``fetch_batch_size`` rows with no repartition
+    barrier in front of the fetch. Every Dataset of the crawl runs with
+    a ``target_max_block_size`` of ``fetch_batch_size × ROW_BYTES_BOUND``
+    (``_bounded``), so Ray Data does not size the first task of each
+    operator at the whole object-store budget and run it alone.
+    ``DataContext.get_current()`` is never changed.
 
     Background sinks overlap the next round's critical path; a round is
     marked complete in the manifest only after ALL its writes land, so
@@ -474,6 +522,7 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
             capacity_per_shard=cfg.seen_capacity_per_shard,
             spread=cfg.seen_spread,
             lease=lease,
+            block_rows=cfg.fetch_batch_size,
         )
         # kept out of the per-round metrics: wall time, and it differs
         # between a session's first crawl and the later ones
@@ -519,6 +568,8 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                           ignore_errors=True)
             result.rounds.extend(done)
 
+        # every frontier block holds at most one fetch batch
+        rows = cfg.fetch_batch_size
         crawl_opts = {
             "respect_robots_txt": cfg.respect_robots_txt,
             "min_priority": cfg.min_priority,
@@ -622,13 +673,17 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                 next_frontier = None
             elif _dir_rows(frontier_dir) > 0:  # resume path
                 n_frontier = _dir_rows(frontier_dir)
-                frontier_mat = rd.read_parquet(frontier_dir).materialize()
+                frontier_mat = _bounded(rd.from_arrow(cut_blocks(
+                    pq.read_table(frontier_dir), rows)[1]), rows)
             elif depth == 0 and cfg.links_file:
-                # S1: links file is the round-0 frontier (no discovery)
+                # S1: links file is the round-0 frontier (no discovery);
+                # each map keeps its input blocks' cut
                 from ..sources.links_file import links_table
 
+                links = links_table(cfg.links_file, SEED_STRIDE)
                 frontier_mat = (
-                    rd.from_arrow(links_table(cfg.links_file, SEED_STRIDE))
+                    _bounded(rd.from_arrow(
+                        cut_blocks(links, rows)[1] or [links]), rows)
                     .map_batches(canonicalize_batch, batch_format="pyarrow")
                     .map_batches(SeenFilter(seen), batch_format="pyarrow")
                     .map_batches(
@@ -639,28 +694,25 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                 n_frontier = frontier_mat.count()
             elif depth == 0:
                 seeds = cfg.seed_urls()
-                seeds_ds = rd.from_arrow(pa.table({
-                    "seed_url": pa.array(seeds),
+                seed_table = pa.table({
+                    "seed_url": pa.array(seeds, type=pa.string()),
                     "seed_idx": pa.array(range(len(seeds)), type=pa.int64()),
-                })).repartition(max(1, len(seeds)))
-                frontier_mat = (
-                    seeds_ds.map_batches(
-                        DiscoverWorker(
-                            world_cfg=world_cfg,
-                            politeness=politeness,
-                            crawl_cfg=crawl_opts,
-                        ),
-                        batch_format="pyarrow",
-                        batch_size=1,
-                    )
-                    .map_batches(canonicalize_batch, batch_format="pyarrow")
-                    .map_batches(SeenFilter(seen), batch_format="pyarrow")
-                    .map_batches(
-                        _block_writer(frontier_dir, tag="frontier0:"),
-                        batch_format="pyarrow")
-                    .materialize()
+                })
+                discover = DiscoverWorker(
+                    world_cfg=world_cfg,
+                    politeness=politeness,
+                    crawl_cfg=crawl_opts,
                 )
-                n_frontier = frontier_mat.count()
+                keep_new = SeenFilter(seen)
+                write = _block_writer(frontier_dir, tag="frontier0:")
+                blocks = streamed_blocks(
+                    _discover_blocks.remote(
+                        discover, keep_new, write, seed_table.slice(i, 1),
+                        rows)
+                    for i in range(len(seeds)))
+                n_frontier = sum(n for n, _, _ in blocks)
+                if n_frontier:
+                    frontier_mat = _bounded(_frontier_from_refs(blocks), rows)
             else:
                 n_frontier = 0
 
@@ -681,9 +733,7 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
 
             # ---- execution 1: fetch+parse+claims+doc-ckpt (critical) --------
             docs_dir = ckpt.table_dir(depth, "documents")
-            docs = frontier_mat.repartition(
-                _fetch_parallelism(n_frontier)
-            ).map_batches(
+            docs = frontier_mat.map_batches(
                 fetcher,
                 batch_format="pyarrow",
                 batch_size=cfg.fetch_batch_size,
@@ -741,8 +791,8 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                         # store — no parquet metadata fetch on the
                         # critical path (the parquet parts exist only
                         # for checkpoint/resume)
-                        next_frontier = (
-                            _frontier_from_refs(winner_refs), n_next)
+                        next_frontier = (_bounded(
+                            _frontier_from_refs(winner_refs), rows), n_next)
 
             critical_sec = time.monotonic() - round_t0
 

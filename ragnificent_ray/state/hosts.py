@@ -10,10 +10,12 @@ than CPUs would only add ~90 MiB processes that cannot all run at
 once; with fewer shards than CPUs each host holds one shard of each
 part. A host is only a container: ``init`` builds a fresh part, keyed
 by (part name, shard index), from its plain class, and ``call`` runs
-one of the part's methods. :meth:`HostLease.init` returns one host
-handle per shard, so the clients in ``seen.py``/``politeness.py`` keep
-their routing (``hash % n``, ``stable_hash64(domain) % n``) and their
-per-shard state whatever ``H`` is.
+one of the part's methods (``stream`` runs one whose result is several
+objects, such as a seen shard's frontier blocks). :meth:`HostLease.init`
+returns one host handle per shard, so the clients in
+``seen.py``/``politeness.py`` keep their routing (``hash % n``,
+``stable_hash64(domain) % n``) and their per-shard state whatever ``H``
+is.
 
 Hosts are leased, not created per crawl. :func:`lease` hands out the
 idle set kept for (Ray session, host count, spread), after a ping that
@@ -78,6 +80,14 @@ class ShardHost:
 
     def call(self, part: tuple, method: str, *args):
         return getattr(self.parts[part], method)(*args)
+
+    def stream(self, part: tuple, method: str, *args):
+        """``call`` for a method returning ``(head, items)``: streams
+        ``head``, then each item as an object of its own, owned by the
+        caller, so one call hands back as many refs as the method made."""
+        head, items = getattr(self.parts[part], method)(*args)
+        yield head
+        yield from items
 
     def tell(self, part: tuple, method: str, *args) -> None:
         """A fire-and-forget call; dropped when the host no longer holds

@@ -70,6 +70,28 @@ def _min_per_key(h: np.ndarray, r: np.ndarray, *payload: np.ndarray):
     return out
 
 
+def cut_blocks(table, rows: int) -> tuple[list, list]:
+    """``table`` as consecutive slices of at most ``rows`` rows:
+    ``([(rows, bytes) per slice], slices)``, no slice for an empty
+    table. A frontier is cut where it is made, so every block the fetch
+    reads already holds at most one fetch batch."""
+    slices = [table.slice(i, rows) for i in range(0, table.num_rows, rows)]
+    return [(t.num_rows, t.nbytes) for t in slices], slices
+
+
+def streamed_blocks(streams) -> list[tuple]:
+    """``[(rows, bytes, ref)]`` of every slice that remote generators
+    streamed as :func:`cut_blocks` results (the ``(rows, bytes)`` list
+    first, then one object per slice). The refs are the caller's, and
+    only the small heads are fetched."""
+    streams = list(streams)  # every generator is running before any is read
+    refs = [list(s) for s in streams]
+    heads = ray.get([r[0] for r in refs])
+    return [(n, size, ref)
+            for head, r in zip(heads, refs)
+            for (n, size), ref in zip(head, r[1:])]
+
+
 class _SeenShardState:
     """Plain-object core (actor-free for unit tests and the oracle)."""
 
@@ -226,15 +248,18 @@ class _SeenShardState:
                 "depth": dep.tolist(), "seed_rank": r.tolist(),
                 "url_hash": h.tolist()}
 
-    def take_winners_to_parquet(self, path: str, shard_id: int):
+    def take_winners_to_parquet(self, path: str, shard_id: int,
+                                block_rows: int | None = None):
         """Winners → one FRONTIER-schema parquet part written BY THE
         SHARD (no driver materialization of the next frontier); returns
-        ``(row_count, frontier_table)``. The table return lands in the
-        object store, so the driver can assemble the next round's
-        frontier Dataset from the shard refs directly — re-reading the
-        parquet (metadata fetch) on the round critical path measured
-        ~15 s at 16 CPUs when overlapped with the background sinks.
-        Parquet stays the checkpoint/resume source of truth; atomic via
+        :func:`cut_blocks` of the winners' table, slices of at most
+        ``block_rows`` rows (one slice if ``None``). A shard host
+        streams each slice as its own object, so the driver assembles
+        the next round's frontier Dataset from the shard refs directly,
+        already cut to the fetch's batch size — re-reading the parquet
+        (metadata fetch) on the round critical path measured ~15 s at
+        16 CPUs when overlapped with the background sinks. Parquet
+        stays the checkpoint/resume source of truth; atomic via
         tmp+rename like _block_writer."""
         import os
 
@@ -252,13 +277,13 @@ class _SeenShardState:
             else:
                 cols[f.name] = pa.nulls(n, type=f.type)
         table = pa.table(cols)
-        if n == 0:
-            return (0, 0), table
-        os.makedirs(path, exist_ok=True)
-        tmp = os.path.join(path, f".part-shard{shard_id:04d}.tmp")
-        pq.write_table(table, tmp)
-        os.replace(tmp, os.path.join(path, f"part-shard{shard_id:04d}.parquet"))
-        return (n, table.nbytes), table
+        if n:
+            os.makedirs(path, exist_ok=True)
+            tmp = os.path.join(path, f".part-shard{shard_id:04d}.tmp")
+            pq.write_table(table, tmp)
+            os.replace(tmp, os.path.join(
+                path, f"part-shard{shard_id:04d}.parquet"))
+        return cut_blocks(table, block_rows or max(n, 1))
 
     # -- checkpoint / metrics ---------------------------------------------------
 
@@ -298,12 +323,16 @@ class SeenSet:
     """Client handle over N seen shards on shard hosts (``shards[i]``
     is the host of shard *i*); lives on the driver and inside
     ``map_batches`` workers (actor handles serialize fine). ``lease`` is
-    the crawl's host lease; without one the set spawns its own hosts."""
+    the crawl's host lease; without one the set spawns its own hosts.
+    ``block_rows`` caps the rows of each frontier block the resolve
+    returns (``None``: one block per shard)."""
 
     def __init__(self, n_shards: int = 8, capacity_per_shard: int = 1 << 16,
                  spread: bool = False,
-                 lease: shard_hosts.HostLease | None = None):
+                 lease: shard_hosts.HostLease | None = None,
+                 block_rows: int | None = None):
         self.n_shards = n_shards
+        self.block_rows = block_rows
         self._owned = None
         if lease is None:
             lease = self._owned = shard_hosts.lease(
@@ -381,21 +410,20 @@ class SeenSet:
 
     def take_winners_to_parquet(self, path: str):
         """Phase-2 fan-out: every shard claims + writes its own frontier
-        parquet part; returns ``(total_rows, [(rows, bytes, table_ref)])``.
+        parquet part; returns ``(total_rows, [(rows, bytes, table_ref)])``
+        with one entry per block of at most ``block_rows`` rows.
         Replaces a whole dataset execution (explode → resolve → write)
         with one RPC round trip — the winner rows never pass through the
-        driver: the per-shard frontier tables stay in the object store
-        and feed the next round's Dataset directly. Row/byte counts ride
-        the small first return so the driver can fabricate the block
-        metadata without scheduling metadata tasks on a busy cluster."""
-        pairs = [
-            s.call.options(num_returns=2).remote(
-                ("seen", i), "take_winners_to_parquet", path, i)
-            for i, s in enumerate(self.shards)
-        ]
-        counts = ray.get([c for c, _ in pairs])
-        blocks = [(n, sz, t) for (n, sz), (_, t) in zip(counts, pairs) if n]
-        return int(sum(n for n, _ in counts)), blocks
+        driver: each shard streams its blocks into the object store
+        (``ShardHost.stream``) and they feed the next round's Dataset
+        directly. Row/byte counts ride the first streamed object so the
+        driver can fabricate the block metadata without scheduling
+        metadata tasks on a busy cluster."""
+        blocks = streamed_blocks(
+            s.stream.remote(("seen", i), "take_winners_to_parquet", path, i,
+                            self.block_rows)
+            for i, s in enumerate(self.shards))
+        return sum(n for n, _, _ in blocks), blocks
 
     def snapshot(self) -> list[int]:
         parts = ray.get([self._rpc(s, "snapshot")

@@ -264,3 +264,67 @@ def test_table_accessor_guard_routes_big_results_to_dataset(
         res.table("harvest")
     # the lazy accessor still streams the same rows
     assert res.dataset("harvest").count() > 0
+
+
+def test_crawl_executions_are_map_chains_over_cut_frontier_blocks(
+    ray_session, tmp_path, monkeypatch
+):
+    """No crawl execution holds an all-to-all operator (no repartition
+    barrier before the fetch), every frontier block the fetch reads holds
+    at most ``fetch_batch_size`` rows — round 0's 40-row seeds included —
+    and every execution runs with the crawl's block-size bound."""
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll,
+    )
+    from ray.data._internal.plan import ExecutionPlan
+
+    from ragnificent_ray.oracle.reference import run_oracle
+    from ragnificent_ray.pipelines import crawl
+    from ragnificent_ray.stages.claims import AttachClaims
+
+    def ops(op):
+        yield op
+        for dep in op.input_dependencies:
+            yield from ops(dep)
+
+    executions = []
+    real_execute = ExecutionPlan.execute
+
+    def recording_execute(self, *args, **kwargs):
+        executions.append((list(ops(self._logical_plan.dag)),
+                           self._context.target_max_block_size))
+        return real_execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "execute", recording_execute)
+    batch = 16
+    cfg = CrawlConfig(
+        world=WorldConfig(n_domains=2, pages_per_domain=40, images_per_page=1),
+        default_rate=1e5, adaptive_throttling=False, retry_delay=0.05,
+        fetch_batch_size=batch, n_seen_shards=4, n_politeness_shards=2,
+        max_depth=1)
+    res = crawl.run_crawl(cfg, str(tmp_path / "cut"))
+    monkeypatch.undo()
+
+    assert executions
+    for plan_ops, bound in executions:
+        assert not [op for op in plan_ops if isinstance(op, AbstractAllToAll)]
+        assert bound == batch * crawl.ROW_BYTES_BOUND
+
+    fetch_inputs = [
+        [m.num_rows for bundle in plan_ops[-1].input_data
+         for m in bundle.metadata]
+        for plan_ops, _ in executions
+        if any(isinstance(getattr(op, "_fn", None), AttachClaims)
+               for op in plan_ops)]
+    n_frontier = [res.metrics[f"round_{r}"]["n_frontier"] for r in (0, 1)]
+    assert all(n > 2 * batch for n in n_frontier)
+    assert len(fetch_inputs) == 2
+    for rows, n in zip(fetch_inputs, n_frontier):
+        assert max(rows) <= batch
+        assert sum(rows) == n
+
+    oracle = run_oracle(cfg)
+    ft = res.table("frontier")
+    assert sorted(zip(ft.column("depth").to_pylist(),
+                      ft.column("seed_rank").to_pylist(),
+                      ft.column("url").to_pylist())) == sorted(oracle.order)

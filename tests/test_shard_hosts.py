@@ -150,6 +150,41 @@ def test_raising_crawl_kills_its_hosts(ray_session, tmp_path, monkeypatch):
     _assert_oracle_exact(res, _cfg())
 
 
+def test_crawl_leaves_the_session_data_context_alone(
+    ray_session, tmp_path, monkeypatch
+):
+    """The crawl's block-size bound lives on its own Datasets: the
+    session's current DataContext is untouched after a normal return and
+    after an interrupted crawl, and a later plain Dataset runs with Ray's
+    default."""
+    import ray.data as rd
+    from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE, DataContext
+
+    current = DataContext.get_current()
+    assert current.target_max_block_size == DEFAULT_TARGET_MAX_BLOCK_SIZE
+
+    def interrupted(blocks):
+        raise KeyboardInterrupt
+
+    _crawl(tmp_path, "normal")
+    assert DataContext.get_current() is current
+    assert current.target_max_block_size == DEFAULT_TARGET_MAX_BLOCK_SIZE
+    monkeypatch.setattr(crawl, "_frontier_from_refs", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _crawl(tmp_path, "interrupted")
+    monkeypatch.undo()
+    assert DataContext.get_current() is current
+    assert current.target_max_block_size == DEFAULT_TARGET_MAX_BLOCK_SIZE
+
+    def seen_bound(batch):
+        bound = DataContext.get_current().target_max_block_size
+        return {"bound": np.full(len(batch["id"]), bound)}
+
+    rows = rd.range(8, override_num_blocks=2).map_batches(seen_bound)
+    assert {r["bound"] for r in rows.take_all()} == {
+        DEFAULT_TARGET_MAX_BLOCK_SIZE}
+
+
 def test_idle_set_killed_out_of_band_falls_back(ray_session, tmp_path):
     _crawl(tmp_path, "first")
     idle = _idle_hosts()
