@@ -19,10 +19,11 @@ Per round (SURVEY §3.1-new; stages/claims.py)::
 
 Every execution is a pure streaming map chain: no repartition or
 other all-to-all operator runs anywhere in a crawl. The frontier is cut
-where it is made, into blocks of at most ``fetch_batch_size`` rows —
-round 0 by one discovery task per seed (``_discover_blocks``), every
-later round by the seen shards' resolve — so Ray Data bundles those
-blocks straight into fetch tasks of at least ``fetch_batch_size`` rows.
+where it is made — round 0 by one discovery task per seed
+(``_cut_frontier``), every later round by the seen shards' resolve —
+into about ``BLOCKS_PER_CPU`` blocks per CPU, none under one fetch
+batch, so Ray Data bundles those blocks straight into fetch tasks of at
+least ``fetch_batch_size`` rows.
 The crawl's Datasets carry their own ``target_max_block_size``
 (``_bounded``), so Ray Data starts an execution's tasks side by side
 instead of one at a time, and no other Dataset of the session sees it.
@@ -95,7 +96,7 @@ RANK_STRIDE = 100_000
 class DiscoverWorker:
     """Sitemap discovery per seed (S2-S4): robots → sitemap recursion →
     reference-order filter → ranked frontier rows. Runs in one
-    :func:`_discover_blocks` task per seed (one batch = one seed); each
+    :func:`_cut_frontier` task per seed (one batch = one seed); each
     seed's discovery is inherently sequential (first-hit-wins), so
     parallelism is across seeds."""
 
@@ -308,10 +309,10 @@ def _failure_samples(path: str, limit: int = 5) -> list[dict]:
 
 # An upper bound on the bytes of one crawl row: a frontier URL, a fetched
 # page with its parsed document, or an image with its bytes (synthetic
-# pages carry ~3 KB of HTML, images 4-12 KB). A crawl block holds at most
-# ``fetch_batch_size`` rows, so ``fetch_batch_size × ROW_BYTES_BOUND``
-# (8 MiB at the default 256) bounds a block; a larger row only makes Ray
-# Data cut its output blocks smaller.
+# pages carry ~3 KB of HTML, images 4-12 KB). ``fetch_batch_size ×
+# ROW_BYTES_BOUND`` (8 MiB at the default 256) bounds one fetch batch; a
+# task with more rows, or with larger rows, only makes Ray Data cut its
+# output into more blocks.
 ROW_BYTES_BOUND = 32 << 10
 
 
@@ -329,16 +330,24 @@ def _bounded(ds: rd.Dataset, rows: int) -> rd.Dataset:
     return ds
 
 
+# A round's frontier is cut into about BLOCKS_PER_CPU × CPUs blocks,
+# shared out over the producers that make it and none under one fetch
+# batch; Ray Data then bundles them into fetch tasks of at least
+# ``fetch_batch_size`` rows. Cutting every frontier into single fetch
+# batches instead ran 8 × 1600-page crawls ~12% slower on 4 CPUs (50
+# fetch tasks of 256 rows in round 0, not 16 of 800).
+BLOCKS_PER_CPU = 4
+
+
 @ray.remote
-def _discover_blocks(discover, keep_new, write, seed: pa.Table, rows: int):
-    """Round 0's frontier from one seed (a one-row seed table): discover
-    → canonicalize → seen-filter → frontier checkpoint, streamed as
-    :func:`~..state.seen.cut_blocks` slices of at most ``rows`` rows,
-    owned by the caller. A Ray Data map cannot cut them: its per-task
-    output buffer merges a UDF's tables back into blocks of up to
-    ``target_max_block_size`` bytes."""
-    head, blocks = cut_blocks(
-        write(keep_new(canonicalize_batch(discover(seed)))), rows)
+def _cut_frontier(cut: tuple, make, *args):
+    """The frontier table ``make(*args)``, made in this task and streamed
+    as :func:`~..state.seen.cut_blocks` ``(table, *cut)`` slices owned by
+    the caller: round 0 discovers one seed per task, a resume reads one
+    checkpointed frontier part per task. A Ray Data map cannot cut them:
+    its per-task output buffer merges a UDF's tables back into blocks of
+    up to ``target_max_block_size`` bytes."""
+    head, blocks = cut_blocks(make(*args), *cut)
     yield head
     yield from blocks
 
@@ -454,28 +463,31 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
     critical path is ONE execution plus one RPC fan-out
     (stages/claims.py):
 
-    0. round 0 only — one ``_discover_blocks`` Ray task per seed:
+    0. round 0 only — one ``_cut_frontier`` Ray task per seed:
        discover → canonicalize → seen-filter → frontier checkpoint,
-       streamed back as blocks of at most ``fetch_batch_size`` rows.
+       streamed back as ``cut_blocks`` slices.
     1. critical — fetch → parse → AttachClaims (image seen-claims +
        payload-carrying outlink min-rank proposals on the sharded seen
        set) → block-write(documents) → materialize (= phase-1 barrier).
     2. critical RPC — seen.take_winners_to_parquet: each shard claims
        its pending winners, writes its own next-frontier parquet part
-       and streams them back as blocks of at most ``fetch_batch_size``
-       rows (phase-2 resolve without a dataset execution).
+       and streams them back as ``cut_blocks`` slices (phase-2 resolve
+       without a dataset execution).
     3. background — render → block-write(rendered) → chunk (→ embed)
        → chunks sink.
     4. background — ExplodeClaimedImages → block-write(image_frontier)
        → fetch → decode → harvest sink.
 
-    Each execution is a chain of maps over frontier blocks that already
-    hold at most one fetch batch: Ray Data bundles them into fetch
-    tasks of at least ``fetch_batch_size`` rows with no repartition
-    barrier in front of the fetch. Every Dataset of the crawl runs with
-    a ``target_max_block_size`` of ``fetch_batch_size × ROW_BYTES_BOUND``
-    (``_bounded``), so Ray Data does not size the first task of each
-    operator at the whole object-store budget and run it alone.
+    Each execution is a chain of maps over frontier blocks cut where
+    they are made: each of a round's producers (seeds, seen shards,
+    checkpointed parts) cuts its rows into its share of ``BLOCKS_PER_CPU
+    × CPUs`` blocks, none under ``fetch_batch_size`` rows. Ray Data
+    bundles them into fetch tasks of at least ``fetch_batch_size`` rows
+    with no repartition barrier in front of the fetch. Every Dataset of
+    the crawl runs with a ``target_max_block_size`` of
+    ``fetch_batch_size × ROW_BYTES_BOUND`` (``_bounded``), so Ray Data
+    does not size the first task of each operator at the whole
+    object-store budget and run it alone.
     ``DataContext.get_current()`` is never changed.
 
     Background sinks overlap the next round's critical path; a round is
@@ -517,12 +529,20 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
             spread=cfg.seen_spread,
             lease=lease,
         )
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+
+        def cut(producers: int) -> tuple[int, int]:
+            """(rows, pieces) for each of a round's ``producers``."""
+            return (cfg.fetch_batch_size,
+                    -(-BLOCKS_PER_CPU * cpus // max(1, producers)))
+
         seen = SeenSet(
             n_shards=cfg.n_seen_shards,
             capacity_per_shard=cfg.seen_capacity_per_shard,
             spread=cfg.seen_spread,
             lease=lease,
             block_rows=cfg.fetch_batch_size,
+            pieces=cut(cfg.n_seen_shards)[1],
         )
         # kept out of the per-round metrics: wall time, and it differs
         # between a session's first crawl and the later ones
@@ -568,7 +588,6 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                           ignore_errors=True)
             result.rounds.extend(done)
 
-        # every frontier block holds at most one fetch batch
         rows = cfg.fetch_batch_size
         crawl_opts = {
             "respect_robots_txt": cfg.respect_robots_txt,
@@ -672,9 +691,14 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                 frontier_mat, n_frontier = next_frontier
                 next_frontier = None
             elif _dir_rows(frontier_dir) > 0:  # resume path
-                n_frontier = _dir_rows(frontier_dir)
-                frontier_mat = _bounded(rd.from_arrow(cut_blocks(
-                    pq.read_table(frontier_dir), rows)[1]), rows)
+                parts = [os.path.join(frontier_dir, name)
+                         for name in sorted(os.listdir(frontier_dir))
+                         if name.endswith(".parquet")]
+                blocks = streamed_blocks(
+                    _cut_frontier.remote(cut(len(parts)), pq.read_table, p)
+                    for p in parts)
+                n_frontier = sum(n for n, _, _ in blocks)
+                frontier_mat = _bounded(_frontier_from_refs(blocks), rows)
             elif depth == 0 and cfg.links_file:
                 # S1: links file is the round-0 frontier (no discovery);
                 # each map keeps its input blocks' cut
@@ -683,7 +707,7 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                 links = links_table(cfg.links_file, SEED_STRIDE)
                 frontier_mat = (
                     _bounded(rd.from_arrow(
-                        cut_blocks(links, rows)[1] or [links]), rows)
+                        cut_blocks(links, *cut(1))[1] or [links]), rows)
                     .map_batches(canonicalize_batch, batch_format="pyarrow")
                     .map_batches(SeenFilter(seen), batch_format="pyarrow")
                     .map_batches(
@@ -705,10 +729,13 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                 )
                 keep_new = SeenFilter(seen)
                 write = _block_writer(frontier_dir, tag="frontier0:")
+
+                def discover_seed(seed: pa.Table) -> pa.Table:
+                    return write(keep_new(canonicalize_batch(discover(seed))))
+
                 blocks = streamed_blocks(
-                    _discover_blocks.remote(
-                        discover, keep_new, write, seed_table.slice(i, 1),
-                        rows)
+                    _cut_frontier.remote(
+                        cut(len(seeds)), discover_seed, seed_table.slice(i, 1))
                     for i in range(len(seeds)))
                 n_frontier = sum(n for n, _, _ in blocks)
                 if n_frontier:

@@ -70,12 +70,13 @@ def _min_per_key(h: np.ndarray, r: np.ndarray, *payload: np.ndarray):
     return out
 
 
-def cut_blocks(table, rows: int) -> tuple[list, list]:
-    """``table`` as consecutive slices of at most ``rows`` rows:
-    ``([(rows, bytes) per slice], slices)``, no slice for an empty
-    table. A frontier is cut where it is made, so every block the fetch
-    reads already holds at most one fetch batch."""
-    slices = [table.slice(i, rows) for i in range(0, table.num_rows, rows)]
+def cut_blocks(table, rows: int, pieces: int = 1) -> tuple[list, list]:
+    """``table`` as consecutive slices of ``max(rows, ceil(n / pieces))``
+    rows: ``([(rows, bytes) per slice], slices)``, no slice for an empty
+    table. A frontier is cut where it is made: into ``pieces`` blocks,
+    but none under one fetch batch of ``rows`` rows."""
+    size = max(rows, -(-table.num_rows // pieces))
+    slices = [table.slice(i, size) for i in range(0, table.num_rows, size)]
     return [(t.num_rows, t.nbytes) for t in slices], slices
 
 
@@ -249,18 +250,17 @@ class _SeenShardState:
                 "url_hash": h.tolist()}
 
     def take_winners_to_parquet(self, path: str, shard_id: int,
-                                block_rows: int | None = None):
+                                block_rows: int, pieces: int):
         """Winners → one FRONTIER-schema parquet part written BY THE
         SHARD (no driver materialization of the next frontier); returns
-        :func:`cut_blocks` of the winners' table, slices of at most
-        ``block_rows`` rows (one slice if ``None``). A shard host
-        streams each slice as its own object, so the driver assembles
-        the next round's frontier Dataset from the shard refs directly,
-        already cut to the fetch's batch size — re-reading the parquet
-        (metadata fetch) on the round critical path measured ~15 s at
-        16 CPUs when overlapped with the background sinks. Parquet
-        stays the checkpoint/resume source of truth; atomic via
-        tmp+rename like _block_writer."""
+        :func:`cut_blocks` of the winners' table (``pieces`` slices, none
+        under ``block_rows`` rows). A shard host streams each slice as
+        its own object, so the driver assembles the next round's
+        frontier Dataset from the shard refs directly, already cut for
+        the fetch — re-reading the parquet (metadata fetch) on the round
+        critical path measured ~15 s at 16 CPUs when overlapped with the
+        background sinks. Parquet stays the checkpoint/resume source of
+        truth; atomic via tmp+rename like _block_writer."""
         import os
 
         import pyarrow as pa
@@ -283,7 +283,7 @@ class _SeenShardState:
             pq.write_table(table, tmp)
             os.replace(tmp, os.path.join(
                 path, f"part-shard{shard_id:04d}.parquet"))
-        return cut_blocks(table, block_rows or max(n, 1))
+        return cut_blocks(table, block_rows, pieces)
 
     # -- checkpoint / metrics ---------------------------------------------------
 
@@ -324,15 +324,15 @@ class SeenSet:
     is the host of shard *i*); lives on the driver and inside
     ``map_batches`` workers (actor handles serialize fine). ``lease`` is
     the crawl's host lease; without one the set spawns its own hosts.
-    ``block_rows`` caps the rows of each frontier block the resolve
-    returns (``None``: one block per shard)."""
+    The resolve cuts each shard's frontier into ``pieces`` blocks, none
+    under ``block_rows`` rows (``CrawlConfig.fetch_batch_size``)."""
 
     def __init__(self, n_shards: int = 8, capacity_per_shard: int = 1 << 16,
                  spread: bool = False,
                  lease: shard_hosts.HostLease | None = None,
-                 block_rows: int | None = None):
+                 block_rows: int = 256, pieces: int = 1):
         self.n_shards = n_shards
-        self.block_rows = block_rows
+        self.cut = (block_rows, pieces)
         self._owned = None
         if lease is None:
             lease = self._owned = shard_hosts.lease(
@@ -411,7 +411,7 @@ class SeenSet:
     def take_winners_to_parquet(self, path: str):
         """Phase-2 fan-out: every shard claims + writes its own frontier
         parquet part; returns ``(total_rows, [(rows, bytes, table_ref)])``
-        with one entry per block of at most ``block_rows`` rows.
+        with one entry per :func:`cut_blocks` slice.
         Replaces a whole dataset execution (explode → resolve → write)
         with one RPC round trip — the winner rows never pass through the
         driver: each shard streams its blocks into the object store
@@ -421,7 +421,7 @@ class SeenSet:
         metadata tasks on a busy cluster."""
         blocks = streamed_blocks(
             s.stream.remote(("seen", i), "take_winners_to_parquet", path, i,
-                            self.block_rows)
+                            *self.cut)
             for i, s in enumerate(self.shards))
         return sum(n for n, _, _ in blocks), blocks
 

@@ -271,8 +271,10 @@ def test_crawl_executions_are_map_chains_over_cut_frontier_blocks(
 ):
     """No crawl execution holds an all-to-all operator (no repartition
     barrier before the fetch), every frontier block the fetch reads holds
-    at most ``fetch_batch_size`` rows — round 0's 40-row seeds included —
-    and every execution runs with the crawl's block-size bound."""
+    at most ``fetch_batch_size`` rows — round 0's 40-row seeds included,
+    since on 4 CPUs no seed's or shard's share of the ``BLOCKS_PER_CPU
+    × CPUs`` blocks reaches one batch — and every execution runs with
+    the crawl's block-size bound."""
     from ray.data._internal.logical.operators.all_to_all_operator import (
         AbstractAllToAll,
     )

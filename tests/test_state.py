@@ -46,6 +46,28 @@ def test_seen_shard_survives_filter_saturation():
     assert not any(again)  # still exactly-once after rebuilds
 
 
+def test_cut_blocks_shares_a_table_out_with_a_batch_floor():
+    """A frontier producer cuts its rows into ``pieces`` blocks, but no
+    block under one fetch batch (the last one excepted)."""
+    import pyarrow as pa
+
+    from ragnificent_ray.state.seen import cut_blocks
+
+    t = pa.table({"x": list(range(1000))})
+
+    def sizes(*cut):
+        head, blocks = cut_blocks(t, *cut)
+        assert head == [(b.num_rows, b.nbytes) for b in blocks]
+        assert pa.concat_tables(blocks).equals(t)
+        return [n for n, _ in head]
+
+    assert sizes(256, 1) == [1000]
+    assert sizes(256, 2) == [500, 500]
+    assert sizes(256, 8) == [256, 256, 256, 232]
+    assert sizes(100, 3) == [334, 334, 332]
+    assert cut_blocks(t.slice(0, 0), 256, 4) == ([], [])
+
+
 def test_politeness_reserve_spacing_and_backoff():
     t = [0.0]
     core = _PolitenessCore(default_rate=2.0, adaptive=False, clock=lambda: t[0])
