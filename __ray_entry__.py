@@ -953,7 +953,6 @@ def _image_phash_clusters(sf_dir: str):
         harvest.select(["image_id", "phash"])
     ).select_columns(["image_id_a", "image_id_b"])
     labels = min_label_components(pairs, "image_id_a", "image_id_b",
-                                  join_partitions=2,
                                   convergence="changed")
 
     import pyarrow as pa
@@ -1071,7 +1070,6 @@ def _image_curate_keep(sf_dir: str):
 
     pairs = ph_pairs.union(dh_pairs)
     labels = min_label_components(pairs, "image_id_a", "image_id_b",
-                                  join_partitions=2,
                                   convergence="changed")
     labels = labels.map_batches(
         lambda t: pa.table({"image_id": t.column("node"),

@@ -86,6 +86,7 @@ from ..state import hosts as shard_hosts
 from ..state.checkpoint import CheckpointManager, config_hash
 from ..state.politeness import PolitenessService
 from ..state.seen import SeenSet, cut_blocks, streamed_blocks
+from .exchange import from_block_refs
 
 SEED_STRIDE = 1_000_000
 RANK_STRIDE = 100_000
@@ -354,57 +355,10 @@ def _cut_frontier(cut: tuple, make, *args):
 
 def _frontier_from_refs(blocks: list) -> rd.Dataset:
     """A round's frontier Dataset from ``(rows, bytes, ref)`` blocks
-    streamed by the seen shards' resolve or by round 0's discovery tasks.
-
-    ``ray.data.from_arrow_refs`` schedules one remote metadata task per
-    ref; on a cluster saturated by the background sinks those tiny tasks
-    queue behind multi-second map tasks (~15 s stall measured at 16
-    CPUs). The shards already told us ``(rows, bytes)`` and the schema
-    is statically FRONTIER, so fabricate the block metadata driver-side
-    — zero tasks, zero driver data movement.
-
-    Uses ``ray.data._internal`` plan constructors (verified against Ray
-    2.49; pinned by a unit test that simulates their absence): a Ray
-    upgrade that moves them degrades gracefully to the public
-    ``from_arrow_refs`` — correct, just re-paying the metadata tasks.
-
-    Re-measured on Ray 2.49.2 (round 5): 64 refs on a cluster saturated
-    with 20 s tasks — fabricated 0.94 s vs ``from_arrow_refs`` 19.1 s
-    (the public path's per-ref metadata tasks queue behind the running
-    work; there is no ``override_num_blocks``/metadata-supplying public
-    constructor for pre-existing refs). Keep the guarded internals until
-    Ray grows one.
-    """
-    refs = [t for _, _, t in blocks]
-    try:
-        from ray.data._internal.logical.interfaces import LogicalPlan
-        from ray.data._internal.logical.operators.from_operators import (
-            FromArrow,
-        )
-        from ray.data._internal.plan import ExecutionPlan
-        from ray.data._internal.stats import DatasetStats
-        from ray.data.block import BlockMetadata, BlockMetadataWithSchema
-        from ray.data.context import DataContext
-        from ray.data.dataset import MaterializedDataset
-
-        from ..schema import FRONTIER
-
-        metas = [
-            BlockMetadataWithSchema(
-                BlockMetadata(num_rows=n, size_bytes=sz,
-                              input_files=None, exec_stats=None),
-                schema=FRONTIER,
-            )
-            for n, sz, _ in blocks
-        ]
-        plan = ExecutionPlan(
-            DatasetStats(metadata={"FromArrow": metas}, parent=None),
-            DataContext.get_current().copy(),
-        )
-        return MaterializedDataset(
-            plan, LogicalPlan(FromArrow(refs, metas), plan._context))
-    except (ImportError, AttributeError, TypeError):
-        return rd.from_arrow_refs(refs)
+    streamed by the seen shards' resolve or by round 0's discovery tasks;
+    the schema is statically FRONTIER, so no task reads any metadata."""
+    return from_block_refs([t for _, _, t in blocks],
+                           [(n, sz, FRONTIER) for n, sz, _ in blocks])
 
 
 # ------------------------------------------------------------------- crawl

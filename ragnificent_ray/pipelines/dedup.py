@@ -50,6 +50,7 @@ import ray.data as rd
 
 from ..functions.hashing import md5_hex, stable_hash64
 from ..functions.numeric import list_column_matrix, round_half_away
+from .exchange import hash_join
 from .inputs import _pq, table_bytes
 
 JACCARD_THRESHOLD = 0.6
@@ -67,18 +68,6 @@ def _bucket_count(sf_dir: str, table: str = "documents",
     at any corpus scale while the groupby key space remains bounded."""
     sz = table_bytes(sf_dir, table)
     return max(_BUCKETS, int(sz // target_bytes) + 1)
-
-
-def _join_partition_count(sf_dir: str, table: str = "documents",
-                          target_bytes: int = 64 << 20) -> int:
-    """Hash-join exchange partitions scaled to the join's data volume:
-    one per ~64 MiB of source parquet, capped by cluster CPUs. Small
-    inputs get 2 partitions — each join spawns ``num_partitions``
-    aggregator actors, and at sf-test scale actor startup dominated the
-    verify stage's wall time (7 s for a 5k-vector table with 16)."""
-    sz = table_bytes(sf_dir, table)
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return max(2, min(max(2, cpus // 2), int(sz // target_bytes) + 1))
 
 
 # -------------------------------------------------------------- exact dedup
@@ -240,7 +229,6 @@ def incremental_dedup(sf_dir: str):
     meta = pq_mod.read_metadata(_pq(sf_dir, "documents"))
     split = meta.num_rows // 2
     n_buckets = _bucket_count(sf_dir)
-    P = _join_partition_count(sf_dir)
 
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["doc_id", "text"])
@@ -275,9 +263,7 @@ def incremental_dedup(sf_dir: str):
                                batch_size=8192)
                 .groupby("bucket")
                 .map_groups(batch_first, batch_format="pyarrow"))
-    out = incoming.join(existing, "left_anti", num_partitions=P,
-                        on=("text_hash",), right_on=("old_hash",),
-                        aggregator_ray_remote_args={"num_cpus": 0.25})
+    out = hash_join(incoming, existing, "left_anti", "text_hash", "old_hash")
     return out.map_batches(
         lambda b: b.select(["doc_id", "text_hash"]),
         batch_format="pyarrow")
@@ -665,8 +651,7 @@ def _verify_joined(batch: pa.Table, threshold: float) -> pa.Table:
     })
 
 
-def minhash_lsh_pairs(sf_dir: str, jaccard_threshold: float = 0.4,
-                      join_partitions: int | None = None):
+def minhash_lsh_pairs(sf_dir: str, jaccard_threshold: float = 0.4):
     """Near-dup pairs via MinHash banding (SURVEY §2.7 D-pattern).
 
     One distributed sketch pass computes shingles + 64 minhashes + 16
@@ -677,12 +662,7 @@ def minhash_lsh_pairs(sf_dir: str, jaccard_threshold: float = 0.4,
     to the materialized sketch table (once per side) so only candidate
     rows and their two shingle sets ever co-locate — no driver-side
     materialization anywhere in the path. At 10^10 scale only the
-    narrow band rows and the (rare) candidates shuffle;
-    ``join_partitions`` sizes the join exchange."""
-    if join_partitions is None:
-        join_partitions = _join_partition_count(sf_dir, "documents")
-    _join_args = dict(num_partitions=join_partitions,
-                      aggregator_ray_remote_args={"num_cpus": 0.25})
+    narrow band rows and the (rare) candidates shuffle."""
     n_buckets = _bucket_count(sf_dir)
 
     a, b = MINHASH_A, MINHASH_B
@@ -779,11 +759,9 @@ def minhash_lsh_pairs(sf_dir: str, jaccard_threshold: float = 0.4,
             pack, batch_format="pyarrow")
 
     return (
-        cands
-        .join(_keyed("doc_a", "shingles_a"), "inner",
-              on=("doc_a",), **_join_args)
-        .join(_keyed("doc_b", "shingles_b"), "inner",
-              on=("doc_b",), **_join_args)
+        hash_join(hash_join(cands, _keyed("doc_a", "shingles_a"), "inner",
+                            "doc_a"),
+                  _keyed("doc_b", "shingles_b"), "inner", "doc_b")
         .map_batches(
             lambda b: _verify_joined(b, jaccard_threshold),
             batch_format="pyarrow")
@@ -979,8 +957,7 @@ EMB_LSH_BITS = 10
 
 def embedding_neardup_lsh(sf_dir: str, threshold: float = COSINE_THRESHOLD,
                           bands: int = EMB_LSH_BANDS,
-                          bits: int = EMB_LSH_BITS,
-                          join_partitions: int | None = None):
+                          bits: int = EMB_LSH_BITS):
     """Embedding near-dup, the SCALE path (``embedding_neardup`` is the
     exact all-pairs gate with a documented ~10M-vector broadcast
     ceiling). Banded random-hyperplane LSH, fully distributed:
@@ -996,10 +973,6 @@ def embedding_neardup_lsh(sf_dir: str, threshold: float = COSINE_THRESHOLD,
     recall < 1 by LSH design and rises with the pair's cosine. At real
     scale ``bits`` grows with log2(n_vectors) to keep band buckets
     block-sized (the ``bands``/``bits`` knobs are the tradeoff dial)."""
-    if join_partitions is None:
-        join_partitions = _join_partition_count(sf_dir, "embeddings")
-    _join_args = dict(num_partitions=join_partitions,
-                      aggregator_ray_remote_args={"num_cpus": 0.25})
     n_buckets = _bucket_count(sf_dir, table="embeddings")
 
     ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
@@ -1098,12 +1071,9 @@ def embedding_neardup_lsh(sf_dir: str, threshold: float = COSINE_THRESHOLD,
                                 type=pa.float64()),
         })
 
-    return (
-        cands
-        .join(_keyed("vec_a"), "inner", on=("vec_a",), **_join_args)
-        .join(_keyed("vec_b"), "inner", on=("vec_b",), **_join_args)
-        .map_batches(verify, batch_format="pyarrow")
-    )
+    return hash_join(hash_join(cands, _keyed("vec_a"), "inner", "vec_a"),
+                     _keyed("vec_b"), "inner", "vec_b",
+                     ).map_batches(verify, batch_format="pyarrow")
 
 
 # --------------------------------------- duplicate n-gram spans (Lee et al.)
@@ -1248,8 +1218,7 @@ def _dup_gram_marks(doc_grams, n_buckets: int, distinct: bool = True):
             .map_groups(bucket_marks, batch_format="pyarrow"))
 
 
-def duplicate_ngram_fraction(sf_dir: str, k: int = NGRAM_SPAN_K,
-                             join_partitions: int | None = None):
+def duplicate_ngram_fraction(sf_dir: str, k: int = NGRAM_SPAN_K):
     """Exact-substring contamination signal (the public Lee et al. 2021
     "Deduplicating Training Data" recipe, suffix-array spans re-expressed
     as fixed-k token grams): for every document, the fraction of its
@@ -1265,11 +1234,6 @@ def duplicate_ngram_fraction(sf_dir: str, k: int = NGRAM_SPAN_K,
     (``_gram_hashes``) on both sides, so the oracle hashes identically
     (collisions included)."""
     from ray.data.aggregate import Sum
-
-    if join_partitions is None:
-        join_partitions = _join_partition_count(sf_dir, "documents")
-    join_args = dict(num_partitions=join_partitions,
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
 
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
 
@@ -1310,8 +1274,7 @@ def duplicate_ngram_fraction(sf_dir: str, k: int = NGRAM_SPAN_K,
         })
 
     per_doc = (
-        go(["doc_id", "gram", "occ"])
-        .join(dup, "left_outer", on=("gram",), **join_args)
+        hash_join(go(["doc_id", "gram", "occ"]), dup, "left_outer", "gram")
         .map_batches(mark, batch_format="pyarrow")
         .groupby("doc_id")
         .aggregate(Sum("occ", alias_name="total_grams"),
@@ -1332,8 +1295,7 @@ def duplicate_ngram_fraction(sf_dir: str, k: int = NGRAM_SPAN_K,
     return per_doc.map_batches(finish, batch_format="pyarrow")
 
 
-def ngram_novelty(sf_dir: str, k: int = NGRAM_SPAN_K,
-                  join_partitions: int | None = None):
+def ngram_novelty(sf_dir: str, k: int = NGRAM_SPAN_K):
     """Corpus-saturation novelty curve: for every document, the
     fraction of its DISTINCT k-token grams whose corpus-wide FIRST
     occurrence (minimum doc_id — the ingest-order stand-in) is this
@@ -1354,10 +1316,6 @@ def ngram_novelty(sf_dir: str, k: int = NGRAM_SPAN_K,
     the oracle hashes identically, collisions included."""
     from ray.data.aggregate import Sum
 
-    if join_partitions is None:
-        join_partitions = _join_partition_count(sf_dir, "documents")
-    join_args = dict(num_partitions=join_partitions,
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
     n_buckets = _bucket_count(sf_dir)
 
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -1412,8 +1370,7 @@ def ngram_novelty(sf_dir: str, k: int = NGRAM_SPAN_K,
         })
 
     per_doc = (
-        go(["doc_id", "gram"])
-        .join(first, "inner", on=("gram",), **join_args)
+        hash_join(go(["doc_id", "gram"]), first, "inner", "gram")
         .map_batches(mark, batch_format="pyarrow")
         .groupby("doc_id")
         .aggregate(Sum("n", alias_name="n_grams"),
@@ -1434,8 +1391,7 @@ def ngram_novelty(sf_dir: str, k: int = NGRAM_SPAN_K,
     return per_doc.map_batches(finish, batch_format="pyarrow")
 
 
-def dup_spans(sf_dir: str, k: int = NGRAM_SPAN_K,
-              join_partitions: int | None = None):
+def dup_spans(sf_dir: str, k: int = NGRAM_SPAN_K):
     """Maximal duplicated-span coverage per document — the step past
     :func:`duplicate_ngram_fraction` toward actual exact-substring
     dedup (Lee et al. 2021): merge every duplicated k-gram's token
@@ -1449,10 +1405,6 @@ def dup_spans(sf_dir: str, k: int = NGRAM_SPAN_K,
     survive), then interval merging runs vectorized inside bounded
     doc-buckets, with token totals riding the same union so zero-dup
     docs still report."""
-    if join_partitions is None:
-        join_partitions = _join_partition_count(sf_dir, "documents")
-    join_args = dict(num_partitions=join_partitions,
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
     n_buckets = _bucket_count(sf_dir)
 
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -1499,9 +1451,8 @@ def dup_spans(sf_dir: str, k: int = NGRAM_SPAN_K,
             "bucket": pa.array((ids % n_buckets).astype(np.int32)),
         })
 
-    covered = (occ(["doc_id", "pos", "gram"])
-               .join(dup, "inner", on=("gram",), **join_args)
-               .map_batches(cov_rows, batch_format="pyarrow"))
+    covered = hash_join(occ(["doc_id", "pos", "gram"]), dup, "inner",
+                        "gram").map_batches(cov_rows, batch_format="pyarrow")
 
     def tok_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1563,8 +1514,8 @@ def dup_spans(sf_dir: str, k: int = NGRAM_SPAN_K,
 # ------------------------------------------- dup components (CC over pairs)
 
 def min_label_components(pairs, col_a: str, col_b: str,
-                         join_partitions: int, max_iters: int = 16,
-                         convergence: str = "sum"):
+                         max_iters: int = 16, convergence: str = "sum",
+                         n_buckets: int = 16):
     """Connected components over an undirected edge Dataset by
     iterative min-label propagation — the generic core behind
     :func:`dedup_clusters` (int64 doc ids) and
@@ -1575,9 +1526,8 @@ def min_label_components(pairs, col_a: str, col_b: str,
     and folds candidates with a groupby-min. Labels are monotone
     non-increasing, so a per-round scalar certificate (label sum for
     ints, changed-count otherwise) is all the driver sees. Returns a
-    Dataset of (node, label)."""
-    join_args = dict(num_partitions=join_partitions,
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
+    Dataset of (node, label); the per-node min folds run in
+    ``n_buckets`` node-hash buckets."""
 
     def undirect(b: pa.Table) -> pa.Table:
         return pa.concat_tables([
@@ -1591,7 +1541,6 @@ def min_label_components(pairs, col_a: str, col_b: str,
     # group_by body — Ray's native groupby("node").min() walks the |V|
     # key space per group (the high-cardinality Aggregate trap), and it
     # ran once per propagation round here
-    n_buckets = max(16, join_partitions * 8)
 
     def _add_nb(t: pa.Table) -> pa.Table:
         node = t.column("node")
@@ -1651,8 +1600,8 @@ def min_label_components(pairs, col_a: str, col_b: str,
 
     prev = labels.sum("label") if convergence == "sum" else None
     for _ in range(max_iters):
-        msgs = (und.join(labels, "inner", on=("node",), **join_args)
-                .map_batches(_nbr_cand, batch_format="pyarrow"))
+        msgs = hash_join(und, labels, "inner", "node").map_batches(
+            _nbr_cand, batch_format="pyarrow")
         new_labels = _bucket_min(
             msgs.union(labels.map_batches(
                 _as_cand, batch_format="pyarrow")),
@@ -1664,13 +1613,11 @@ def min_label_components(pairs, col_a: str, col_b: str,
                 break
             prev = cur
         else:
-            changed = (new_labels
-                       .join(labels.map_batches(_old,
-                                                batch_format="pyarrow"),
-                             "inner", on=("node",), **join_args)
-                       .map_batches(_count_changed,
-                                    batch_format="pyarrow")
-                       .sum("c"))
+            changed = hash_join(
+                new_labels,
+                labels.map_batches(_old, batch_format="pyarrow"),
+                "inner", "node",
+            ).map_batches(_count_changed, batch_format="pyarrow").sum("c")
             labels = new_labels
             if not changed:
                 break
@@ -1678,21 +1625,17 @@ def min_label_components(pairs, col_a: str, col_b: str,
     return labels
 
 
-def dedup_clusters(sf_dir: str, max_iters: int = 16,
-                   join_partitions: int | None = None):
+def dedup_clusters(sf_dir: str, max_iters: int = 16):
     """Duplicate-document components over the MinHash-LSH pair set:
     every doc touching a near-dup edge labeled with the minimum doc_id
     reachable through such edges (the canonical keep-one-per-cluster
     step after pair generation). See :func:`min_label_components` for
     the distributed propagation; the int64 label sum is the
     convergence certificate."""
-    if join_partitions is None:
-        join_partitions = _join_partition_count(sf_dir, "documents")
-
     pairs = minhash_lsh_pairs(sf_dir).select_columns(["doc_a", "doc_b"])
-    labels = min_label_components(pairs, "doc_a", "doc_b",
-                                  join_partitions, max_iters,
-                                  convergence="sum")
+    labels = min_label_components(
+        pairs, "doc_a", "doc_b", max_iters, convergence="sum",
+        n_buckets=max(16, table_bytes(sf_dir, "documents") // (8 << 20)))
 
     def _rename(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t.column("node"),
@@ -2420,8 +2363,7 @@ import re as _re
 _CAPTION_PREFIX = _re.compile(r"^caption img-\d{4}-\d{4}-\d{2}:\s*")
 
 
-def joint_caption_phash_pairs(harvest, max_hamming: int = 8,
-                              join_partitions: int = 2):
+def joint_caption_phash_pairs(harvest, max_hamming: int = 8):
     """Image+TEXT joint near-dup pairs — the high-precision LAION-style
     dedup signal over an image+caption table: a pair counts only when
     BOTH modalities agree — the banded phash path's exact XOR-popcount
@@ -2460,8 +2402,6 @@ def joint_caption_phash_pairs(harvest, max_hamming: int = 8,
         })
 
     tm = caps_src.map_batches(tmpl, batch_format="pyarrow")
-    _join_args = dict(num_partitions=join_partitions,
-                      aggregator_ray_remote_args={"num_cpus": 0.25})
 
     ta = tm.map_batches(
         lambda t: pa.table({"image_id_a": t.column("image_id"),
@@ -2471,8 +2411,8 @@ def joint_caption_phash_pairs(harvest, max_hamming: int = 8,
         lambda t: pa.table({"image_id_b": t.column("image_id"),
                             "tmpl_b": t.column("tmpl")}),
         batch_format="pyarrow")
-    joined = (pairs.join(ta, "inner", on=("image_id_a",), **_join_args)
-              .join(tb, "inner", on=("image_id_b",), **_join_args))
+    joined = hash_join(hash_join(pairs, ta, "inner", "image_id_a"),
+                       tb, "inner", "image_id_b")
 
     def agree(t: pa.Table) -> pa.Table:
         keep = pc.equal(t.column("tmpl_a"), t.column("tmpl_b"))

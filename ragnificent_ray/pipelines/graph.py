@@ -46,6 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from .exchange import hash_join
 from .inputs import _pq, table_bytes
 
 _MIN_BUCKETS = 4
@@ -664,8 +665,6 @@ def basket_lift(sf_dir: str):
     from ..functions.numeric import round_half_away
 
     n_buckets = _bucket_count(sf_dir, ("lineitem",))
-    join_args = dict(num_partitions=max(2, n_buckets // 16),
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
     ds = rd.read_parquet(
         _pq(sf_dir, "lineitem"), columns=["l_orderkey", "l_partkey"],
         override_num_blocks=_read_blocks(sf_dir, "lineitem"))
@@ -775,12 +774,10 @@ def basket_lift(sf_dir: str):
         return b.rename_columns(
             [{"n_p": "n_a"}.get(c, c) for c in b.column_names])
 
-    joined = (pairs
-              .join(counts, "inner", on=("part_a",), right_on=("p",),
-                    **join_args)
-              .map_batches(rename_na, batch_format="pyarrow")
-              .join(counts, "inner", on=("part_b",), right_on=("p",),
-                    **join_args))
+    joined = hash_join(
+        hash_join(pairs, counts, "inner", "part_a", "p")
+        .map_batches(rename_na, batch_format="pyarrow"),
+        counts, "inner", "part_b", "p")
 
     def finish(b: pa.Table) -> pa.Table:
         nab = b.column("n_ab").to_pylist()
@@ -995,9 +992,6 @@ def triangle_count(sf_dir: str):
            .groupby("db").map_groups(deg_fold, batch_format="pyarrow")
            .materialize())
 
-    join_args = dict(num_partitions=max(
-        2, n_buckets // 16), aggregator_ray_remote_args={"num_cpus": 0.25})
-
     def orient(b: pa.Table) -> pa.Table:
         # the FIRST join (on user_a) produced column "d" = deg(user_a),
         # renamed "d_a" before the second join adds "d" = deg(user_b) —
@@ -1022,15 +1016,12 @@ def triangle_count(sf_dir: str):
         return b.rename_columns(
             [{"d": "d_a"}.get(c, c) for c in b.column_names])
 
-    oriented = (
-        ed.select_columns(["user_a", "user_b"])
-        .join(deg, "inner", on=("user_a",), right_on=("node",),
-              **join_args)
-        .map_batches(rename_da, batch_format="pyarrow")
-        .join(deg, "inner", on=("user_b",), right_on=("node",),
-              **join_args)
-        .map_batches(orient, batch_format="pyarrow")
-    )
+    oriented = hash_join(
+        hash_join(ed.select_columns(["user_a", "user_b"]), deg, "inner",
+                  "user_a", "node")
+        .map_batches(rename_da, batch_format="pyarrow"),
+        deg, "inner", "user_b", "node",
+    ).map_batches(orient, batch_format="pyarrow")
 
     def wedges(g: pa.Table) -> pa.Table:
         g = g.select(["u", "v"])
@@ -1042,11 +1033,10 @@ def triangle_count(sf_dir: str):
             "user_b": pc.cast(m.column("v_y"), pa.int64()),
         })
 
-    closed = (
-        oriented.groupby("ub").map_groups(wedges, batch_format="pyarrow")
-        .join(ed.select_columns(["user_a", "user_b"]), "inner",
-              on=("user_a", "user_b"), **join_args)
-    )
+    closed = hash_join(
+        oriented.groupby("ub").map_groups(wedges, batch_format="pyarrow"),
+        ed.select_columns(["user_a", "user_b"]), "inner",
+        ["user_a", "user_b"])
 
     def count_partial(b: pa.Table) -> pa.Table:
         return pa.table({"n": pa.array([len(b)], type=pa.int64())})
@@ -1719,21 +1709,15 @@ def graph_assortativity(sf_dir: str):
            .materialize())
     n_nodes = deg.count()
 
-    join_args = dict(num_partitions=max(2, n_buckets // 16),
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
-
     def rename_da(b: pa.Table) -> pa.Table:
         return b.rename_columns(
             [{"d": "d_a"}.get(c, c) for c in b.column_names])
 
-    joined = (
-        ed.select_columns(["user_a", "user_b"])
-        .join(deg, "inner", on=("user_a",), right_on=("node",),
-              **join_args)
-        .map_batches(rename_da, batch_format="pyarrow")
-        .join(deg, "inner", on=("user_b",), right_on=("node",),
-              **join_args)
-    )
+    joined = hash_join(
+        hash_join(ed.select_columns(["user_a", "user_b"]), deg, "inner",
+                  "user_a", "node")
+        .map_batches(rename_da, batch_format="pyarrow"),
+        deg, "inner", "user_b", "node")
 
     _CELL = 1 << 62
 
@@ -1991,7 +1975,7 @@ def copurchase_kcore(sf_dir: str, k: int = KCORE_K,
     degree after the final round.
 
     Scale shape: each round is one bounded node-bucket degree fold
-    plus TWO native hash-partitioned left_semi joins filtering the
+    plus TWO hash-partitioned left_semi joins filtering the
     edge set by the keep set — no driver state beyond the loop
     counter; all-integer set semantics, replayed by the oracle as an
     unrolled CTE chain of degree/keep/edge levels."""
@@ -2018,8 +2002,6 @@ def copurchase_kcore(sf_dir: str, k: int = KCORE_K,
              .materialize())
     empty = pa.table({"node": pa.array([], type=pa.int64()),
                       "deg": pa.array([], type=pa.int64())})
-    join_args = dict(num_partitions=max(2, n_buckets // 16),
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
 
     def deg_partial(b: pa.Table) -> pa.Table:
         g = (b.select(["u"]).group_by("u")
@@ -2043,12 +2025,10 @@ def copurchase_kcore(sf_dir: str, k: int = KCORE_K,
         deg = (edges.map_batches(deg_partial, batch_format="pyarrow")
                .groupby("db").map_groups(deg_fold,
                                          batch_format="pyarrow"))
-        keep = deg.filter(expr=f"d >= {k}").materialize()
-        edges = (edges.join(keep.select_columns(["node"]), "left_semi",
-                            on=("u",), right_on=("node",), **join_args)
-                 .join(keep.select_columns(["node"]), "left_semi",
-                       on=("v",), right_on=("node",), **join_args)
-                 .materialize())
+        keep = (deg.filter(expr=f"d >= {k}").select_columns(["node"])
+                .materialize())
+        edges = hash_join(hash_join(edges, keep, "left_semi", "u", "node"),
+                          keep, "left_semi", "v", "node")
     if edges.count() == 0:
         return empty
     return (edges.map_batches(deg_partial, batch_format="pyarrow")

@@ -36,6 +36,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .exchange import hash_join
 from .inputs import _pq
 
 SEQ_LEN = 512  # tokens per packed training sequence
@@ -475,10 +476,9 @@ def curated_pack_stats(sf_dir: str, cap: int = SEQ_LEN,
             "n": pa.array(n),
         })
 
-    rows = (ds.map_batches(counts, batch_format="pyarrow",
-                           batch_size=8192)
-            .join(kept, "inner", on=("doc_id",), num_partitions=2,
-                  aggregator_ray_remote_args={"num_cpus": 0.25}))
+    rows = hash_join(ds.map_batches(counts, batch_format="pyarrow",
+                                    batch_size=8192),
+                     kept, "inner", "doc_id")
 
     def shardize(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)

@@ -32,8 +32,10 @@ import ray.data as rd
 from ..functions.numeric import (grouped_cumcount, pc_round4,
                                  round_half_away)
 from .combine import combine, fold, group_agg
+from .exchange import hash_join
 from .inputs import _pq, table_bytes
 from .orderstats import histogram, order_stats, quantiles
+from .tpch_more import _buckets
 
 
 # ---------------------------------------------------------------- lineitem Q1
@@ -146,16 +148,6 @@ def segment_revenue(sf_dir: str):
     )
 
 
-def _fact_join_partitions(sf_dir: str, table: str = "lineitem",
-                          target_bytes: int = 64 << 20) -> int:
-    """Hash-join exchange partitions sized to the fact table (~64 MiB
-    each), capped by cluster CPUs; 2 at test scale so aggregator-actor
-    startup doesn't dominate."""
-    sz = table_bytes(sf_dir, table)
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return max(2, min(max(2, cpus // 2), int(sz // target_bytes) + 1))
-
-
 def nation_revenue(sf_dir: str):
     """Revenue by customer nation (TPC-H Q5 flavor) — the BIG ⋈ BIG
     join shape: lineitem ⋈ orders and then ⋈ customer run as
@@ -167,10 +159,6 @@ def nation_revenue(sf_dir: str):
     (~4 lineitems/order fold early), orders to (orderkey, custkey),
     customer to (custkey, nationkey); the final groupby moves one row
     per nation per block."""
-    P = _fact_join_partitions(sf_dir)
-    join_args = dict(num_partitions=P,
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
-
     li = rd.read_parquet(
         _pq(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"])
@@ -201,13 +189,11 @@ def nation_revenue(sf_dir: str):
     nat_ref = ray.put((nat.column("n_nationkey").to_numpy(),
                        nat.column("n_name").to_numpy(zero_copy_only=False)))
 
-    joined = (
-        li.map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
-        .join(orders, "inner", on=("l_orderkey",),
-              right_on=("o_orderkey",), **join_args)
-        .join(cust, "inner", on=("o_custkey",),
-              right_on=("c_custkey",), **join_args)
-    )
+    joined = hash_join(
+        hash_join(li.map_batches(li_partial, batch_format="pyarrow",
+                                 batch_size=65536),
+                  orders, "inner", "l_orderkey", "o_orderkey"),
+        cust, "inner", "o_custkey", "c_custkey")
 
     def nation_cells(batch: pa.Table) -> pa.Table:
         keys, names = ray.get(nat_ref)
@@ -535,7 +521,7 @@ def rfm_segments(sf_dir: str):
     boundaries (interpolated exactly as DuckDB's ``quantile_cont``, so
     the ``v ≤ boundary`` assignment cannot disagree), and a final
     streaming pass folds the bounded segment census."""
-    n_kb = _fact_join_partitions(sf_dir, "orders") * 8
+    n_kb = _buckets(sf_dir, "orders", floor=16)
     anchor_us = np.int64(
         (_RFM_ANCHOR - _dt.datetime(1970, 1, 1)).total_seconds()
     ) * 1_000_000
@@ -678,7 +664,7 @@ def customer_ltv_deciles(sf_dir: str):
     reduce, one 2048-cell histogram, only the boundary buckets' values
     reach the driver."""
     qs = tuple(round(0.1 * k, 1) for k in range(1, 10))
-    n_kb = _fact_join_partitions(sf_dir, "orders") * 8
+    n_kb = _buckets(sf_dir, "orders", floor=16)
 
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_custkey", "o_totalprice"])
@@ -1042,7 +1028,6 @@ def inactive_customers(sf_dir: str):
     both sides co-partition by custkey; nothing is broadcast."""
     import datetime as _dt
 
-    P = _fact_join_partitions(sf_dir, table="orders")
     cutoff = pa.scalar(_dt.datetime(2000, 1, 1), type=pa.timestamp("us"))
 
     cust = rd.read_parquet(
@@ -1058,9 +1043,7 @@ def inactive_customers(sf_dir: str):
 
     act = orders.map_batches(active_keys, batch_format="pyarrow",
                              batch_size=65536)
-    out = cust.join(act, "left_anti", num_partitions=P,
-                    on=("c_custkey",), right_on=("o_custkey",),
-                    aggregator_ray_remote_args={"num_cpus": 0.25})
+    out = hash_join(cust, act, "left_anti", "c_custkey", "o_custkey")
     return out.map_batches(
         lambda b: b.select(["c_custkey", "c_name", "c_acctbal"]),
         batch_format="pyarrow")
@@ -1076,9 +1059,6 @@ def shipping_priority(sf_dir: str):
     oracle regardless of summation order."""
     import datetime as _dt
 
-    P = _fact_join_partitions(sf_dir)
-    join_args = dict(num_partitions=P,
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
     cutoff = pa.scalar(_dt.datetime(1998, 1, 1), type=pa.timestamp("us"))
 
     li = rd.read_parquet(
@@ -1155,12 +1135,11 @@ def shipping_priority(sf_dir: str):
         })
 
     return (
-        li.map_batches(li_partial, batch_format="pyarrow",
-                       batch_size=65536)
-        .join(orders, "inner", on=("l_orderkey",),
-              right_on=("o_orderkey",), **join_args)
-        .join(bld, "left_semi", on=("o_custkey",),
-              right_on=("c_custkey",), **join_args)
+        hash_join(
+            hash_join(li.map_batches(li_partial, batch_format="pyarrow",
+                                     batch_size=65536),
+                      orders, "inner", "l_orderkey", "o_orderkey"),
+            bld, "left_semi", "o_custkey", "c_custkey")
         .map_batches(bucket_col, batch_format="pyarrow")
         .groupby("ob")
         .map_groups(order_topk, batch_format="pyarrow")
@@ -1177,8 +1156,6 @@ def promo_revenue(sf_dir: str):
     (partkey, month) before the exchange. Revenue in exact integer 1e-4
     units; the share is a ratio of two integer sums, so the oracle
     matches bit-for-bit."""
-    P = _fact_join_partitions(sf_dir)
-
     li = rd.read_parquet(
         _pq(sf_dir, "lineitem"),
         columns=["l_partkey", "l_extendedprice", "l_discount",
@@ -1216,11 +1193,9 @@ def promo_revenue(sf_dir: str):
         })
 
     agg = combine(
-        li.map_batches(li_partial, batch_format="pyarrow",
-                       batch_size=65536)
-        .join(part, "inner", num_partitions=P,
-              on=("l_partkey",), right_on=("p_partkey",),
-              aggregator_ray_remote_args={"num_cpus": 0.25}),
+        hash_join(li.map_batches(li_partial, batch_format="pyarrow",
+                                 batch_size=65536),
+                  part, "inner", "l_partkey", "p_partkey"),
         "month", {"promo_e4": ("promo_e4", "sum"),
                   "total_e4": ("total_e4", "sum")}, split_promo)
 
@@ -2116,7 +2091,6 @@ def idle_customer_balance(sf_dir: str):
     touches the driver — the global reduce is one row per block."""
     import datetime as _dt
 
-    P = _fact_join_partitions(sf_dir, table="orders")
     cutoff = pa.scalar(_dt.datetime(2001, 1, 1), type=pa.timestamp("us"))
 
     cust = rd.read_parquet(
@@ -2153,13 +2127,9 @@ def idle_customer_balance(sf_dir: str):
                              columns=["o_custkey", "o_orderdate"])
     act = orders.map_batches(active_keys, batch_format="pyarrow",
                              batch_size=65536)
-    idle = (
-        cust.map_batches(above_avg, batch_format="pyarrow",
-                         batch_size=65536)
-        .join(act, "left_anti", num_partitions=P,
-              on=("c_custkey",), right_on=("o_custkey",),
-              aggregator_ray_remote_args={"num_cpus": 0.25})
-    )
+    idle = hash_join(cust.map_batches(above_avg, batch_format="pyarrow",
+                                      batch_size=65536),
+                     act, "left_anti", "c_custkey", "o_custkey")
 
     def seg_partial(b: pa.Table) -> pa.Table:
         return group_agg(b, "c_mktsegment", {
@@ -2462,8 +2432,7 @@ def fk_integrity_audit(sf_dir: str):
     bounded partials — no join machinery, no materialization of
     anything raw, nothing but keys and counts ever shuffles. Exact
     integers throughout."""
-    P = _fact_join_partitions(sf_dir)
-    n_kb = P * 8
+    n_kb = _buckets(sf_dir, "lineitem", floor=16)
     # table → [(rel_id, key_column, is_parent)]
     roles: dict[str, list[tuple[int, str, int]]] = {}
     for rid, (_, child, ck, parent, pk) in enumerate(_FK_RELS):
@@ -2777,7 +2746,7 @@ def mannwhitney_order_values(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_orderkey", "o_totalprice"])
 
-    n_kb = _fact_join_partitions(sf_dir, "orders") * 8
+    n_kb = _buckets(sf_dir, "orders", floor=16)
 
     def partial(b: pa.Table) -> pa.Table:
         x = np.rint(b.column("o_totalprice").to_numpy() * 100) \
@@ -2910,7 +2879,7 @@ def bootstrap_median_ci(sf_dir: str):
     anywhere."""
     from ..functions.hashing import md5_hex
 
-    n_kb = _fact_join_partitions(sf_dir, "orders") * 8
+    n_kb = _buckets(sf_dir, "orders", floor=16)
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_orderkey", "o_totalprice"])
     thr = np.array(_POISSON_T40, dtype=np.int64)

@@ -14,9 +14,9 @@ Shared discipline (see ``relational.py`` header): column-pruned reads,
 per-batch Arrow ``group_by`` combiners before any exchange
 (:mod:`combine`: ``group_agg`` per batch, ``fold`` across blocks), bounded
 key-hash buckets + ``map_groups`` for corpus-scale keyed folds (never a
-native Ray Aggregate over an unbounded key space), hash-partitioned
-``Dataset.join`` for big ⋈ big, broadcast lookups for true dimensions,
-and integer currency/quantity units everywhere a float sum could make
+native Ray Aggregate over an unbounded key space), the shared
+:func:`exchange.hash_join` for big ⋈ big, broadcast lookups for true
+dimensions, and integer currency/quantity units everywhere a float sum could make
 the result depend on summation order.
 """
 
@@ -33,6 +33,7 @@ import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from .combine import combine, group_agg
+from .exchange import hash_join
 from .inputs import _pq, table_bytes
 
 
@@ -48,16 +49,6 @@ def _with_kb(t: pa.Table, key: str, n_buckets: int) -> pa.Table:
     """``t`` tagged with its key-hash bucket ``kb`` for a keyed fold."""
     return t.append_column("kb", pa.array(
         (t.column(key).to_numpy() % n_buckets).astype(np.int32)))
-
-
-def _join_partitions(sf_dir: str, table: str = "lineitem") -> int:
-    """Hash-join width scaled like dedup._join_partition_count: small
-    inputs get 2 partitions (aggregator-actor startup dominates below
-    ~64 MiB), growing with bytes and capped by cluster CPUs."""
-    sz = table_bytes(sf_dir, table)
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if \
-        ray.is_initialized() else 8
-    return max(2, min(cpus, int(sz // (64 << 20)) + 1))
 
 
 _REV_SUM = {"rev_e4": ("rev_e4", "sum")}
@@ -93,7 +84,6 @@ def order_priority_exists(sf_dir: str):
     and the 30-day compare runs vectorized in integer microseconds.
     The final fold is the ≤5-row priority key space."""
     n_buckets = _buckets(sf_dir, "lineitem")
-    P = _join_partitions(sf_dir)
 
     li = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_orderkey", "l_shipdate"])
@@ -121,13 +111,11 @@ def order_priority_exists(sf_dir: str):
         })
 
     return combine(
-        li.map_batches(max_partial, batch_format="pyarrow",
-                       batch_size=65536)
-        .groupby("kb")
-        .map_groups(max_fold, batch_format="pyarrow")
-        .join(orders, "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",),
-              aggregator_ray_remote_args={"num_cpus": 0.25}),
+        hash_join(li.map_batches(max_partial, batch_format="pyarrow",
+                                 batch_size=65536)
+                  .groupby("kb")
+                  .map_groups(max_fold, batch_format="pyarrow"),
+                  orders, "inner", "l_orderkey", "o_orderkey"),
         "o_orderpriority", {"n_orders": ("n", "sum")}, late_cells)
 
 
@@ -143,10 +131,6 @@ def trade_volume(sf_dir: str):
     to the bounded |nation|²×|years| matrix after the last; revenue
     folds in exact integer 1e-4 units."""
     import pyarrow.parquet as pq
-
-    P = _join_partitions(sf_dir)
-    join_args = dict(num_partitions=P,
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
 
     sup = pq.read_table(_pq(sf_dir, "supplier"),
                         columns=["s_suppkey", "s_nationkey"])
@@ -169,10 +153,7 @@ def trade_volume(sf_dir: str):
                                   "l_shipdate"])
 
     # plain task functions, not actor pools: the lookup `ray.get` is a
-    # zero-copy plasma read per batch, and a stateless stage can't
-    # deadlock against the joins' aggregator-actor CPU reservations on
-    # a small cluster (two actor pools + two joins oversubscribed a
-    # 4-CPU node and stalled the whole DAG)
+    # zero-copy plasma read per batch
     def li_partial(b: pa.Table) -> pa.Table:
             skey, snat, _, _ = ray.get(lookup_ref)
             supp_n = snat[np.searchsorted(
@@ -214,12 +195,11 @@ def trade_volume(sf_dir: str):
         })
 
     return (
-        li.map_batches(li_partial, batch_format="pyarrow",
-                       batch_size=65536)
-        .join(orders, "inner", on=("l_orderkey",),
-              right_on=("o_orderkey",), **join_args)
-        .join(cust, "inner", on=("o_custkey",),
-              right_on=("c_custkey",), **join_args)
+        hash_join(
+            hash_join(li.map_batches(li_partial, batch_format="pyarrow",
+                                     batch_size=65536),
+                      orders, "inner", "l_orderkey", "o_orderkey"),
+            cust, "inner", "o_custkey", "c_custkey")
         .map_batches(cell_partial, batch_format="pyarrow",
                      batch_size=65536)
         .groupby("supp_nation")
@@ -371,7 +351,6 @@ def small_quantity_revenue(sf_dir: str):
     filter ``2·qty·cnt < sum_qty`` compares exact integer 1e-2 units so
     no float average decides a boundary row. Output is one scalar."""
     n_buckets = _buckets(sf_dir, "lineitem")
-    P = _join_partitions(sf_dir)
 
     li = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_partkey", "l_quantity",
@@ -408,9 +387,7 @@ def small_quantity_revenue(sf_dir: str):
         return pa.table({"rev_c": pa.array(
             [int(cents[small].sum())], type=pa.int64())})
 
-    joined = li.join(stats, "inner", num_partitions=P,
-                     on=("l_partkey",), right_on=("p",),
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
+    joined = hash_join(li, stats, "inner", "l_partkey", "p")
     total_c = joined.map_batches(
         small_rev, batch_format="pyarrow", batch_size=65536).sum("rev_c")
     return pa.table({"avg_yearly": pa.array(
@@ -428,7 +405,6 @@ def large_orders(sf_dir: str):
     orders (the filtered side is small but unbounded → a partitioned
     join, not a broadcast), sorted by total desc / key asc, top 100."""
     n_buckets = _buckets(sf_dir, "lineitem")
-    P = _join_partitions(sf_dir)
     threshold_e2 = 250 * 100
 
     li = rd.read_parquet(_pq(sf_dir, "lineitem"),
@@ -458,13 +434,11 @@ def large_orders(sf_dir: str):
                                       "o_totalprice"])
 
     return (
-        li.map_batches(qty_partial, batch_format="pyarrow",
-                       batch_size=65536)
-        .groupby("kb")
-        .map_groups(qty_fold, batch_format="pyarrow")
-        .join(orders, "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",),
-              aggregator_ray_remote_args={"num_cpus": 0.25})
+        hash_join(li.map_batches(qty_partial, batch_format="pyarrow",
+                                 batch_size=65536)
+                  .groupby("kb")
+                  .map_groups(qty_fold, batch_format="pyarrow"),
+                  orders, "inner", "l_orderkey", "o_orderkey")
         .map_batches(lambda b: b.select(
             ["l_orderkey", "o_orderdate", "o_totalprice", "total_qty"]),
             batch_format="pyarrow")
@@ -492,7 +466,6 @@ def priority_line_counts(sf_dir: str):
 
     import pyarrow.dataset as pads
 
-    P = _join_partitions(sf_dir)
     lo = dt.datetime(1996, 1, 1)
     hi = dt.datetime(1997, 1, 1)
     li = rd.read_parquet(
@@ -522,11 +495,9 @@ def priority_line_counts(sf_dir: str):
         })
 
     return combine(
-        li.map_batches(li_partial, batch_format="pyarrow",
-                       batch_size=65536)
-        .join(orders, "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",),
-              aggregator_ray_remote_args={"num_cpus": 0.25}),
+        hash_join(li.map_batches(li_partial, batch_format="pyarrow",
+                                 batch_size=65536),
+                  orders, "inner", "l_orderkey", "o_orderkey"),
         "flag", {"high_line_count": ("high", "sum"),
                  "low_line_count": ("low", "sum")}, split)
 

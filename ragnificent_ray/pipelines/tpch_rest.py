@@ -15,9 +15,9 @@ value-checked DuckDB oracle:
 Shared discipline (see ``relational.py`` / ``tpch_more.py`` headers):
 column-pruned reads, per-batch Arrow ``group_by`` combiners before any
 exchange (:mod:`combine`'s ``group_agg``/``fold``), bounded key-hash
-buckets + ``map_groups`` for corpus-scale keyed folds, hash-partitioned
-``Dataset.join`` for big ⋈ big, broadcast ``ray.put`` lookups for true
-dimensions (part/supplier/nation — the tables that stay catalog-sized
+buckets + ``map_groups`` for corpus-scale keyed folds, the shared
+:func:`exchange.hash_join` for big ⋈ big, broadcast ``ray.put`` lookups
+for true dimensions (part/supplier/nation — the tables that stay catalog-sized
 as lineitem/orders/customer grow), and
 integer currency/quantity units everywhere a float sum could make the
 result depend on summation order. Ordering ties are always broken on
@@ -37,11 +37,9 @@ import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from .combine import combine, fold, group_agg
+from .exchange import hash_join
 from .inputs import _pq
-from .tpch_more import (_REV_E4_SQL, _REV_SUM, _buckets, _join_partitions,
-                        _rev_e4, _with_kb)
-
-_JOIN_ARGS = {"aggregator_ray_remote_args": {"num_cpus": 0.25}}
+from .tpch_more import _REV_E4_SQL, _REV_SUM, _buckets, _rev_e4, _with_kb
 
 
 def _supp_nation_lookup(sf_dir: str):
@@ -77,7 +75,6 @@ def local_supplier_revenue(sf_dir: str):
     compare and the ≤|nation| final fold run after it."""
     import pyarrow.parquet as pq
 
-    P = _join_partitions(sf_dir)
     skey, snatk, nation_of, region_of = _supp_nation_lookup(sf_dir)
     reg = pq.read_table(_pq(sf_dir, "region"))
     region_key = dict(zip(reg.column("r_name").to_pylist(),
@@ -100,10 +97,9 @@ def local_supplier_revenue(sf_dir: str):
     cust = rd.read_parquet(_pq(sf_dir, "customer"),
                            columns=["c_custkey", "c_nationkey"])
 
-    oc = (orders.map_batches(o_window, batch_format="pyarrow",
-                             batch_size=65536)
-          .join(cust, "inner", num_partitions=P,
-                on=("o_custkey",), right_on=("c_custkey",), **_JOIN_ARGS))
+    oc = hash_join(orders.map_batches(o_window, batch_format="pyarrow",
+                                      batch_size=65536),
+                   cust, "inner", "o_custkey", "c_custkey")
 
     li = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_orderkey", "l_suppkey",
@@ -126,9 +122,9 @@ def local_supplier_revenue(sf_dir: str):
                                  b.column("c_nationkey").cast(pa.int32())))
 
     folded = combine(
-        li.map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
-        .join(oc, "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS),
+        hash_join(li.map_batches(li_partial, batch_format="pyarrow",
+                                 batch_size=65536),
+                  oc, "inner", "l_orderkey", "o_orderkey"),
         "s_nationkey", _REV_SUM, same_nation).to_pandas()
 
     names = [nation_of[int(k)] for k in folded["s_nationkey"]]
@@ -148,7 +144,6 @@ def market_share(sf_dir: str):
     division is the only float step."""
     import pyarrow.parquet as pq
 
-    P = _join_partitions(sf_dir)
     part = pq.read_table(_pq(sf_dir, "part"), columns=["p_partkey", "p_type"])
     pk = part.column("p_partkey").to_numpy()
     keep_parts = np.sort(pk[np.asarray(
@@ -192,11 +187,11 @@ def market_share(sf_dir: str):
 
     sums = {"rev_e4": ("rev_e4", "sum"), "tgt_e4": ("tgt_e4", "sum")}
     folded = combine(
-        li.map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
-        .join(orders.map_batches(o_window, batch_format="pyarrow",
+        hash_join(li.map_batches(li_partial, batch_format="pyarrow",
                                  batch_size=65536),
-              "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS),
+                  orders.map_batches(o_window, batch_format="pyarrow",
+                                     batch_size=65536),
+                  "inner", "l_orderkey", "o_orderkey"),
         "o_year", sums).to_pandas().sort_values("o_year")
 
     share = [round_half_away(float(t) / float(r), 6)
@@ -218,7 +213,6 @@ def product_type_profit(sf_dir: str):
     broadcast dimensions; order year rides the one big ⋈ big join."""
     import pyarrow.parquet as pq
 
-    P = _join_partitions(sf_dir)
     part = pq.read_table(_pq(sf_dir, "part"),
                          columns=["p_partkey", "p_name", "p_retailprice"])
     is_widget = np.asarray([
@@ -264,11 +258,11 @@ def product_type_profit(sf_dir: str):
 
     profit_sum = {"profit_e5": ("profit_e5", "sum")}
     folded = combine(
-        li.map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
-        .join(orders.map_batches(o_year, batch_format="pyarrow",
+        hash_join(li.map_batches(li_partial, batch_format="pyarrow",
                                  batch_size=65536),
-              "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS),
+                  orders.map_batches(o_year, batch_format="pyarrow",
+                                     batch_size=65536),
+                  "inner", "l_orderkey", "o_orderkey"),
         ["s_nationkey", "o_year"], profit_sum).to_pandas()
 
     names = [nation_of[int(k)] for k in folded["s_nationkey"]]
@@ -294,7 +288,6 @@ def returned_item_customers(sf_dir: str):
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
-    P = _join_partitions(sf_dir)
     n_buckets = _buckets(sf_dir, "lineitem")
     lo = pa.scalar(_dt.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1996, 4, 1), type=pa.timestamp("us"))
@@ -332,11 +325,11 @@ def returned_item_customers(sf_dir: str):
                          "rev_e4": pa.array(rv[order])})
 
     cand = (
-        li.map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
-        .join(orders.map_batches(o_window, batch_format="pyarrow",
+        hash_join(li.map_batches(li_partial, batch_format="pyarrow",
                                  batch_size=65536),
-              "inner", num_partitions=P,
-              on=("l_orderkey",), right_on=("o_orderkey",), **_JOIN_ARGS)
+                  orders.map_batches(o_window, batch_format="pyarrow",
+                                     batch_size=65536),
+                  "inner", "l_orderkey", "o_orderkey")
         .map_batches(cust_partial, batch_format="pyarrow", batch_size=65536)
         .groupby("kb")
         .map_groups(bucket_top, batch_format="pyarrow")

@@ -173,7 +173,7 @@ def test_min_label_components_string_ids(ray_session):
         "ia": ["b", "c", "a", "x"],
         "ib": ["c", "d", "b", "y"],
     }))
-    got = min_label_components(pairs, "ia", "ib", join_partitions=2,
+    got = min_label_components(pairs, "ia", "ib",
                                convergence="changed").to_pandas()
     lab = dict(zip(got["node"], got["label"]))
     assert lab == {"a": "a", "b": "a", "c": "a", "d": "a",
