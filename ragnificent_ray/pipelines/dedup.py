@@ -51,7 +51,7 @@ import ray.data as rd
 from ..functions.hashing import md5_hex, stable_hash64
 from ..functions.numeric import list_column_matrix, round_half_away
 from .exchange import hash_join
-from .inputs import _pq, table_bytes
+from .inputs import _pq, fold_buckets, table_bytes
 
 JACCARD_THRESHOLD = 0.6
 COSINE_THRESHOLD = 0.4
@@ -1635,7 +1635,7 @@ def dedup_clusters(sf_dir: str, max_iters: int = 16):
     pairs = minhash_lsh_pairs(sf_dir).select_columns(["doc_a", "doc_b"])
     labels = min_label_components(
         pairs, "doc_a", "doc_b", max_iters, convergence="sum",
-        n_buckets=max(16, table_bytes(sf_dir, "documents") // (8 << 20)))
+        n_buckets=fold_buckets(sf_dir, "documents"))
 
     def _rename(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t.column("node"),

@@ -1,13 +1,14 @@
 """The hash join: the exchange shape every query module joins with.
 
-``hash_join`` takes ``Dataset.join``'s arguments less ``num_partitions``
-and returns the same rows under the same column names, from plain tasks:
+``hash_join`` takes ``Dataset.join``'s join type, ``on`` and
+``right_on`` and returns the same rows under the same column names,
+from plain tasks:
 
 1. both sides execute once, side by side, to Arrow block refs;
 2. one split task per block hashes the key columns (:func:`key_hash`)
    and returns the block's ``P`` partition slices;
 3. one task per partition concatenates its slices of both sides, runs
-   ``pa.Table.join`` with Ray's join-type verbs and suffixes, and
+   ``pa.Table.join`` with Ray's join-type verbs, and
    reports ``(rows, bytes, schema)`` for :func:`from_block_refs`.
 
 Ray 2.49's ``Dataset.join`` starts ``num_partitions`` fresh
@@ -30,10 +31,10 @@ from ray.data.block import BlockAccessor
 
 PARTITION_BYTES = 64 << 20
 
-# Ray's join types and the Arrow verbs its join aggregators run
+# the join types the pipelines use and the Arrow verbs Ray's join
+# aggregators run for them
 _VERBS = {t: t.replace("_", " ") for t in (
-    "inner", "left_outer", "right_outer", "full_outer",
-    "left_semi", "right_semi", "left_anti", "right_anti")}
+    "inner", "left_outer", "left_semi", "left_anti")}
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -77,8 +78,12 @@ def _arrow(block) -> pa.Table:
 
 @ray.remote
 def _split(block, keys, n: int):
-    """``block``'s rows in ``n`` slices by key hash."""
+    """``block``'s rows in ``n`` slices by key hash. An empty block may
+    lack the key columns (a map that returned ``pa.table({})``); it is
+    its own empty slice of every partition."""
     t = _arrow(block)
+    if not t.num_rows:
+        return (t,) * n
     part = key_hash(t, keys) % np.uint64(n)
     order = np.argsort(part, kind="stable")
     bounds = np.searchsorted(part[order], np.arange(n + 1, dtype=np.uint64))
@@ -92,13 +97,12 @@ def _concat(blocks) -> pa.Table:
 
 
 @ray.remote(num_returns=2)
-def _join(how, on, right_on, left_suffix, right_suffix, n_left, *blocks):
+def _join(how, on, right_on, n_left, *blocks):
     """One partition's join: ``blocks`` are its left slices, then its
     right ones. Returns ``((rows, bytes, schema), table)``."""
     t = _concat(blocks[:n_left]).join(
         _concat(blocks[n_left:]), keys=list(on), right_keys=list(right_on),
-        join_type=_VERBS[how], left_suffix=left_suffix,
-        right_suffix=right_suffix)
+        join_type=_VERBS[how])
     return (t.num_rows, t.nbytes, t.schema), t
 
 
@@ -157,9 +161,8 @@ def partition_count(nbytes: int) -> int:
 
 
 def hash_join(left: rd.Dataset, right: rd.Dataset, how: str, on,
-              right_on=None, left_suffix: str | None = None,
-              right_suffix: str | None = None) -> rd.Dataset:
-    """``left.join(right, how, on=on, right_on=right_on, ...)`` by
+              right_on=None) -> rd.Dataset:
+    """``left.join(right, how, on=on, right_on=right_on)`` by
     split tasks and per-partition ``pa.Table.join`` tasks (module doc):
     the same rows under the same columns, in no fixed order."""
     if how not in _VERBS:
@@ -169,6 +172,9 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, how: str, on,
         [right_on] if isinstance(right_on, str) else list(right_on))
     if len(on) != len(right_on):
         raise ValueError(f"join keys {on} and {right_on} differ in count")
+    # both executions at once: left then right ran the sf0.1 join
+    # queries ~7% slower in total and query_mix's joins 0.04-0.06 s
+    # slower each (4 CPUs)
     with ThreadPoolExecutor(2) as pool:
         (lrefs, lbytes), (rrefs, rbytes) = pool.map(_blocks, (left, right))
     n = partition_count(lbytes + rbytes)
@@ -180,8 +186,8 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, how: str, on,
                 for r in refs]
 
     lparts, rparts = split(lrefs, on), split(rrefs, right_on)
-    parts = [_join.remote(how, on, right_on, left_suffix, right_suffix,
-                          len(lparts), *(s[i] for s in lparts),
+    parts = [_join.remote(how, on, right_on, len(lparts),
+                          *(s[i] for s in lparts),
                           *(s[i] for s in rparts))
              for i in range(n)]
     return from_block_refs([t for _, t in parts],

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+import ray
+
 
 def _pq(sf_dir: str, table: str) -> str:
     return os.path.join(sf_dir, f"{table}.parquet")
@@ -24,3 +26,11 @@ def table_bytes(sf_dir: str, *tables: str) -> int:
         except OSError:
             pass
     return sz
+
+
+def fold_buckets(sf_dir: str, table: str) -> int:
+    """Key-hash buckets for a keyed fold over ``table``: 8 per ~64 MiB
+    of its parquet, at least 16 and at most 8 x max(2, CPUs // 2)."""
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+    return 8 * max(2, min(max(2, cpus // 2),
+                          int(table_bytes(sf_dir, table) // (64 << 20)) + 1))

@@ -33,9 +33,8 @@ from ..functions.numeric import (grouped_cumcount, pc_round4,
                                  round_half_away)
 from .combine import combine, fold, group_agg
 from .exchange import hash_join
-from .inputs import _pq, table_bytes
+from .inputs import _pq, fold_buckets, table_bytes
 from .orderstats import histogram, order_stats, quantiles
-from .tpch_more import _buckets
 
 
 # ---------------------------------------------------------------- lineitem Q1
@@ -521,7 +520,7 @@ def rfm_segments(sf_dir: str):
     boundaries (interpolated exactly as DuckDB's ``quantile_cont``, so
     the ``v ≤ boundary`` assignment cannot disagree), and a final
     streaming pass folds the bounded segment census."""
-    n_kb = _buckets(sf_dir, "orders", floor=16)
+    n_kb = fold_buckets(sf_dir, "orders")
     anchor_us = np.int64(
         (_RFM_ANCHOR - _dt.datetime(1970, 1, 1)).total_seconds()
     ) * 1_000_000
@@ -664,7 +663,7 @@ def customer_ltv_deciles(sf_dir: str):
     reduce, one 2048-cell histogram, only the boundary buckets' values
     reach the driver."""
     qs = tuple(round(0.1 * k, 1) for k in range(1, 10))
-    n_kb = _buckets(sf_dir, "orders", floor=16)
+    n_kb = fold_buckets(sf_dir, "orders")
 
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_custkey", "o_totalprice"])
@@ -2432,7 +2431,7 @@ def fk_integrity_audit(sf_dir: str):
     bounded partials — no join machinery, no materialization of
     anything raw, nothing but keys and counts ever shuffles. Exact
     integers throughout."""
-    n_kb = _buckets(sf_dir, "lineitem", floor=16)
+    n_kb = fold_buckets(sf_dir, "lineitem")
     # table → [(rel_id, key_column, is_parent)]
     roles: dict[str, list[tuple[int, str, int]]] = {}
     for rid, (_, child, ck, parent, pk) in enumerate(_FK_RELS):
@@ -2746,7 +2745,7 @@ def mannwhitney_order_values(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_orderkey", "o_totalprice"])
 
-    n_kb = _buckets(sf_dir, "orders", floor=16)
+    n_kb = fold_buckets(sf_dir, "orders")
 
     def partial(b: pa.Table) -> pa.Table:
         x = np.rint(b.column("o_totalprice").to_numpy() * 100) \
@@ -2879,7 +2878,7 @@ def bootstrap_median_ci(sf_dir: str):
     anywhere."""
     from ..functions.hashing import md5_hex
 
-    n_kb = _buckets(sf_dir, "orders", floor=16)
+    n_kb = fold_buckets(sf_dir, "orders")
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_orderkey", "o_totalprice"])
     thr = np.array(_POISSON_T40, dtype=np.int64)

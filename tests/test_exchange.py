@@ -43,7 +43,7 @@ def _sorted_rows(t: pa.Table) -> list:
 
 
 def _check(left: pa.Table, right: pa.Table, how: str, on, right_on=None,
-           left_suffix=None, right_suffix=None, n_blocks=3):
+           n_blocks=3):
     import ray
     import ray.data as rd
 
@@ -51,17 +51,15 @@ def _check(left: pa.Table, right: pa.Table, how: str, on, right_on=None,
     rkeys = keys if right_on is None else (
         [right_on] if isinstance(right_on, str) else list(right_on))
     want = left.join(right, keys=keys, right_keys=rkeys,
-                     join_type=ARROW_VERB[how], left_suffix=left_suffix,
-                     right_suffix=right_suffix)
+                     join_type=ARROW_VERB[how])
     lds = rd.from_arrow(_blocks(left, n_blocks) if left.num_rows
                         else [left])
     rds = rd.from_arrow(_blocks(right, n_blocks) if right.num_rows
                         else [right])
-    out = hash_join(lds, rds, how, on, right_on, left_suffix, right_suffix)
+    out = hash_join(lds, rds, how, on, right_on)
     got = pa.concat_tables(ray.get(out.to_arrow_refs()))
     assert got.column_names == want.column_names
     assert _sorted_rows(got) == _sorted_rows(want)
-    return got
 
 
 def _sides(key_values_left, key_values_right, key_type=None):
@@ -139,16 +137,6 @@ def test_right_on_rename(ray_session, many_partitions, how):
     _check(left, right.rename_columns(["rk", "rv"]), how, "k", "rk")
 
 
-def test_suffix_collision(ray_session, many_partitions):
-    left = pa.table({"k": pa.array(_int_keys(150, 20, 9)),
-                     "v": pa.array(np.arange(150))})
-    right = pa.table({"k": pa.array(_int_keys(40, 20, 10)),
-                      "v": pa.array(np.arange(40) * 10)})
-    got = _check(left, right, "inner", "k", left_suffix="_x",
-                 right_suffix="_y")
-    assert got.column_names == ["k", "v_x", "v_y"]
-
-
 @pytest.mark.parametrize("how", HOWS)
 @pytest.mark.parametrize("empty", ["left", "right"])
 def test_empty_side(ray_session, many_partitions, how, empty):
@@ -158,6 +146,35 @@ def test_empty_side(ray_session, many_partitions, how, empty):
     else:
         right = right.slice(0, 0)
     _check(left, right, how, "k")
+
+
+@pytest.mark.parametrize("how", HOWS)
+@pytest.mark.parametrize("partition_bytes", [64, 64 << 20])
+def test_empty_blocks_without_key_columns(ray_session, monkeypatch, how,
+                                          partition_bytes):
+    """A map that returns ``pa.table({})`` for a batch leaves an empty
+    block without the key columns, on either side, at ``P > 1`` and at
+    ``P == 1``."""
+    import ray
+    import ray.data as rd
+
+    monkeypatch.setattr(exchange, "PARTITION_BYTES", partition_bytes)
+    left, right = _sides(_int_keys(90, 30, 14), _int_keys(40, 30, 15))
+
+    def drop_first_block(b: pa.Table) -> pa.Table:
+        return pa.table({}) if b.column(b.column_names[1])[0].as_py() == 0 \
+            else b
+
+    def ds(t: pa.Table, n: int):
+        return rd.from_arrow(_blocks(t, n)).map_batches(
+            drop_first_block, batch_format="pyarrow", batch_size=None)
+
+    want = left.slice(30).join(right.slice(20), keys="k",
+                               join_type=ARROW_VERB[how])
+    got = pa.concat_tables(ray.get(
+        hash_join(ds(left, 3), ds(right, 2), how, "k").to_arrow_refs()))
+    assert got.column_names == want.column_names
+    assert _sorted_rows(got) == _sorted_rows(want)
 
 
 def test_partition_count_rule(ray_session):
@@ -177,6 +194,8 @@ def test_unknown_join_type_fails_loudly(ray_session):
     ds = rd.from_arrow(pa.table({"k": [1]}))
     with pytest.raises(ValueError, match="unknown join type"):
         hash_join(ds, ds, "left outer", "k")
+    with pytest.raises(ValueError, match="unknown join type"):
+        hash_join(ds, ds, "full_outer", "k")
     with pytest.raises(ValueError, match="differ in count"):
         hash_join(ds, ds, "inner", ["k"], ["k", "k"])
 
