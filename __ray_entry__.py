@@ -1747,11 +1747,13 @@ def _minhash_lsh_sql() -> str:
 def _dedup_clusters_sql() -> str:
     """DuckDB oracle for dedup_clusters: the generated minhash pair SQL
     as the edge set, then transitive closure via WITH RECURSIVE and
-    component = MIN(reachable doc_id)."""
+    component = MIN(reachable doc_id). ``pairs`` and ``und`` are
+    MATERIALIZED: DuckDB 1.0 otherwise inlines them and re-runs the
+    whole MinHash pair SQL on every step of the closure."""
     return f"""
-    WITH RECURSIVE pairs AS (
+    WITH RECURSIVE pairs AS MATERIALIZED (
         SELECT doc_a, doc_b FROM ({_minhash_lsh_sql()})
-    ), und AS (
+    ), und AS MATERIALIZED (
         SELECT doc_a AS a, doc_b AS b FROM pairs
         UNION
         SELECT doc_b, doc_a FROM pairs

@@ -43,6 +43,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from .combine import combine
 from .inputs import _pq, table_bytes
 
 BPE_ITERS = 3
@@ -300,22 +301,15 @@ def bpe_compression_ratio(sf_dir: str, iters: int = BPE_ITERS):
         toks = np.zeros(batch.num_rows, dtype=np.int64)
         for j, text in enumerate(batch.column("text").to_pylist()):
             toks[j] = sum(n_toks(w) for w in text.strip().split())
-        g = pa.table({
+        return pa.table({
             "lang": batch.column("lang"),
             "n_chars": batch.column("n_chars"),
             "n_tokens": pa.array(toks),
-        }).group_by("lang").aggregate(
-            [("n_chars", "sum"), ("n_tokens", "sum")])
-        return g.rename_columns(["lang", "n_chars", "n_tokens"])
+        })
 
-    from ray.data.aggregate import Sum
-
-    folded = (ds.map_batches(encode, batch_format="pyarrow",
-                             batch_size=2048)
-              .groupby("lang")
-              .aggregate(Sum("n_chars", alias_name="n_chars"),
-                         Sum("n_tokens", alias_name="n_tokens"))
-              ).to_pandas().sort_values("lang")
+    folded = combine(ds, "lang", {"n_chars": ("n_chars", "sum"),
+                                  "n_tokens": ("n_tokens", "sum")},
+                     encode, batch_size=2048).to_pandas().sort_values("lang")
     from ..functions.numeric import round_half_away
 
     ratio = [round_half_away(int(c) / int(t), 6) if int(t) else 0.0

@@ -28,6 +28,7 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import list_column_matrix, round_half_away
+from .combine import fold
 from .inputs import _pq
 
 N_CENTROIDS = 8
@@ -297,8 +298,6 @@ def cluster_purity(sf_dir: str):
     block."""
     from collections import Counter
 
-    from ray.data.aggregate import Sum
-
     cent_ref = ray.put(_centroids(sf_dir))
 
     ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
@@ -329,12 +328,11 @@ def cluster_purity(sf_dir: str):
                 "n": pa.array([c[k] for k in keys], type=pa.int64()),
             })
 
-    return (ds.map_batches(AssignCount,
-                           fn_constructor_kwargs={"ref": cent_ref},
-                           batch_format="pyarrow", batch_size=4096,
-                           concurrency=2)
-            .groupby(["cluster", "label"])
-            .aggregate(Sum("n", alias_name="n")))
+    return fold(ds.map_batches(AssignCount,
+                               fn_constructor_kwargs={"ref": cent_ref},
+                               batch_format="pyarrow", batch_size=4096,
+                               concurrency=2),
+                ["cluster", "label"], {"n": ("n", "sum")})
 
 
 KNN_K = 10
@@ -416,7 +414,7 @@ def embedding_centroid_shift(sf_dir: str):
     oracle's HUGEINT tree."""
     import math
 
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
     ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
                          columns=["vec_id", "embedding"])
@@ -447,12 +445,10 @@ def embedding_centroid_shift(sf_dir: str):
             "n": pa.array(rows_n, type=pa.int64()),
         })
 
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=4096)
-            .groupby(["d", "side"])
-            .aggregate(Sum("s", alias_name="s"),
-                       Sum("n", alias_name="n"))
-            .take_all())
+    rows = fold(ds.map_batches(partial, batch_format="pyarrow",
+                               batch_size=4096),
+                ["d", "side"], {"s": ("s", "sum"), "n": ("n", "sum")}
+                ).take_all()
     dim = max(r["d"] for r in rows) + 1
     sa = np.zeros(dim, dtype=object)
     sb = np.zeros(dim, dtype=object)
@@ -649,10 +645,8 @@ def embedding_dim_stats(sf_dir: str):
     One streaming pass: each batch reduces to exactly D partial rows
     (dim, count, sum_e6, min, max) — sums in exact integer 1e-6 units
     with DuckDB's half-away rounding reproduced bit-for-bit, so the
-    cross-block fold is order-independent — then a ≤D-key native
-    groupby and a driver-side division."""
-    from ray.data.aggregate import Max, Min, Sum
-
+    cross-block fold is order-independent — then a ≤D-key
+    fold and a driver-side division."""
     from ..functions.numeric import round_half_away
 
     ds = rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["embedding"])
@@ -672,14 +666,11 @@ def embedding_dim_stats(sf_dir: str):
             "mx": pa.array(x.max(axis=0), type=pa.float64()),
         })
 
-    folded = (ds.map_batches(partial, batch_format="pyarrow",
-                             batch_size=4096)
-              .groupby("dim")
-              .aggregate(Sum("n", alias_name="n"),
-                         Sum("sum_e6", alias_name="sum_e6"),
-                         Min("mn", alias_name="mn"),
-                         Max("mx", alias_name="mx"))
-              ).to_pandas().sort_values("dim")
+    folded = fold(ds.map_batches(partial, batch_format="pyarrow",
+                                 batch_size=4096),
+                  "dim", {"n": ("n", "sum"), "sum_e6": ("sum_e6", "sum"),
+                          "mn": ("mn", "min"), "mx": ("mx", "max")}
+                  ).to_pandas().sort_values("dim")
     mean = [round_half_away(int(s) / int(n) / 1_000_000.0, 6)
             for s, n in zip(folded["sum_e6"], folded["n"])]
     return pa.table({
@@ -700,10 +691,8 @@ def embedding_gram(sf_dir: str):
     quantized to 1e-3 with DuckDB-matching half-away rounding, so
     products are e-6 ints whose sum stays inside int64 at ~1e12
     vectors), shipped as D² rows per block regardless of block height;
-    a ≤D²-key native groupby folds them and the driver divides. The
+    a ≤D²-key fold merges them and the driver divides. The
     oracle replays the self-join of the unnested column."""
-    from ray.data.aggregate import Sum
-
     from ..functions.numeric import round_half_away
 
     ds = rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["embedding"])
@@ -725,12 +714,10 @@ def embedding_gram(sf_dir: str):
             "n": pa.array(np.full(d * d, x.shape[0], dtype=np.int64)),
         })
 
-    folded = (ds.map_batches(partial, batch_format="pyarrow",
-                             batch_size=4096)
-              .groupby(["i", "j"])
-              .aggregate(Sum("s_e6", alias_name="s_e6"),
-                         Sum("n", alias_name="n"))
-              ).to_pandas()
+    folded = fold(ds.map_batches(partial, batch_format="pyarrow",
+                                 batch_size=4096),
+                  ["i", "j"], {"s_e6": ("s_e6", "sum"), "n": ("n", "sum")}
+                  ).to_pandas()
     m2 = [round_half_away(int(s) / int(n) / 1_000_000.0, 6)
           for s, n in zip(folded["s_e6"], folded["n"])]
     return pa.table({
@@ -791,12 +778,10 @@ def int8_quantize(sf_dir: str):
     Two-pass combiner discipline like ``rag.tfidf_embed``: pass 1
     reduces each batch to one (dim, max_abs) partial row per dimension
     (the shuffle moves ``dim`` rows per block, nothing else), a tiny
-    ``groupby(d).max`` folds them, and the resulting scale vector is a
+    per-``d`` max folds them, and the resulting scale vector is a
     broadcast into the pass-2 quantizing map. Emits integer-exact
     ``q_l1`` (sum of |int8 code|) per vector — a bit-strength oracle
     check — plus the reconstruction ``mse``."""
-    from ray.data.aggregate import Max
-
     ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
                          columns=["vec_id", "embedding"])
 
@@ -808,10 +793,9 @@ def int8_quantize(sf_dir: str):
             "m": pa.array(m, type=pa.float64()),
         })
 
-    parts = (ds.map_batches(maxabs_partial, batch_format="pyarrow",
-                            batch_size=4096)
-             .groupby("d").aggregate(Max("m", alias_name="m"))
-             .to_pandas())
+    parts = fold(ds.map_batches(maxabs_partial, batch_format="pyarrow",
+                                batch_size=4096),
+                 "d", {"m": ("m", "max")}).to_pandas()
     scale = np.zeros(len(parts), dtype=np.float64)
     scale[parts["d"].to_numpy()] = parts["m"].to_numpy()
     scale = np.where(scale == 0.0, 1.0, scale)  # all-zero dim guard
@@ -999,14 +983,13 @@ def kmeans_fit(sf_dir: str, k: int = N_CENTROIDS, iters: int = KM_ITERS):
 
     for _ in range(iters):
         ref = ray.put(C)
-        small = (
+        small = fold(
             ints.map_batches(Partial, fn_constructor_kwargs={"ref": ref},
                              batch_format="pyarrow", batch_size=4096,
-                             concurrency=2)
-            .groupby(["cluster", "dim"]).sum("s")
-        ).to_pandas()
+                             concurrency=2),
+            ["cluster", "dim"], {"s": ("s", "sum")}).to_pandas()
         piv = small.pivot(index="cluster", columns="dim",
-                          values="sum(s)").sort_index()
+                          values="s").sort_index()
         counts = piv[-1].to_numpy()
         sums = piv[[d for d in range(D)]].to_numpy()
         newC = np.where(counts[:, None] > 0,
@@ -1265,14 +1248,13 @@ def pq_train_encode(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES,
 
     for _ in range(iters):
         ref = ray.put(cent)
-        small = (
+        small = fold(
             ints.map_batches(Partial, fn_constructor_kwargs={"ref": ref},
                              batch_format="pyarrow", batch_size=4096,
-                             concurrency=2)
-            .groupby(["code", "sub", "dim"]).sum("v")
-        ).to_pandas()
+                             concurrency=2),
+            ["code", "sub", "dim"], {"v": ("v", "sum")}).to_pandas()
         piv = small.pivot(index=["code", "sub"], columns="dim",
-                          values="sum(v)").sort_index()
+                          values="v").sort_index()
         counts = piv[-1].to_numpy().reshape(k, m)
         sums = piv[[d for d in range(sd)]].to_numpy().reshape(k, m, sd)
         newc = np.where(counts[:, :, None] > 0,
@@ -1793,12 +1775,12 @@ def ivf_cell_balance(sf_dir: str):
             }).group_by("cell").aggregate([("n", "sum")])
             return g.rename_columns(["cell", "n"])
 
-    per_cell = (ds.map_batches(CellCount,
-                               fn_constructor_kwargs={"ref": ref},
-                               batch_format="pyarrow", batch_size=4096,
-                               concurrency=2)
-                .groupby("cell").sum("n").to_pandas())
-    n = per_cell["sum(n)"].to_numpy().astype(np.int64)
+    per_cell = fold(ds.map_batches(CellCount,
+                                   fn_constructor_kwargs={"ref": ref},
+                                   batch_format="pyarrow", batch_size=4096,
+                                   concurrency=2),
+                    "cell", {"n": ("n", "sum")}).to_pandas()
+    n = per_cell["n"].to_numpy().astype(np.int64)
     total = int(n.sum())
     return pa.table({
         "cell": pa.array(per_cell["cell"].to_numpy().astype(np.int64)),
@@ -1906,15 +1888,15 @@ def gram_power_iteration(sf_dir: str, iters: int = PI_ITERS):
 
     def _fold_u(v: np.ndarray) -> list[int]:
         ref = ray.put(v)
-        small = (ints.map_batches(Partial,
-                                  fn_constructor_kwargs={"ref": ref},
-                                  batch_format="pyarrow",
-                                  batch_size=4096, concurrency=2)
-                 .groupby("dim").sum(["hi", "lo"])).to_pandas() \
-            .sort_values("dim")
+        small = fold(ints.map_batches(Partial,
+                                      fn_constructor_kwargs={"ref": ref},
+                                      batch_format="pyarrow",
+                                      batch_size=4096, concurrency=2),
+                     "dim", {"hi": ("hi", "sum"), "lo": ("lo", "sum")}
+                     ).to_pandas().sort_values("dim")
         # exact reconstruction in unbounded Python ints
         return [int(h) * _PI_SPLIT + int(l)
-                for h, l in zip(small["sum(hi)"], small["sum(lo)"])]
+                for h, l in zip(small["hi"], small["lo"])]
 
     probe = ints.take_batch(1, batch_format="pyarrow")
     D = len(probe.column("x")[0])

@@ -1,25 +1,27 @@
-"""The combiner aggregate — the grouped fold of the relational, text,
-temporal and TPC-H query modules.
+"""The combiner aggregate — the grouped fold of every query module.
 
 Each batch collapses to one row per key with Arrow's hash ``group_by``
-(the combiner of SURVEY §2.6/G1), so the shuffle that follows moves one
-row per key per block; a small Ray ``groupby`` then merges the partial
-rows. ``aggs`` is an ordered ``{out_name: (column, op)}`` with ``op`` one
-of ``sum``, ``count``, ``min``, ``max``; every result is the keys, then
-the aggregates in the order given, under their ``out_name``.
+(the combiner of SURVEY §2.6/G1), so the exchange that follows moves one
+row per key per block; one task per key partition of
+:func:`exchange.exchange` then merges the partial rows with ``group_by``
+again. ``aggs`` is an ordered ``{out_name: (column, op)}`` with ``op``
+one of ``sum``, ``count``, ``min``, ``max``; every result is the keys,
+then the aggregates in the order given, under their ``out_name``.
 
 The one decision this module owns is how a per-batch op's partials merge
-across blocks: ``count`` merges by ``Sum``, while ``sum``, ``min`` and
+across blocks: ``count`` merges by ``sum``, while ``sum``, ``min`` and
 ``max`` merge by themselves. Arrow's ``count`` skips nulls; a ``sum``
-over a ones column does not. Integer sums stay int64 and exact.
+over a ones column does not. Integer sums stay int64 and exact. Null
+keys form one group.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
-from ray.data.aggregate import Max, Min, Sum
 
-_MERGE = {"sum": Sum, "count": Sum, "min": Min, "max": Max}
+from .exchange import exchange
+
+_MERGE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
 def group_agg(table: pa.Table, keys, aggs: dict) -> pa.Table:
@@ -33,12 +35,25 @@ def group_agg(table: pa.Table, keys, aggs: dict) -> pa.Table:
         names=keys + list(aggs))
 
 
+def _merge(keys: list, aggs: dict, t: pa.Table) -> pa.Table:
+    """One partition's merge, sorted by ``keys``. An empty partition may
+    lack columns (every partial block was ``pa.table({})``); those come
+    out null-typed."""
+    if not t.num_rows:
+        t = pa.table({c: t.column(c) if c in t.column_names else pa.nulls(0)
+                      for c in dict.fromkeys(
+                          keys + [c for c, _ in aggs.values()])})
+    return group_agg(t, keys, aggs).sort_by([(k, "ascending") for k in keys])
+
+
 def fold(ds, keys, aggs: dict):
     """Cross-block merge of partials: each ``column`` holds per-block
-    partials of ``op`` and merges by that op's Ray aggregation, aliased
-    to ``out_name``."""
-    return ds.groupby(keys).aggregate(
-        *(_MERGE[op](c, alias_name=out) for out, (c, op) in aggs.items()))
+    partials of ``op`` and merges by that op's merge verb, under
+    ``out_name``. Runs when called; each key partition's rows come out
+    sorted by ``keys``, and at one partition the whole result is."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    return exchange([(ds, keys)], _merge, keys,
+                    {out: (c, _MERGE[op]) for out, (c, op) in aggs.items()})
 
 
 def combine(ds, keys, aggs: dict, cells=None, batch_size: int = 65536):

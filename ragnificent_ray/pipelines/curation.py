@@ -34,6 +34,7 @@ import ray.data as rd
 from ..functions.hashing import md5_hex
 from ..functions.numeric import round_half_away
 from .decontam import _BENCH_MAX_ID, _bench_grams, _doc_grams
+from .combine import combine
 from .dedup import _bucket_count
 from .inputs import _pq
 from .textstats import (_ALPHA, _LANG_PROFILES, GOPHER_MAX_MEAN_LEN,
@@ -160,11 +161,7 @@ def curation_report(sf_dir: str):
                 out.append("kept")
         return pa.table({"verdict": pa.array(out, type=pa.string())})
 
-    return (
-        ds.map_batches(verdict, batch_format="pyarrow")
-        .groupby("verdict").count()
-        .rename_columns(["verdict", "n_docs"])
-    )
+    return combine(ds, "verdict", {"n_docs": ("verdict", "count")}, verdict)
 
 
 def _gopher_pass_sql(src: str) -> str:

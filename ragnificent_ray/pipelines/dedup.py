@@ -50,6 +50,7 @@ import ray.data as rd
 
 from ..functions.hashing import md5_hex, stable_hash64
 from ..functions.numeric import list_column_matrix, round_half_away
+from .combine import combine, fold
 from .exchange import hash_join
 from .inputs import _pq, fold_buckets, table_bytes
 
@@ -157,8 +158,6 @@ def cross_source_dup_matrix(sf_dir: str):
     vectorized self-merge per bucket bounded by |sources| per prefix,
     and the final fold is the ≤C(|sources|,2) pair key space. Exact
     integer counts."""
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["source", "text"])
     n_buckets = _bucket_count(sf_dir)
@@ -189,12 +188,11 @@ def cross_source_dup_matrix(sf_dir: str):
                                   pa.int64()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=8192)
-            .groupby("bucket")
-            .map_groups(bucket_pairs, batch_format="pyarrow")
-            .groupby(["src_a", "src_b"])
-            .aggregate(Sum("n_prefixes", alias_name="n_prefixes")))
+    return fold(ds.map_batches(partial, batch_format="pyarrow",
+                               batch_size=8192)
+                .groupby("bucket")
+                .map_groups(bucket_pairs, batch_format="pyarrow"),
+                ["src_a", "src_b"], {"n_prefixes": ("n_prefixes", "sum")})
 
 
 _CROSS_SOURCE_SQL = """
@@ -277,21 +275,12 @@ def minhash_threshold_curve(sf_dir: str):
     full :func:`minhash_lsh_pairs` scale path (band buckets, hash-join
     verify) and adds one ≤10-key integer fold; binning floors the same
     IEEE double on both engines."""
-    from ray.data.aggregate import Sum
-
-    pairs = minhash_lsh_pairs(sf_dir)
-
-    def bin_partial(b: pa.Table) -> pa.Table:
+    def bins(b: pa.Table) -> pa.Table:
         j = b.column("jaccard").to_numpy()
-        g = pa.table({
-            "bin": pa.array(np.floor(j * 10).astype(np.int64)),
-            "n_pairs": pa.array(np.ones(len(j), dtype=np.int64)),
-        }).group_by("bin").aggregate([("n_pairs", "sum")])
-        return g.rename_columns(["bin", "n_pairs"])
+        return pa.table({"bin": pa.array(np.floor(j * 10).astype(np.int64))})
 
-    return (pairs.map_batches(bin_partial, batch_format="pyarrow")
-            .groupby("bin")
-            .aggregate(Sum("n_pairs", alias_name="n_pairs")))
+    return combine(minhash_lsh_pairs(sf_dir), "bin",
+                   {"n_pairs": ("bin", "count")}, bins)
 
 
 def snapshot_diff(sf_dir: str):
@@ -375,7 +364,6 @@ def length_drift_ks(sf_dir: str):
     Python unbounded ints (n_old·n_new overflows int64 at ~10¹⁰ docs
     per leg)."""
     import pyarrow.parquet as pq_mod
-    from ray.data.aggregate import Sum
 
     from ..functions.numeric import round_half_away
 
@@ -385,24 +373,17 @@ def length_drift_ks(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["doc_id", "n_chars"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         old = pc.cast(pc.less(b.column("doc_id"), split), pa.int64())
-        g = pa.table({
+        return pa.table({
             "v": b.column("n_chars"),
             "c0": old,
             "c1": pc.subtract(pa.scalar(1, pa.int64()), old),
-        }).group_by("v").aggregate([("c0", "sum"), ("c1", "sum")])
-        return g.rename_columns(["v", "c0", "c1"])
+        })
 
-    hist = (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("v")
-            .aggregate(Sum("c0", alias_name="c0"),
-                       Sum("c1", alias_name="c1"))
-            .sort("v").take_all())
-    vs = [int(r["v"]) for r in hist]
-    c0 = [int(r["c0"]) for r in hist]
-    c1 = [int(r["c1"]) for r in hist]
+    hist = combine(ds, "v", {"c0": ("c0", "sum"), "c1": ("c1", "sum")},
+                   cells).to_pandas().sort_values("v")
+    vs, c0, c1 = ([int(x) for x in hist[c]] for c in ("v", "c0", "c1"))
     n0, n1 = sum(c0), sum(c1)
     best_num, best_v, best_k0, best_k1 = -1, None, 0, 0
     k0 = k1 = 0
@@ -1233,8 +1214,6 @@ def duplicate_ngram_fraction(sf_dir: str, k: int = NGRAM_SPAN_K):
     (``_checkpointed``) — never parked in the object store. Gram identity is the 48-bit token-md5 Horner mix
     (``_gram_hashes``) on both sides, so the oracle hashes identically
     (collisions included)."""
-    from ray.data.aggregate import Sum
-
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
 
     def grams(batch: pa.Table) -> pa.Table:
@@ -1273,13 +1252,10 @@ def duplicate_ngram_fraction(sf_dir: str, k: int = NGRAM_SPAN_K):
             "dup_occ": pa.array(occ * isd, type=pa.int64()),
         })
 
-    per_doc = (
-        hash_join(go(["doc_id", "gram", "occ"]), dup, "left_outer", "gram")
-        .map_batches(mark, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(Sum("occ", alias_name="total_grams"),
-                   Sum("dup_occ", alias_name="dup_grams"))
-    )
+    per_doc = combine(
+        hash_join(go(["doc_id", "gram", "occ"]), dup, "left_outer", "gram"),
+        "doc_id", {"total_grams": ("occ", "sum"),
+                   "dup_grams": ("dup_occ", "sum")}, mark)
 
     def finish(t: pa.Table) -> pa.Table:
         tot = t.column("total_grams").to_numpy(zero_copy_only=False)
@@ -1314,8 +1290,6 @@ def ngram_novelty(sf_dir: str, k: int = NGRAM_SPAN_K):
     gram-keyed hash-join before a doc-keyed sum. Gram identity is the
     48-bit token-md5 Horner mix (``_gram_hashes``) on both sides so
     the oracle hashes identically, collisions included."""
-    from ray.data.aggregate import Sum
-
     n_buckets = _bucket_count(sf_dir)
 
     ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -1369,13 +1343,10 @@ def ngram_novelty(sf_dir: str, k: int = NGRAM_SPAN_K):
             "novel": novel,
         })
 
-    per_doc = (
-        hash_join(go(["doc_id", "gram"]), first, "inner", "gram")
-        .map_batches(mark, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(Sum("n", alias_name="n_grams"),
-                   Sum("novel", alias_name="n_novel"))
-    )
+    per_doc = combine(
+        hash_join(go(["doc_id", "gram"]), first, "inner", "gram"),
+        "doc_id", {"n_grams": ("n", "sum"), "n_novel": ("novel", "sum")},
+        mark)
 
     def finish(t: pa.Table) -> pa.Table:
         tot = t.column("n_grams").to_numpy(zero_copy_only=False)
@@ -1708,8 +1679,6 @@ def dedup_cluster_sizes(sf_dir: str):
     in bounded label-hash buckets (Arrow ``group_by`` body); the final
     count-of-counts folds the bounded size key space. Nothing
     corpus-sized reaches the driver."""
-    from ray.data.aggregate import Sum
-
     n_buckets = _bucket_count(sf_dir)
     labels = dedup_clusters(sf_dir)
 
@@ -1734,12 +1703,11 @@ def dedup_cluster_sizes(sf_dir: str):
                                   pa.int64()),
         })
 
-    return (labels.map_batches(partial, batch_format="pyarrow",
-                               batch_size=65536)
-            .groupby("kb")
-            .map_groups(size_rows, batch_format="pyarrow")
-            .groupby("size")
-            .aggregate(Sum("n_clusters", alias_name="n_clusters")))
+    return fold(labels.map_batches(partial, batch_format="pyarrow",
+                                   batch_size=65536)
+                .groupby("kb")
+                .map_groups(size_rows, batch_format="pyarrow"),
+                "size", {"n_clusters": ("n_clusters", "sum")})
 
 
 # ------------------------------------------------- phash near-dup (images)

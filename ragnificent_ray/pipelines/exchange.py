@@ -1,25 +1,30 @@
-"""The hash join: the exchange shape every query module joins with.
+"""The hash exchange: the all-to-all shape every query module joins and
+folds with.
 
-``hash_join`` takes ``Dataset.join``'s join type, ``on`` and
-``right_on`` and returns the same rows under the same column names,
-from plain tasks:
+:func:`exchange` runs one function per key partition on plain tasks:
 
-1. both sides execute once, side by side, to Arrow block refs;
+1. each input Dataset executes once, side by side, to Arrow block refs;
 2. one split task per block hashes the key columns (:func:`key_hash`)
    and returns the block's ``P`` partition slices;
-3. one task per partition concatenates its slices of both sides, runs
-   ``pa.Table.join`` with Ray's join-type verbs, and
-   reports ``(rows, bytes, schema)`` for :func:`from_block_refs`.
+3. one task per partition concatenates each input's slices, runs the
+   function on those tables and reports ``(rows, bytes, schema)`` for
+   :func:`from_block_refs`.
 
-Ray 2.49's ``Dataset.join`` starts ``num_partitions`` fresh
+:func:`hash_join` runs ``pa.Table.join`` with Ray's join-type verbs on
+it and returns ``Dataset.join``'s rows under the same column names;
+``combine.fold`` runs Arrow's ``group_by`` on it. Ray 2.49's
+``Dataset.join`` starts ``num_partitions`` fresh
 ``HashShuffleAggregator`` actors per join and hashes each block with a
-per-row Python loop. ``P`` is one partition per ``PARTITION_BYTES`` of
-input, at most one per CPU; at ``P == 1`` one task joins every block.
+per-row Python loop; its ``groupby().aggregate()`` sort-shuffles and
+walks the groups in Python. ``P`` is one partition per
+``PARTITION_BYTES`` of input, at most one per CPU; at ``P == 1`` one
+task takes every block.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 import pandas as pd
@@ -97,12 +102,12 @@ def _concat(blocks) -> pa.Table:
 
 
 @ray.remote(num_returns=2)
-def _join(how, on, right_on, n_left, *blocks):
-    """One partition's join: ``blocks`` are its left slices, then its
-    right ones. Returns ``((rows, bytes, schema), table)``."""
-    t = _concat(blocks[:n_left]).join(
-        _concat(blocks[n_left:]), keys=list(on), right_keys=list(right_on),
-        join_type=_VERBS[how])
+def _partition(fn, args, counts, *blocks):
+    """One partition: ``blocks`` are each input's slices in turn,
+    ``counts[i]`` of input ``i``. Returns ``((rows, bytes, schema),
+    fn(*args, *tables))`` with one concatenated table per input."""
+    it = iter(blocks)
+    t = fn(*args, *(_concat(islice(it, c)) for c in counts))
     return (t.num_rows, t.nbytes, t.schema), t
 
 
@@ -160,11 +165,39 @@ def partition_count(nbytes: int) -> int:
     return max(1, min(cpus, -(-nbytes // PARTITION_BYTES)))
 
 
+def exchange(inputs: list, fn, *args) -> rd.Dataset:
+    """``fn(*args, *tables)`` once per key partition (module doc), where
+    ``inputs`` is ``[(Dataset, keys), ...]`` and ``tables`` holds each
+    input's rows of that partition. Every input executes when called;
+    the result is a materialized Dataset of the partitions' outputs."""
+    # every execution at once: left then right ran the sf0.1 join
+    # queries ~7% slower in total and query_mix's joins 0.04-0.06 s
+    # slower each (4 CPUs)
+    with ThreadPoolExecutor(len(inputs)) as pool:
+        executed = list(pool.map(_blocks, [ds for ds, _ in inputs]))
+    n = partition_count(sum(nbytes for _, nbytes in executed))
+    # each block's n slices; at n == 1 a block is its one slice
+    slices = [[r] if n == 1 else
+              _split.options(num_returns=n).remote(r, keys, n)
+              for (refs, _), (_, keys) in zip(executed, inputs)
+              for r in refs]
+    counts = [len(refs) for refs, _ in executed]
+    parts = [_partition.remote(fn, args, counts, *(s[i] for s in slices))
+             for i in range(n)]
+    return from_block_refs([t for _, t in parts],
+                           ray.get([m for m, _ in parts]))
+
+
+def _join(how, on, right_on, left: pa.Table, right: pa.Table) -> pa.Table:
+    return left.join(right, keys=on, right_keys=right_on,
+                     join_type=_VERBS[how])
+
+
 def hash_join(left: rd.Dataset, right: rd.Dataset, how: str, on,
               right_on=None) -> rd.Dataset:
-    """``left.join(right, how, on=on, right_on=right_on)`` by
-    split tasks and per-partition ``pa.Table.join`` tasks (module doc):
-    the same rows under the same columns, in no fixed order."""
+    """``left.join(right, how, on=on, right_on=right_on)`` as an
+    :func:`exchange` of ``pa.Table.join``: the same rows under the same
+    columns, in no fixed order."""
     if how not in _VERBS:
         raise ValueError(f"unknown join type {how!r}; one of {list(_VERBS)}")
     on = [on] if isinstance(on, str) else list(on)
@@ -172,23 +205,5 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, how: str, on,
         [right_on] if isinstance(right_on, str) else list(right_on))
     if len(on) != len(right_on):
         raise ValueError(f"join keys {on} and {right_on} differ in count")
-    # both executions at once: left then right ran the sf0.1 join
-    # queries ~7% slower in total and query_mix's joins 0.04-0.06 s
-    # slower each (4 CPUs)
-    with ThreadPoolExecutor(2) as pool:
-        (lrefs, lbytes), (rrefs, rbytes) = pool.map(_blocks, (left, right))
-    n = partition_count(lbytes + rbytes)
-
-    def split(refs, keys):  # each block's n slices; one block is one slice
-        if n == 1:
-            return [[r] for r in refs]
-        return [_split.options(num_returns=n).remote(r, keys, n)
-                for r in refs]
-
-    lparts, rparts = split(lrefs, on), split(rrefs, right_on)
-    parts = [_join.remote(how, on, right_on, len(lparts),
-                          *(s[i] for s in lparts),
-                          *(s[i] for s in rparts))
-             for i in range(n)]
-    return from_block_refs([t for _, t in parts],
-                           ray.get([m for m, _ in parts]))
+    return exchange([(left, on), (right, right_on)], _join, how, on,
+                    right_on)

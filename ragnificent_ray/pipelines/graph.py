@@ -46,6 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from .combine import combine, fold
 from .exchange import hash_join
 from .inputs import _pq, table_bytes
 
@@ -840,8 +841,6 @@ def basket_triples(sf_dir: str):
     before the triple-hash fold; support floor TRIPLE_MIN applies at
     the fold. Exact integer counts, deterministic
     (n DESC, parts) top-k."""
-    from ray.data.aggregate import Sum
-
     n_buckets = _bucket_count(sf_dir, ("lineitem",))
     ds = rd.read_parquet(
         _pq(sf_dir, "lineitem"), columns=["l_orderkey", "l_partkey"],
@@ -959,16 +958,20 @@ def triangle_count(sf_dir: str):
     the wedge stream against the undirected edge set; degrees attach by
     two joins of a pre-summed per-batch degree fold. Exact integer
     count — the oracle replays the same orientation."""
-    n_buckets = _bucket_count(sf_dir, ("events",))
     ed = covisitation_pairs(sf_dir)
     # hot-item caps can empty the graph (the sf0.1 world does):
     # covisitation_pairs then returns its typed empty Arrow table, and
     # a groupby on a 0-row dataset never runs its map_groups, so
     # downstream joins would see schema-less blocks — short-circuit
-    if isinstance(ed, pa.Table):
-        return pa.table({"n_triangles": pa.array([0], type=pa.int64())})
-    ed = ed.materialize()
+    tri = 0 if isinstance(ed, pa.Table) else _triangles(
+        ed.materialize(), _bucket_count(sf_dir, ("events",)))[0]
+    return pa.table({"n_triangles": pa.array([tri], type=pa.int64())})
 
+
+def _triangles(ed, n_buckets: int):
+    """:func:`triangle_count` over the materialized pair Dataset ``ed``:
+    the count and the per-node degree Dataset ``(node, d)`` it oriented
+    the edges with."""
     def deg_partial(b: pa.Table) -> pa.Table:
         nodes = np.concatenate([
             b.column("user_a").to_numpy(zero_copy_only=False),
@@ -1043,8 +1046,7 @@ def triangle_count(sf_dir: str):
 
     folded = closed.map_batches(
         count_partial, batch_format="pyarrow").sum("n") or 0
-    return pa.table({"n_triangles": pa.array([int(folded)],
-                                             type=pa.int64())})
+    return int(folded), deg
 
 
 def clustering_coefficient(sf_dir: str):
@@ -1054,45 +1056,25 @@ def clustering_coefficient(sf_dir: str):
     actually closes, the single-number community-density gauge.
 
     Composes :func:`triangle_count` (degree-oriented wedge join) with a
-    wedge census that never materializes wedges: per-batch (node,
-    count) degree partials fold in bounded node-hash buckets, each
-    bucket emits ONE Σ d(d−1)/2 partial row, and the ratio is the only
-    float step (identical ``3.0·T / W`` expression on both engines)."""
+    wedge census that never materializes wedges: each batch of the
+    triangle count's per-node degrees emits ONE Σ d(d−1)/2 partial row,
+    and the ratio is the only float step (identical ``3.0·T / W``
+    expression on both engines). The pair set is computed once."""
     from ..functions.numeric import round_half_away
 
-    tri = int(triangle_count(sf_dir).column("n_triangles")[0].as_py())
+    def batch_wedges(b: pa.Table) -> pa.Table:
+        d = b.column("d").to_numpy()
+        return pa.table({"w": pa.array(
+            [int((d * (d - 1) // 2).sum())], type=pa.int64())})
 
-    n_buckets = _bucket_count(sf_dir, ("events",))
     ed = covisitation_pairs(sf_dir)
     if isinstance(ed, pa.Table):  # hot-item caps emptied the graph
-        wedges = 0
+        tri = wedges = 0
     else:
-        def deg_partial(b: pa.Table) -> pa.Table:
-            nodes = np.concatenate([
-                b.column("user_a").to_numpy(zero_copy_only=False),
-                b.column("user_b").to_numpy(zero_copy_only=False)])
-            g = (pa.table({"node": pa.array(nodes, type=pa.int64())})
-                 .group_by("node").aggregate([("node", "count")]))
-            return pa.table({
-                "node": g.column("node"),
-                "d": pc.cast(g.column("node_count"), pa.int64()),
-                "db": pa.array(
-                    (g.column("node").to_numpy(zero_copy_only=False)
-                     % n_buckets).astype(np.int32)),
-            })
-
-        def bucket_wedges(t: pa.Table) -> pa.Table:
-            g = (t.select(["node", "d"]).group_by("node")
-                 .aggregate([("d", "sum")]))
-            d = g.column("d_sum").to_numpy()
-            return pa.table({"w": pa.array(
-                [int((d * (d - 1) // 2).sum())], type=pa.int64())})
-
-        wedges = int(
-            ed.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("db").map_groups(bucket_wedges,
-                                      batch_format="pyarrow")
-            .sum("w") or 0)
+        tri, deg = _triangles(ed.materialize(),
+                              _bucket_count(sf_dir, ("events",)))
+        wedges = int(deg.map_batches(batch_wedges, batch_format="pyarrow")
+                     .sum("w") or 0)
 
     cc = round_half_away(3.0 * tri / wedges, 6) if wedges else 0.0
     return pa.table({
@@ -1200,31 +1182,19 @@ def decayed_item_scores(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "props"],
                          override_num_blocks=_read_blocks(sf_dir, "events"))
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         item = _props_k(b.column("props")).to_numpy(zero_copy_only=False)
         ts_us = b.column("ts").to_numpy().astype("datetime64[us]") \
             .astype(np.int64)
         age = np.minimum((anchor_us - ts_us) // _DAY_US, DECAY_MAX_EXP)
         w = np.int64(1) << (DECAY_MAX_EXP - age)
-        g = pa.table({
-            "item": pa.array(item, type=pa.int64()),
-            "decayed_score": pa.array(w, type=pa.int64()),
-            "n_events": pa.array(np.ones(len(w), dtype=np.int64)),
-        }).group_by("item").aggregate([
-            ("decayed_score", "sum"), ("n_events", "sum")])
         return pa.table({
-            "item": g.column("item"),
-            "decayed_score": g.column("decayed_score_sum"),
-            "n_events": g.column("n_events_sum"),
+            "item": pa.array(item, type=pa.int64()),
+            "w": pa.array(w, type=pa.int64()),
         })
 
-    from ray.data.aggregate import Sum
-
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("item")
-            .aggregate(Sum("decayed_score", alias_name="decayed_score"),
-                       Sum("n_events", alias_name="n_events")))
+    return combine(ds, "item", {"decayed_score": ("w", "sum"),
+                                "n_events": ("w", "count")}, cells)
 
 
 _DECAY_SQL = f"""
@@ -1300,19 +1270,18 @@ def event_type_jaccard(sf_dir: str):
             }),
         ])
 
-    folded = (
+    folded = fold(
         ds.map_batches(distinct_partial, batch_format="pyarrow",
                        batch_size=65536)
         .groupby("ub")
-        .map_groups(user_pairs, batch_format="pyarrow")
-        .groupby(["ta", "tb"]).sum("n")
-    ).to_pandas()
+        .map_groups(user_pairs, batch_format="pyarrow"),
+        ["ta", "tb"], {"n": ("n", "sum")}).to_pandas()
 
-    sizes = folded[folded["tb"] == ""].set_index("ta")["sum(n)"]
+    sizes = folded[folded["tb"] == ""].set_index("ta")["n"]
     pairs = folded[folded["tb"] != ""]
     na = pairs["ta"].map(sizes).to_numpy(dtype=np.int64)
     nb = pairs["tb"].map(sizes).to_numpy(dtype=np.int64)
-    inter = pairs["sum(n)"].to_numpy(dtype=np.int64)
+    inter = pairs["n"].to_numpy(dtype=np.int64)
     from ..functions.numeric import round_half_away
     return pa.table({
         "ta": pa.array(pairs["ta"], type=pa.string()),
@@ -1612,13 +1581,10 @@ def degree_distribution(sf_dir: str):
                          "n_nodes": pa.array(counts[nz],
                                              type=pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    return (ed.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("db").map_groups(bucket_cells,
-                                      batch_format="pyarrow")
-            .groupby("digits")
-            .aggregate(Sum("n_nodes", alias_name="n_nodes")))
+    return fold(ed.map_batches(deg_partial, batch_format="pyarrow")
+                .groupby("db").map_groups(bucket_cells,
+                                          batch_format="pyarrow"),
+                "digits", {"n_nodes": ("n_nodes", "sum")})
 
 
 def _degree_distribution_sql() -> str:

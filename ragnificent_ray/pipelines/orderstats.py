@@ -6,7 +6,7 @@ full-column materialization:
 
 1. one native ``Min``/``Max`` pass fixes the value range;
 2. one streaming pass of per-block ``bincount`` partials over
-   (group, equal-width bucket) cells, folded by a tiny groupby-sum —
+   (group, equal-width bucket) cells, merged by a tiny ``combine.fold`` —
    each group's cumulative counts locate the bucket holding any 0-based
    rank ``j`` as the first bucket with ``cum > j``;
 3. one filtered pass ships ONLY the values inside the needed boundary
@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+
+from .combine import fold
 
 NBUCKETS = 2048
 _BATCH = 65536
@@ -107,13 +109,14 @@ def histogram(ds, col: str, key: str | None = None,
                           type=batch.schema.field(key).type))
 
     keys = ["bucket"] if key is None else [key, "bucket"]
-    df = (ds.map_batches(partial, batch_format="pyarrow", batch_size=_BATCH)
-          .groupby(keys).sum("cnt").to_pandas())
+    df = fold(ds.map_batches(partial, batch_format="pyarrow",
+                             batch_size=_BATCH),
+              keys, {"cnt": ("cnt", "sum")}).to_pandas()
     groups = [None] if key is None else sorted(df[key].unique())
     gi = 0 if key is None else \
         df[key].map({g: i for i, g in enumerate(groups)}).to_numpy()
     counts = np.zeros((len(groups), nbuckets), dtype=np.int64)
-    counts[gi, df["bucket"].to_numpy()] = df["sum(cnt)"].to_numpy()
+    counts[gi, df["bucket"].to_numpy()] = df["cnt"].to_numpy()
     return Histogram(col, key, lo, width, nbuckets, groups,
                      np.cumsum(counts, axis=1))
 

@@ -16,7 +16,7 @@ Scale shape — distributed prefix sum, no driver materialization:
 1. one streaming pass computes (doc_id, n_tokens, bucket) where
    ``bucket = doc_id // RANGE`` (contiguous id ranges, so bucket order
    IS stream order);
-2. per-bucket token subtotals reduce via a native ``groupby().sum()``
+2. per-bucket token subtotals reduce via ``combine.combine``
    — ONE ROW PER BUCKET reaches the driver (bounded: ~n_docs/8192),
    which computes the exclusive prefix over buckets and broadcasts it
    with ``ray.put`` (read once per task, never re-shipped per batch);
@@ -36,6 +36,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .combine import combine
 from .exchange import hash_join
 from .inputs import _pq
 
@@ -67,9 +68,9 @@ def _counts_fn(with_text: bool):
 def _bucket_offsets(narrow) -> "ray.ObjectRef":
     """Exclusive prefix of per-id-range-bucket token subtotals: one row
     per bucket reaches the driver, the offsets map broadcasts once."""
-    subtotals = narrow.groupby("bucket").sum("n_tokens").to_pandas()
-    subtotals = subtotals.sort_values("bucket").reset_index(drop=True)
-    tot = subtotals["sum(n_tokens)"].to_numpy(dtype=np.int64)
+    subtotals = combine(narrow, "bucket", {"n_tokens": ("n_tokens", "sum")}
+                        ).to_pandas().sort_values("bucket")
+    tot = subtotals["n_tokens"].to_numpy(dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(tot)[:-1]))
     return ray.put(dict(zip(
         subtotals["bucket"].astype(np.int64).tolist(), starts.tolist())))
@@ -208,10 +209,9 @@ def byte_shard_pack(ds, id_col: str, nbytes_col: str, bucket_col: str,
     into contiguous ranges (e.g. the domain prefix of an image id);
     one subtotal row per bucket reaches the driver, the offsets map
     broadcasts once."""
-    subtotals = ds.select_columns([bucket_col, nbytes_col]) \
-        .groupby(bucket_col).sum(nbytes_col).to_pandas()
-    subtotals = subtotals.sort_values(bucket_col).reset_index(drop=True)
-    tot = subtotals[f"sum({nbytes_col})"].to_numpy(dtype=np.int64)
+    subtotals = combine(ds, bucket_col, {"tot": (nbytes_col, "sum")}
+                        ).to_pandas().sort_values(bucket_col)
+    tot = subtotals["tot"].to_numpy(dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(tot)[:-1]))
     start_ref = ray.put(dict(zip(subtotals[bucket_col].tolist(),
                                  starts.tolist())))

@@ -10,6 +10,7 @@ import ray.data as rd
 
 from ..stages.chunk import chunk_batch
 from ..stages.embed import HashEmbedder
+from .combine import fold
 from .inputs import _pq
 
 
@@ -80,8 +81,8 @@ def tfidf_embed(sf_dir: str, max_features: int = 256):
     (flagged in SURVEY §2.4 as a divergence risk — our fit sees the
     whole corpus, deterministically).
 
-    Pass 1 (fit): per-batch document-frequency partials → native
-    ``groupby.sum`` (vectorized aggregate, no per-group Python) → small
+    Pass 1 (fit): per-batch document-frequency partials → one
+    ``combine.fold`` (Arrow ``group_by``, no per-group Python) → small
     vocabulary+idf table on the driver, broadcast with ``ray.put``.
     Pass 2 (transform): block-sparse counts × idf. Output is proof
     columns (nnz + the vector's l2 norm) — the full vector column
@@ -105,15 +106,13 @@ def tfidf_embed(sf_dir: str, max_features: int = 256):
             "df": pa.array(list(c.values()), type=pa.int64()),
         })
 
-    df_tab = (
-        ds.map_batches(df_partial, batch_format="pyarrow", batch_size=4096)
-        .groupby("token")
-        .sum("df")
-    ).to_pandas()
-    df_tab = df_tab.sort_values(["sum(df)", "token"],
+    df_tab = fold(
+        ds.map_batches(df_partial, batch_format="pyarrow", batch_size=4096),
+        "token", {"df": ("df", "sum")}).to_pandas()
+    df_tab = df_tab.sort_values(["df", "token"],
                                 ascending=[False, True]).head(max_features)
     vocab = {t: i for i, t in enumerate(df_tab["token"])}
-    idf = np.log((1.0 + n_docs) / (1.0 + df_tab["sum(df)"].to_numpy())) + 1.0
+    idf = np.log((1.0 + n_docs) / (1.0 + df_tab["df"].to_numpy())) + 1.0
     ref = ray.put((vocab, idf))
 
     class Transform:

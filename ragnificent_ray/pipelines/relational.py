@@ -5,10 +5,11 @@ Each function takes ``sf_dir`` and returns a Ray Dataset / Arrow table;
 column names (driver contract). Patterns exercised, scale-consciously:
 
 * column-pruned reads (``read_parquet(columns=...)``)
-* partial aggregation inside ``map_batches`` before the (small) groupby
-  shuffle — the combiner pattern from SURVEY §2.6/G1, always through
-  :func:`combine.combine` (``group_agg`` per batch, ``fold`` across
-  blocks)
+* partial aggregation inside ``map_batches`` before the (small) keyed
+  merge — the combiner pattern from SURVEY §2.6/G1, always through
+  :func:`combine.combine` (``group_agg`` per batch, then ``fold``'s
+  per-partition ``group_by`` tasks on :func:`exchange.exchange`)
+* big ⋈ big joins through :func:`exchange.hash_join`
 * broadcast hash join for small dimension tables (``ray.put`` once,
   ``ray.get`` in a plain per-batch function) instead of a shuffle join
 * sort + limit top-k

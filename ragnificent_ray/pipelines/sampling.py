@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions.hashing import md5_hex
+from .combine import combine, fold
 from .inputs import _pq
 
 # per-stratum keep rates in percent (default 100 = keep everything);
@@ -71,15 +72,15 @@ def mix_sample(sf_dir: str):
     Ray side and the SQL oracle agree bit-for-bit with no float
     boundary risk.
 
-    Scale shape: stratum counts reduce via a native groupby to one row
+    Scale shape: stratum counts reduce via ``combine`` to one row
     per source (bounded — sources are a catalog, not a corpus), the
     driver computes T from that tiny frame, and the keep pass is a
     pure per-batch filter. Nothing corpus-sized leaves the stream."""
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["doc_id", "source"])
 
-    counts = ds.groupby("source").count().to_pandas()
-    cmap = dict(zip(counts["source"], counts["count()"].astype(int)))
+    counts = combine(ds, "source", {"n": ("doc_id", "count")}).to_pandas()
+    cmap = dict(zip(counts["source"], counts["n"].astype(int)))
     total_units = min(int(c) // MIX_WEIGHTS.get(s, 1)
                       for s, c in cmap.items())
 
@@ -183,14 +184,14 @@ def _dsir_weights_table(sf_dir: str) -> "object":
             "raw_n": pa.array(raw),
         })
 
-    folded = (ds.map_batches(count_partial, batch_format="pyarrow",
-                             batch_size=8192)
-              .groupby("bucket").sum(["tgt_n", "raw_n"])
-              .to_pandas().sort_values("bucket"))
+    folded = fold(ds.map_batches(count_partial, batch_format="pyarrow",
+                                 batch_size=8192),
+                  "bucket", {"tgt_n": ("tgt_n", "sum"),
+                             "raw_n": ("raw_n", "sum")}).to_pandas()
     tgt = np.zeros(N_DSIR_BUCKETS, dtype=np.int64)
     raw = np.zeros(N_DSIR_BUCKETS, dtype=np.int64)
-    tgt[folded["bucket"].to_numpy()] = folded["sum(tgt_n)"].to_numpy()
-    raw[folded["bucket"].to_numpy()] = folded["sum(raw_n)"].to_numpy()
+    tgt[folded["bucket"].to_numpy()] = folded["tgt_n"].to_numpy()
+    raw[folded["bucket"].to_numpy()] = folded["raw_n"].to_numpy()
     T, R = int(tgt.sum()), int(raw.sum())
     B = N_DSIR_BUCKETS
     w_mn = np.fromiter(
@@ -501,29 +502,21 @@ def dataset_split(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["doc_id", "source", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy().astype(np.uint64)
         bucket = ((ids * np.uint64(_SPLIT_MUL)) % np.uint64(1 << 32)
                   ) % np.uint64(100)
         split = np.where(bucket < 90, "train",
                          np.where(bucket < 95, "val", "test"))
-        g = pa.table({
+        return pa.table({
             "split": pa.array(split, type=pa.string()),
             "source": batch.column("source"),
-            "n_docs": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            "total_chars": batch.column("n_chars"),
-        }).group_by(["split", "source"]).aggregate(
-            [("n_docs", "sum"), ("total_chars", "sum")])
-        return g.rename_columns(["split", "source", "n_docs",
-                                 "total_chars"])
+            "n_chars": batch.column("n_chars"),
+        })
 
-    from ray.data.aggregate import Sum
-
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby(["split", "source"])
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("total_chars", alias_name="total_chars")))
+    return combine(ds, ["split", "source"],
+                   {"n_docs": ("split", "count"),
+                    "total_chars": ("n_chars", "sum")}, cells)
 
 
 _WEIGHTED_K = 50

@@ -7,6 +7,7 @@ batches, so every key's partials really cross blocks before the fold.
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 from ragnificent_ray.pipelines.combine import combine, fold, group_agg
 
@@ -119,3 +120,115 @@ def test_group_agg_on_one_table():
     assert got.column_names == KEYS + list(AGGS)
     pd.testing.assert_frame_equal(_sorted(got.to_pandas()),
                                   _sorted(_expected()), check_dtype=False)
+
+
+# --- the fold's exchange: split path, empty inputs, keys and types -------
+
+def test_split_path_equals_one_partition(ray_session, monkeypatch):
+    """At ``PARTITION_BYTES`` = 1 KiB the fold splits every block into
+    one slice per CPU and merges each partition in its own task; the
+    rows equal the one-task fold's. The rows are shuffled so that no
+    key lines up with a partial row's position."""
+    import ray
+    import ray.data as rd
+
+    from ragnificent_ray.pipelines import exchange
+
+    t = _table().take(np.random.default_rng(3).permutation(N))
+
+    def folded():
+        ds = rd.from_arrow([t.slice(o, N // 4) for o in range(0, N, N // 4)])
+        out = combine(ds, KEYS, AGGS, batch_size=16)
+        return out.num_blocks(), _sorted(out.to_pandas())
+
+    _, one = folded()
+    monkeypatch.setattr(exchange, "PARTITION_BYTES", 1 << 10)
+    n, split = folded()
+    assert n == int(ray.cluster_resources()["CPU"]) > 1
+    pd.testing.assert_frame_equal(split, one)
+    pd.testing.assert_frame_equal(split, _sorted(_expected()),
+                                  check_dtype=False)
+
+
+@pytest.mark.parametrize("partition_bytes", [1 << 10, 64 << 20])
+def test_empty_inputs_keep_key_and_aggregate_columns(
+        ray_session, monkeypatch, partition_bytes):
+    """An empty input, and partial blocks that are column-less
+    ``pa.table({})``, fold to no rows under the key and aggregate
+    columns."""
+    import ray.data as rd
+
+    from ragnificent_ray.pipelines import exchange
+
+    monkeypatch.setattr(exchange, "PARTITION_BYTES", partition_bytes)
+    empty = combine(rd.from_arrow(_table().slice(0, 0)), KEYS, AGGS)
+    columnless = fold(_dataset().map_batches(
+        lambda b: pa.table({}), batch_format="pyarrow", batch_size=16),
+        KEYS, AGGS)
+    for got in (empty, columnless):
+        assert got.columns() == KEYS + list(AGGS)
+        assert got.count() == 0
+
+
+@pytest.mark.parametrize("partition_bytes", [1 << 10, 64 << 20])
+def test_null_keys_form_one_group(ray_session, monkeypatch,
+                                  partition_bytes):
+    import ray.data as rd
+
+    from ragnificent_ray.pipelines import exchange
+
+    monkeypatch.setattr(exchange, "PARTITION_BYTES", partition_bytes)
+    k = [None if i % 3 == 0 else i % 5 for i in range(300)]
+    t = pa.table({"k": pa.array(k, type=pa.int64()),
+                  "v": pa.array(np.ones(300, dtype=np.int64))})
+    ds = rd.from_arrow([t.slice(o, 60) for o in range(0, 300, 60)])
+    got = combine(ds, "k", {"n": ("v", "sum")}, batch_size=16).to_pandas()
+    assert got["k"].isna().sum() == 1
+    assert int(got.loc[got["k"].isna(), "n"].iloc[0]) == k.count(None)
+    assert int(got["n"].sum()) == 300
+
+
+def test_string_and_timestamp_min_max(ray_session):
+    import ray.data as rd
+
+    ts = pa.array(np.datetime64("2024-01-01T00:00:00", "us")
+                  + np.arange(N).astype("timedelta64[s]"))
+    words = pa.array([f"w{(i * 37) % 101:03d}" for i in range(N)])
+    t = _table().append_column("ts", ts).append_column("w", words)
+    ds = rd.from_arrow([t.slice(o, N // 4) for o in range(0, N, N // 4)])
+    aggs = {"w_min": ("w", "min"), "w_max": ("w", "max"),
+            "ts_min": ("ts", "min"), "ts_max": ("ts", "max")}
+    got = combine(ds, "s", aggs, batch_size=16)
+    assert got.schema().base_schema.field("ts_min").type == ts.type
+    g = t.to_pandas().groupby("s")
+    want = pd.DataFrame({"w_min": g["w"].min(), "w_max": g["w"].max(),
+                         "ts_min": g["ts"].min(), "ts_max": g["ts"].max()})
+    pd.testing.assert_frame_equal(got.to_pandas().set_index("s"), want,
+                                  check_dtype=False, check_names=False)
+
+
+def test_count_over_an_all_null_group_is_zero(ray_session):
+    import ray.data as rd
+
+    t = pa.table({"k": pa.array(np.arange(200) % 2),
+                  "y": pa.array([None if i % 2 else i for i in range(200)],
+                                type=pa.int64())})
+    ds = rd.from_arrow([t.slice(o, 50) for o in range(0, 200, 50)])
+    got = combine(ds, "k", {"c": ("y", "count")}, batch_size=16)
+    assert got.to_pandas().set_index("k")["c"].to_dict() == {0: 100, 1: 0}
+
+
+def test_one_partition_output_is_sorted_by_keys(ray_session):
+    """At ``P == 1`` the fold's rows come out in key order, the order
+    a sort-based groupby gives."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(7)
+    t = pa.table({"a": pa.array(rng.integers(0, 9, 500)),
+                  "b": pa.array(rng.choice(["x", "y", "z"], 500)),
+                  "v": pa.array(np.ones(500, dtype=np.int64))})
+    ds = rd.from_arrow([t.slice(o, 100) for o in range(0, 500, 100)])
+    got = combine(ds, ["a", "b"], {"n": ("v", "sum")},
+                  batch_size=16).to_pandas()
+    keys = list(zip(got["a"], got["b"]))
+    assert keys == sorted(keys) and len(keys) == len(set(keys))

@@ -1,6 +1,7 @@
-"""The shared hash join (pipelines/exchange.py) against ``pa.Table.join``
-on the concatenated inputs, compared as sorted rows under the same
-column names.
+"""The shared hash exchange (pipelines/exchange.py): its join against
+``pa.Table.join`` on the concatenated inputs, compared as sorted rows
+under the same column names, and AST scans that keep every join and
+grouped fold of the package on it.
 
 Inputs have several blocks. ``PARTITION_BYTES`` is cut to a few bytes
 where a test needs ``P > 1``, so those joins run the split tasks and one
@@ -272,3 +273,31 @@ def test_no_query_joins_through_ray_dataset_join():
     ``Dataset.join`` starts its own hash-shuffle aggregator actors."""
     root = pathlib.Path(__file__).resolve().parents[1] / "ragnificent_ray"
     assert ray_dataset_joins(root) == []
+
+
+# the grouped aggregates of a Ray Dataset's GroupedData
+_GROUPED_AGGREGATES = {"aggregate", "sum", "count", "min", "max", "mean",
+                       "std"}
+
+
+def grouped_aggregates(root: pathlib.Path) -> list[str]:
+    """``file:line`` of every ``x.groupby(...).<aggregate>(...)`` call
+    under ``root``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _GROUPED_AGGREGATES
+                    and isinstance(node.func.value, ast.Call)
+                    and isinstance(node.func.value.func, ast.Attribute)
+                    and node.func.value.func.attr == "groupby"):
+                found.append(f"{path}:{node.lineno}")
+    return found
+
+
+def test_no_query_folds_through_ray_grouped_aggregate():
+    """Every grouped fold goes through ``combine.fold``: a Ray
+    ``groupby().aggregate()`` sort-shuffles and walks groups in Python."""
+    root = pathlib.Path(__file__).resolve().parents[1] / "ragnificent_ray"
+    assert grouped_aggregates(root) == []
