@@ -18,10 +18,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
 from ..functions.numeric import list_column_matrix, round_half_away
-from .inputs import _pq
+from .inputs import _pq, scan
 
 TOP_K = 10
 N_QUERIES = 5
@@ -45,7 +44,7 @@ def ann_topk(sf_dir: str):
     qids, qn = _query_matrix(sf_dir)
     qref = ray.put((qids, qn))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     class PartialTopK:
         def __init__(self, ref):
@@ -103,7 +102,7 @@ def ann_lsh_topk(sf_dir: str):
     qbuckets = (qn @ planes.T > 0) @ (1 << np.arange(LSH_PLANES))
     ref = ray.put((qids, qn, planes, qbuckets))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     class BucketSearch:
         def __init__(self, ref):
@@ -214,8 +213,7 @@ def search_rerank(sf_dir: str):
     qids, qn = _query_matrix(sf_dir)
     qref = ray.put((qids, qn))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     class PartialTopK:
         def __init__(self, ref):
@@ -319,8 +317,7 @@ def mmr_rerank(sf_dir: str):
 
     qids, qn = _query_matrix(sf_dir)
     qref = ray.put((qids, qn))
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     class PartialTopK:
         def __init__(self, ref):

@@ -41,10 +41,9 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data as rd
 
 from .combine import combine
-from .inputs import _pq, table_bytes
+from .inputs import scan, table_bytes
 
 BPE_ITERS = 3
 _MIN_BUCKETS = 16
@@ -70,7 +69,7 @@ def bpe_merges(sf_dir: str, iters: int = BPE_ITERS):
     (it, left_sym, right_sym, pair_count)."""
     n_buckets = _buckets(sf_dir)
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
 
     def word_partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -176,8 +175,7 @@ def bpe_token_counts(sf_dir: str, iters: int = BPE_ITERS):
     merges = [(m["left_sym"], m["right_sym"])
               for m in bpe_merges(sf_dir, iters).to_pylist()]
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def encode(batch: pa.Table) -> pa.Table:
         memo: dict[str, int] = {}
@@ -283,8 +281,7 @@ def bpe_compression_ratio(sf_dir: str, iters: int = BPE_ITERS):
     merges = [(m["left_sym"], m["right_sym"])
               for m in bpe_merges(sf_dir, iters).to_pylist()]
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["lang", "text", "n_chars"])
+    ds = scan(sf_dir, "documents", columns=["lang", "text", "n_chars"])
 
     def encode(batch: pa.Table) -> pa.Table:
         memo: dict[str, int] = {}

@@ -25,11 +25,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
 from ..functions.numeric import list_column_matrix, round_half_away
 from .combine import fold
-from .inputs import _pq
+from .inputs import _pq, scan
 
 N_CENTROIDS = 8
 
@@ -50,8 +49,7 @@ def kmeans_assign(sf_dir: str):
     squared euclidean distance to it (rounded to 4 decimals)."""
     cent_ref = ray.put(_centroids(sf_dir))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     class Assign:
         def __init__(self, ref):
@@ -122,8 +120,7 @@ def ann_ivf_topk(sf_dir: str):
     qn = q / np.linalg.norm(q, axis=1, keepdims=True)
     ref = ray.put((qids, qn, q_cells, cent, c_sq))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     class ProbeSearch:
         def __init__(self, ref):
@@ -234,8 +231,7 @@ def semantic_dedup(sf_dir: str):
     """
     cent_ref = ray.put(_centroids(sf_dir))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     class Assign:
         def __init__(self, ref):
@@ -300,8 +296,7 @@ def cluster_purity(sf_dir: str):
 
     cent_ref = ray.put(_centroids(sf_dir))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding", "label"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding", "label"])
 
     class AssignCount:
         def __init__(self, ref):
@@ -357,8 +352,7 @@ def knn_label_accuracy(sf_dir: str):
     m /= np.linalg.norm(m, axis=1, keepdims=True)
     ref = ray.put((ids, labels, m))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding", "label"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding", "label"])
 
     class Vote:
         def __init__(self, ref):
@@ -416,8 +410,7 @@ def embedding_centroid_shift(sf_dir: str):
 
     from ray.data.aggregate import Max, Min
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     mm = ds.select_columns(["vec_id"]).aggregate(
         Min("vec_id"), Max("vec_id"))
     split = (int(mm["min(vec_id)"]) + int(mm["max(vec_id)"])) // 2
@@ -649,7 +642,7 @@ def embedding_dim_stats(sf_dir: str):
     fold and a driver-side division."""
     from ..functions.numeric import round_half_away
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
         x = list_column_matrix(batch.column("embedding"),
@@ -695,7 +688,7 @@ def embedding_gram(sf_dir: str):
     oracle replays the self-join of the unnested column."""
     from ..functions.numeric import round_half_away
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
         x = list_column_matrix(batch.column("embedding"),
@@ -782,8 +775,7 @@ def int8_quantize(sf_dir: str):
     broadcast into the pass-2 quantizing map. Emits integer-exact
     ``q_l1`` (sum of |int8 code|) per vector — a bit-strength oracle
     check — plus the reconstruction ``mse``."""
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def maxabs_partial(batch: pa.Table) -> pa.Table:
         m = np.abs(list_column_matrix(batch.column("embedding"),
@@ -944,8 +936,8 @@ def kmeans_fit(sf_dir: str, k: int = N_CENTROIDS, iters: int = KM_ITERS):
                 pa.array(m.ravel(), type=pa.int64()), D),
         })
 
-    ints = rd.read_parquet(
-        _pq(sf_dir, "embeddings"), columns=["vec_id", "embedding"]
+    ints = scan(
+        sf_dir, "embeddings", columns=["vec_id", "embedding"]
     ).map_batches(to_int, batch_format="pyarrow",
                   batch_size=4096).materialize()
 
@@ -1131,8 +1123,7 @@ def pq_encode(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES):
                 "sq_dist": pa.array(best.ravel(), type=pa.int64()),
             })
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return ds.map_batches(Encode, fn_constructor_kwargs={"ref": ref},
                           batch_format="pyarrow", batch_size=4096,
                           concurrency=2)
@@ -1204,8 +1195,8 @@ def pq_train_encode(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES,
                 pa.array(mtx.ravel(), type=pa.int64()), D),
         })
 
-    ints = rd.read_parquet(
-        _pq(sf_dir, "embeddings"), columns=["vec_id", "embedding"]
+    ints = scan(
+        sf_dir, "embeddings", columns=["vec_id", "embedding"]
     ).map_batches(to_int, batch_format="pyarrow",
                   batch_size=4096).materialize()
 
@@ -1422,8 +1413,7 @@ def ann_pq_topk(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES):
             "adc": g.column("adc"),
         })
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return (ds.map_batches(PartialTopK, fn_constructor_kwargs={"ref": ref},
                            batch_format="pyarrow", batch_size=4096,
                            concurrency=2)
@@ -1517,8 +1507,7 @@ def ann_ivfpq_topk(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES):
             "adc": g.column("adc"),
         })
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return (ds.map_batches(ProbeADC, fn_constructor_kwargs={"ref": ref},
                            batch_format="pyarrow", batch_size=4096,
                            concurrency=2)
@@ -1756,8 +1745,7 @@ def ivf_cell_balance(sf_dir: str):
     c_sq = (cent * cent).sum(axis=1)
     ref = ray.put((cent, c_sq))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     class CellCount:
         def __init__(self, ref):
@@ -1862,8 +1850,8 @@ def gram_power_iteration(sf_dir: str, iters: int = PI_ITERS):
                 pa.array(m.ravel(), type=pa.int64()), d),
         })
 
-    ints = rd.read_parquet(
-        _pq(sf_dir, "embeddings"), columns=["embedding"]
+    ints = scan(
+        sf_dir, "embeddings", columns=["embedding"]
     ).map_batches(to_int, batch_format="pyarrow",
                   batch_size=4096).materialize()
 
@@ -2006,8 +1994,7 @@ def ann_ivf_probe_curve(sf_dir: str, levels: int = PROBE_LEVELS):
     qn = q / np.linalg.norm(q, axis=1, keepdims=True)
     ref = ray.put((qids, qn, prank, cent, c_sq))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     class Cand:
         def __init__(self, ref):

@@ -18,8 +18,9 @@ keys form one group.
 from __future__ import annotations
 
 import pyarrow as pa
+import ray
 
-from .exchange import exchange
+from .exchange import exchange, from_block_refs
 
 _MERGE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
@@ -59,11 +60,38 @@ def fold(ds, keys, aggs: dict):
 def combine(ds, keys, aggs: dict, cells=None, batch_size: int = 65536):
     """``map_batches(cells → group_agg)`` then :func:`fold`. ``cells``
     maps a batch to the table to group (the batch itself when None)."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
     def partial(batch: pa.Table) -> pa.Table:
         return group_agg(batch if cells is None else cells(batch),
                          keys, aggs)
 
-    return fold(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=batch_size),
-        keys, {out: (out, op) for out, (_, op) in aggs.items()})
+    merge = {out: (out, op) for out, (_, op) in aggs.items()}
+    out = fold(ds.map_batches(partial, batch_format="pyarrow",
+                              batch_size=batch_size), keys, merge)
+    if out.count() or not any(
+            pa.types.is_null(t) for t in out.schema().base_schema.types):
+        return out
+    empty = _empty_partial(ds, partial)
+    if empty is None:
+        return out
+    t = _merge(keys, merge, empty)
+    return from_block_refs([ray.put(t)], [(0, t.nbytes, t.schema)])
+
+
+def _empty_partial(ds, partial) -> pa.Table | None:
+    """``partial`` of a 0-row table of ``ds``'s schema: the types of an
+    empty input's fold. Ray runs no map over an empty block, so when no
+    input block holds a row the partials carry no columns and the fold
+    comes out null-typed.
+    Asking ``ds`` for its schema executes it when its plan cannot tell.
+    None when the schema is not Arrow's or a ``cells`` cannot take an
+    empty batch (Ray never hands it one)."""
+    schema = ds.schema()
+    base = None if schema is None else schema.base_schema
+    if not isinstance(base, pa.Schema):
+        return None
+    try:
+        return partial(base.empty_table())
+    except Exception:
+        return None

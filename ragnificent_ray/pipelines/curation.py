@@ -29,14 +29,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 
 from ..functions.hashing import md5_hex
 from ..functions.numeric import round_half_away
 from .decontam import _BENCH_MAX_ID, _bench_grams, _doc_grams
 from .combine import combine
 from .dedup import _bucket_count
-from .inputs import _pq
+from .inputs import scan
 from .textstats import (_ALPHA, _LANG_PROFILES, GOPHER_MAX_MEAN_LEN,
                         GOPHER_MAX_WORDS, GOPHER_MIN_ALPHA,
                         GOPHER_MIN_MEAN_LEN, GOPHER_MIN_STOPS,
@@ -126,7 +125,7 @@ def curate_corpus(sf_dir: str):
     auditable (and the DuckDB oracle can value-check every column)."""
     bench_ref = ray.put(_bench_grams(sf_dir))
     n_buckets = _bucket_count(sf_dir)
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     return (
         ds.map_batches(_Signals,
                        fn_constructor_kwargs={"bench_ref": bench_ref,

@@ -20,7 +20,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from .inputs import _pq
+from .inputs import _pq, scan
 
 _BENCH_MAX_ID = 20  # stand-in eval set: first 20 documents
 _NGRAM = 8
@@ -58,8 +58,7 @@ def decontaminate(sf_dir: str):
     """
     grams_ref = ray.put(_bench_grams(sf_dir))
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     class Probe:
         def __init__(self, ref):
@@ -118,8 +117,7 @@ def decontaminate_bloom(sf_dir: str):
     bloom_ref = ray.put(bits)
     exact_ref = ray.put(bench)
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     class Probe:
         def __init__(self, bloom, exact):
@@ -256,8 +254,7 @@ def decontam_span_report(sf_dir: str):
             index.setdefault(g, []).append(int(bid))
     index_ref = ray.put(index)
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     class Probe:
         def __init__(self, ref):

@@ -52,7 +52,7 @@ from ..functions.hashing import md5_hex, stable_hash64
 from ..functions.numeric import list_column_matrix, round_half_away
 from .combine import combine, fold
 from .exchange import hash_join
-from .inputs import _pq, fold_buckets, table_bytes
+from .inputs import _pq, fold_buckets, scan, table_bytes
 
 JACCARD_THRESHOLD = 0.6
 COSINE_THRESHOLD = 0.4
@@ -77,7 +77,7 @@ def exact_dedup(sf_dir: str):
     """Keep the lowest doc_id per md5(text): hash column in a vectorized
     map, then group-first over hash BUCKETS (bounded key space) with the
     per-hash dedup vectorized inside each bucket (the D3 pattern)."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     n_buckets = _bucket_count(sf_dir)
 
     def add_hash(batch: pa.Table) -> pa.Table:
@@ -116,8 +116,7 @@ def doc_prefix_dedup(sf_dir: str):
     folds keep the exchange bounded while the prefix key space is
     corpus-scale; clusters of one are dropped in-bucket so only actual
     duplicate groups ever leave."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     n_buckets = _bucket_count(sf_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -158,8 +157,7 @@ def cross_source_dup_matrix(sf_dir: str):
     vectorized self-merge per bucket bounded by |sources| per prefix,
     and the final fold is the ≤C(|sources|,2) pair key space. Exact
     integer counts."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["source", "text"])
+    ds = scan(sf_dir, "documents", columns=["source", "text"])
     n_buckets = _bucket_count(sf_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -228,8 +226,7 @@ def incremental_dedup(sf_dir: str):
     split = meta.num_rows // 2
     n_buckets = _bucket_count(sf_dir)
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def hash_existing(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.less(batch.column("doc_id"), split))
@@ -302,8 +299,7 @@ def snapshot_diff(sf_dir: str):
     split = meta.num_rows // 2
     n_buckets = _bucket_count(sf_dir)
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def keyed(batch: pa.Table) -> pa.Table:
         bit = pc.if_else(pc.less(batch.column("doc_id"), split),
@@ -370,8 +366,7 @@ def length_drift_ks(sf_dir: str):
     meta = pq_mod.read_metadata(_pq(sf_dir, "documents"))
     split = meta.num_rows // 2
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "n_chars"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def cells(b: pa.Table) -> pa.Table:
         old = pc.cast(pc.less(b.column("doc_id"), split), pa.int64())
@@ -499,7 +494,7 @@ def ngram_jaccard_pairs(sf_dir: str):
     _guard_exact_allpairs(sf_dir, "documents", "minhash_lsh_pairs")
     doc_ids, matrix = _token_matrix(sf_dir)
     mref = ray.put((doc_ids, matrix))
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     return ds.map_batches(_BlockJaccard(mref), batch_format="pyarrow",
                           batch_size=256)
 
@@ -649,7 +644,7 @@ def minhash_lsh_pairs(sf_dir: str, jaccard_threshold: float = 0.4):
     a, b = MINHASH_A, MINHASH_B
     rows_per_band = MINHASH_PERMS // LSH_BANDS
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def sketch_batch(batch: pa.Table) -> pa.Table:
         ids, shing, bands = [], [], []
@@ -760,7 +755,7 @@ def simhash64(sf_dir: str):
     engines. Semantics match the classic 64-bit SimHash with the top
     four bit positions constant-zero."""
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def sketch(batch: pa.Table) -> pa.Table:
         out = []
@@ -927,7 +922,7 @@ def embedding_neardup(sf_dir: str):
     mn = m / np.where(norms == 0, 1, norms)
     ref = ray.put((ids, mn))
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return ds.map_batches(_BlockCosine(ref), batch_format="pyarrow",
                           batch_size=256)
 
@@ -956,8 +951,7 @@ def embedding_neardup_lsh(sf_dir: str, threshold: float = COSINE_THRESHOLD,
     block-sized (the ``bands``/``bits`` knobs are the tradeoff dial)."""
     n_buckets = _bucket_count(sf_dir, table="embeddings")
 
-    ds = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                         columns=["vec_id", "embedding"])
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     _planes: dict[int, np.ndarray] = {}  # per-process (same seed → same planes)
 
@@ -1116,24 +1110,17 @@ def _ckpt_tag(tag: str, sf_dir: str) -> str:
 
 def _checkpointed(ds, tag: str):
     """Execute ``ds`` into a parquet checkpoint; returns a reader
-    ``read(columns) -> Dataset`` for column-pruned re-reads.
-
-    Re-reads pass an explicit SIZE-scaled block count (one block per
-    ~32 MiB, min one per file): Ray's default reader parallelism spends
-    ~2 s on metadata sampling plus ~200 tiny read tasks for a small
-    checkpoint (measured 2.2 s cold / 0.54 s warm vs 0.15 s with an
-    explicit count at sf0.1), while at corpus scale the same rule keeps
-    blocks at the streaming-friendly tens-of-MiB the rest of the
-    pipelines target."""
+    ``read(columns) -> Dataset`` for column-pruned re-reads. The
+    checkpoint is the directory-of-parts table ``rows`` of the tag's
+    directory, re-read by :func:`inputs.scan`, whose footer-planned
+    read starts no sampling task and sizes its blocks from the bytes
+    read (Ray's default reader spent 2.2 s cold, 0.54 s warm, on
+    sampling and ~200 tiny read tasks for a small sf0.1 checkpoint)."""
     path = _gram_ckpt_dir(tag)
-    ds.write_parquet(path)
-    files = [f for f in os.listdir(path) if f.endswith(".parquet")]
-    nbytes = sum(os.path.getsize(os.path.join(path, f)) for f in files)
-    blocks = max(len(files), 1, int(nbytes // (32 << 20)))
+    ds.write_parquet(_pq(path, "rows"))
 
     def read(columns: list[str]):
-        return rd.read_parquet(path, columns=columns,
-                               override_num_blocks=blocks)
+        return scan(path, "rows", columns=columns)
 
     return read
 
@@ -1214,7 +1201,7 @@ def duplicate_ngram_fraction(sf_dir: str, k: int = NGRAM_SPAN_K):
     (``_checkpointed``) — never parked in the object store. Gram identity is the 48-bit token-md5 Horner mix
     (``_gram_hashes``) on both sides, so the oracle hashes identically
     (collisions included)."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def grams(batch: pa.Table) -> pa.Table:
         ids, ghs, occ = [], [], []
@@ -1292,7 +1279,7 @@ def ngram_novelty(sf_dir: str, k: int = NGRAM_SPAN_K):
     the oracle hashes identically, collisions included."""
     n_buckets = _bucket_count(sf_dir)
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def grams(batch: pa.Table) -> pa.Table:
         ids, ghs = [], []
@@ -1378,7 +1365,7 @@ def dup_spans(sf_dir: str, k: int = NGRAM_SPAN_K):
     docs still report."""
     n_buckets = _bucket_count(sf_dir)
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def gram_pos(batch: pa.Table) -> pa.Table:
         ids, pos, ghs = [], [], []
@@ -1650,7 +1637,7 @@ def dedup_keep(sf_dir: str):
             "bucket": pa.array((ids % n_buckets).astype(np.int32)),
         })
 
-    docs = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id"]) \
+    docs = scan(sf_dir, "documents", columns=["doc_id"]) \
         .map_batches(doc_rows, batch_format="pyarrow", batch_size=8192)
     marks = labels.map_batches(label_rows, batch_format="pyarrow")
 
@@ -1852,8 +1839,7 @@ def winnowing_fingerprints(sf_dir: str):
     min is a vectorized stride-trick kernel per doc, gram identity is
     the 48-bit token-md5 Horner mix shared with [[ngram-novelty]] so
     the oracle hashes identically, collisions included."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def winnow(batch: pa.Table) -> pa.Table:
         n_grams, n_fp, fp_sum = [], [], []
@@ -2236,8 +2222,7 @@ def dedup_keep_best(sf_dir: str):
             "bucket": pa.array((ids % n_buckets).astype(np.int32)),
         })
 
-    docs = rd.read_parquet(_pq(sf_dir, "documents"),
-                           columns=["doc_id", "n_chars"])
+    docs = scan(sf_dir, "documents", columns=["doc_id", "n_chars"])
     members = labels.map_batches(lab_rows, batch_format="pyarrow").union(
         docs.map_batches(chr_rows, batch_format="pyarrow"))
 
@@ -2302,7 +2287,7 @@ def dedup_keep_best(sf_dir: str):
             "bucket": pa.array((ids % n_buckets).astype(np.int32)),
         })
 
-    base = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id"]) \
+    base = scan(sf_dir, "documents", columns=["doc_id"]) \
         .map_batches(doc_rows, batch_format="pyarrow", batch_size=8192)
 
     def fold(g: pa.Table) -> pa.Table:

@@ -34,11 +34,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 
 from .combine import combine
 from .exchange import hash_join
-from .inputs import _pq
+from .inputs import scan
 
 SEQ_LEN = 512  # tokens per packed training sequence
 _BUCKET_RANGE = 8192  # doc_ids per contiguous prefix bucket
@@ -78,7 +77,7 @@ def _bucket_offsets(narrow) -> "ray.ObjectRef":
 
 def sequence_pack(sf_dir: str, seq_len: int = SEQ_LEN):
     """Per-document placement in the packed fixed-length token stream."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     narrow = ds.map_batches(
         _counts_fn(False), batch_format="pyarrow",
@@ -131,7 +130,7 @@ def packed_sequences(sf_dir: str, seq_len: int = SEQ_LEN):
 
     Only segment text moves in the exchange — each token ships exactly
     once, like the shard files it would feed."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     with_text = ds.map_batches(
         _counts_fn(True), batch_format="pyarrow",
@@ -399,8 +398,7 @@ def greedy_pack_stats(sf_dir: str, cap: int = SEQ_LEN,
     ≤``shard_docs`` ints. The oracle replays the fill recurrence as a
     keyed recursive CTE."""
     n_buckets = 64
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def counts(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False) \
@@ -462,8 +460,7 @@ def curated_pack_stats(sf_dir: str, cap: int = SEQ_LEN,
         ).select(["doc_id"]),
         batch_format="pyarrow")
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def counts(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False) \

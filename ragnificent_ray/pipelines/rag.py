@@ -6,19 +6,18 @@ inter-step JSON files replaced by streaming Dataset stages."""
 from __future__ import annotations
 
 import pyarrow as pa
-import ray.data as rd
 
 from ..stages.chunk import chunk_batch
 from ..stages.embed import HashEmbedder
 from .combine import fold
-from .inputs import _pq
+from .inputs import scan
 
 
 def chunk_documents(sf_dir: str, strategy: str = "semantic",
                     chunk_size: int = 1000, chunk_overlap: int = 200):
     """documents table → chunk rows (deterministic ids; the plain-text
     path of C1/C5 since the synthetic texts carry no markdown)."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def add_url(batch: pa.Table) -> pa.Table:
         urls = [f"https://docs.test/{d}" for d in
@@ -92,7 +91,7 @@ def tfidf_embed(sf_dir: str, max_features: int = 256):
 
     from ..functions.numeric import round_half_away
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     n_docs = ds.count()
 
     def df_partial(batch: pa.Table) -> pa.Table:

@@ -4,7 +4,7 @@ Each function takes ``sf_dir`` and returns a Ray Dataset / Arrow table;
 ``ORACLE_SQL`` holds the DuckDB-equivalent statement with IDENTICAL
 column names (driver contract). Patterns exercised, scale-consciously:
 
-* column-pruned reads (``read_parquet(columns=...)``)
+* column-pruned reads (:func:`inputs.scan` with ``columns=``)
 * partial aggregation inside ``map_batches`` before the (small) keyed
   merge — the combiner pattern from SURVEY §2.6/G1, always through
   :func:`combine.combine` (``group_agg`` per batch, then ``fold``'s
@@ -28,13 +28,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 
 from ..functions.numeric import (grouped_cumcount, pc_round4,
                                  round_half_away)
 from .combine import combine, fold, group_agg
 from .exchange import hash_join
-from .inputs import _pq, fold_buckets, table_bytes
+from .inputs import _pq, fold_buckets, scan, table_bytes
 from .orderstats import histogram, order_stats, quantiles
 
 
@@ -42,8 +41,8 @@ from .orderstats import histogram, order_stats, quantiles
 
 def lineitem_agg(sf_dir: str):
     """TPC-H-Q1-shaped grouped aggregate with in-batch pre-aggregation."""
-    ds = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    ds = scan(
+        sf_dir, "lineitem",
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount"],
     )
@@ -93,8 +92,8 @@ def lineitem_agg(sf_dir: str):
 
 def top_orders(sf_dir: str):
     """sort + limit top-k (O3-style), deterministic tiebreak on key."""
-    ds = rd.read_parquet(
-        _pq(sf_dir, "orders"),
+    ds = scan(
+        sf_dir, "orders",
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
     )
     return ds.sort(["o_totalprice", "o_orderkey"],
@@ -116,8 +115,7 @@ def segment_revenue(sf_dir: str):
         cust.column("c_mktsegment").to_numpy(zero_copy_only=False),
     ))
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_custkey", "o_totalprice"])
+    ds = scan(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def join_cells(batch: pa.Table) -> pa.Table:
         # vectorized broadcast lookup (sorted keys + searchsorted;
@@ -159,8 +157,8 @@ def nation_revenue(sf_dir: str):
     (~4 lineitems/order fold early), orders to (orderkey, custkey),
     customer to (custkey, nationkey); the final groupby moves one row
     per nation per block."""
-    li = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    li = scan(
+        sf_dir, "lineitem",
         columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def li_partial(batch: pa.Table) -> pa.Table:
@@ -176,10 +174,8 @@ def nation_revenue(sf_dir: str):
             "rev": pa.array(cents * (100 - disc_bp), type=pa.int64()),
         }), "l_orderkey", {"rev": ("rev", "sum")})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey"])
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"])
+    orders = scan(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    cust = scan(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
 
     import pyarrow.parquet as pq
 
@@ -225,8 +221,7 @@ _WINDOW_AGGS = {"n_events": ("value", "count"), "sum_value": ("value", "sum")}
 def events_hourly(sf_dir: str):
     """Tumbling 1-hour window per event_type (streaming-shaped op as a
     groupby over the truncated timestamp — SURVEY §2.10 mapping)."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "ts", "value"])
+    ds = scan(sf_dir, "events", columns=["event_type", "ts", "value"])
 
     def cells(batch: pa.Table) -> pa.Table:
         # cast to second resolution: Arrow's %S emits fractional digits
@@ -267,8 +262,7 @@ def events_hopping(sf_dir: str):
     — the expansion factor (2×) happens inside the batch, never as a
     shuffle."""
     grid_us = 30 * 60 * 1_000_000
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "ts", "value"])
+    ds = scan(sf_dir, "events", columns=["event_type", "ts", "value"])
 
     def cells(batch: pa.Table) -> pa.Table:
         ts_us = batch.column("ts").cast(pa.int64()).to_numpy()
@@ -308,8 +302,7 @@ def user_activity(sf_dir: str):
     one Python call per user, which is the overhead/skew trap at scale.
     The distinct-count (nunique) is why this is map_groups rather than
     native aggregates."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "event_type", "value"])
+    ds = scan(sf_dir, "events", columns=["user_id", "event_type", "value"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         uid = b.column("user_id")
@@ -354,9 +347,9 @@ def priority_top_orders(sf_dir: str):
     ≤ k·n_blocks survivors. Ties break on ``o_orderkey`` so the rank
     column is deterministic on both sides of the oracle."""
     k = 3
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_orderpriority",
-                                  "o_totalprice"])
+    ds = scan(sf_dir, "orders",
+              columns=["o_orderkey", "o_orderpriority",
+                       "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         batch = batch.sort_by([("o_totalprice", "descending"),
@@ -396,7 +389,7 @@ def price_quantiles(sf_dir: str):
     The approximate path at 100 TB is the same histogram with the final
     interpolation read off the buckets directly."""
     qs = (0.25, 0.5, 0.75, 0.9, 0.99)
-    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_totalprice"])
+    ds = scan(sf_dir, "orders", columns=["o_totalprice"])
     cuts = quantiles(ds, "o_totalprice", qs)
     return pa.table({
         "q": pa.array(qs, type=pa.float64()),
@@ -412,8 +405,7 @@ def events_zscore(sf_dir: str):
     groupby moves one row per type per block; the tiny moments table
     broadcasts for the scoring map). Population variance, computed from
     the same algebraic expression on both engines."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_id", "event_type", "value"])
+    ds = scan(sf_dir, "events", columns=["event_id", "event_type", "value"])
 
     def moments(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -459,7 +451,7 @@ def group_quantiles(sf_dir: str):
     boundary-bucket values. No per-group full sort anywhere."""
     qs = (0.25, 0.5, 0.75, 0.9)
     col, key = "l_extendedprice", "l_returnflag"
-    ds = rd.read_parquet(_pq(sf_dir, "lineitem"), columns=[key, col])
+    ds = scan(sf_dir, "lineitem", columns=[key, col])
     cuts = quantiles(ds, col, qs, key)
     grps = sorted(cuts)
     return pa.table({
@@ -476,7 +468,7 @@ def events_seasonality(sf_dir: str):
     behind capacity planning and anomaly baselines. Pure per-batch
     Arrow temporal kernels (``day_of_week``/``hour``) pre-fold each
     block to ≤168 cells; the final fold is the bounded census."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "value"])
+    ds = scan(sf_dir, "events", columns=["ts", "value"])
 
     def cells(b: pa.Table) -> pa.Table:
         dow = pc.cast(pc.add(pc.day_of_week(b.column("ts")), 1),
@@ -526,9 +518,9 @@ def rfm_segments(sf_dir: str):
         (_RFM_ANCHOR - _dt.datetime(1970, 1, 1)).total_seconds()
     ) * 1_000_000
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_custkey", "o_orderdate",
-                                  "o_totalprice"])
+    ds = scan(sf_dir, "orders",
+              columns=["o_custkey", "o_orderdate",
+                       "o_totalprice"])
 
     def partial(b: pa.Table) -> pa.Table:
         cents = np.rint(
@@ -597,8 +589,7 @@ def events_profile(sf_dir: str):
     groupby and one driver division per column. Exactness assumes
     Σ column values < 2⁶³ per column — columns that outgrow that need
     the two-pass moments combiner (:func:`events_zscore`'s) instead."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_id", "user_id", "ts", "value"])
+    ds = scan(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
 
     def partial(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -666,8 +657,7 @@ def customer_ltv_deciles(sf_dir: str):
     qs = tuple(round(0.1 * k, 1) for k in range(1, 10))
     n_kb = fold_buckets(sf_dir, "orders")
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_custkey", "o_totalprice"])
+    ds = scan(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def partial(b: pa.Table) -> pa.Table:
         cents = np.rint(
@@ -712,7 +702,7 @@ def mad_outliers(sf_dir: str):
     ``v0 + frac·(v1 − v0)`` expression DuckDB's ``MEDIAN`` evaluates,
     so the unrounded threshold compare cannot flip a boundary row."""
     col, key = "value", "event_type"
-    ds = rd.read_parquet(_pq(sf_dir, "events"), columns=[key, col])
+    ds = scan(sf_dir, "events", columns=[key, col])
     med = {g: m[0.5] for g, m in quantiles(ds, col, (0.5,), key).items()}
     import ray as _ray
     med_ref = _ray.put(med)
@@ -771,8 +761,7 @@ def orders_monthly_growth(sf_dir: str):
     the month rollup is calendar-bounded (one row per month, never
     corpus-sized), so the LAG runs as one vectorized step on the tiny
     aggregate."""
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderdate", "o_totalprice"])
+    ds = scan(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def cells(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -812,8 +801,7 @@ def approx_distinct_pairs(sf_dir: str):
     shuffle — exactly the cost the sketch avoids at scale)."""
     from ..functions.hashing import md5_hex
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "props"])
+    ds = scan(sf_dir, "events", columns=["user_id", "props"])
 
     def distinct_hashes(batch: pa.Table) -> pa.Table:
         keys = {f"{u}|{p}" for u, p in
@@ -894,8 +882,7 @@ def hll_users_by_type(sf_dir: str):
     reported so a consumer can apply it."""
     from ..functions.hashing import md5_hex
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "user_id"])
+    ds = scan(sf_dir, "events", columns=["event_type", "user_id"])
 
     def reg_partial(batch: pa.Table) -> pa.Table:
         et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
@@ -1003,8 +990,8 @@ def hll_users_by_type(sf_dir: str):
 
 def click_events(sf_dir: str):
     """Vectorized filter + projection (Arrow compute, zero-copy)."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_id", "event_type", "value", "user_id"])
+    ds = scan(sf_dir, "events",
+              columns=["event_id", "event_type", "value", "user_id"])
     return ds.map_batches(
         lambda b: b.filter(
             pc.and_(pc.equal(b["event_type"], "click"),
@@ -1030,11 +1017,10 @@ def inactive_customers(sf_dir: str):
 
     cutoff = pa.scalar(_dt.datetime(2000, 1, 1), type=pa.timestamp("us"))
 
-    cust = rd.read_parquet(
-        _pq(sf_dir, "customer"),
+    cust = scan(
+        sf_dir, "customer",
         columns=["c_custkey", "c_name", "c_acctbal"])
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_custkey", "o_orderdate"])
+    orders = scan(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
 
     def active_keys(batch: pa.Table) -> pa.Table:
         recent = batch.filter(
@@ -1061,8 +1047,8 @@ def shipping_priority(sf_dir: str):
 
     cutoff = pa.scalar(_dt.datetime(1998, 1, 1), type=pa.timestamp("us"))
 
-    li = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    li = scan(
+        sf_dir, "lineitem",
         columns=["l_orderkey", "l_extendedprice", "l_discount",
                  "l_shipdate"])
 
@@ -1080,16 +1066,16 @@ def shipping_priority(sf_dir: str):
             "rev_e4": pa.array(cents * (100 - disc_bp), type=pa.int64()),
         }), "l_orderkey", {"rev_e4": ("rev_e4", "sum")})
 
-    orders = rd.read_parquet(
-        _pq(sf_dir, "orders"),
+    orders = scan(
+        sf_dir, "orders",
         columns=["o_orderkey", "o_custkey", "o_orderdate",
                  "o_orderpriority"],
     ).map_batches(
         lambda b: b.filter(pc.less(b.column("o_orderdate"), cutoff)),
         batch_format="pyarrow", batch_size=65536)
 
-    bld = rd.read_parquet(
-        _pq(sf_dir, "customer"), columns=["c_custkey", "c_mktsegment"]
+    bld = scan(
+        sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]
     ).map_batches(
         lambda b: b.filter(
             pc.equal(b.column("c_mktsegment"), pa.scalar("BUILDING"))
@@ -1156,8 +1142,8 @@ def promo_revenue(sf_dir: str):
     (partkey, month) before the exchange. Revenue in exact integer 1e-4
     units; the share is a ratio of two integer sums, so the oracle
     matches bit-for-bit."""
-    li = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    li = scan(
+        sf_dir, "lineitem",
         columns=["l_partkey", "l_extendedprice", "l_discount",
                  "l_shipdate"])
 
@@ -1175,8 +1161,7 @@ def promo_revenue(sf_dir: str):
             "rev_e4": pa.array(cents * (100 - disc_bp), type=pa.int64()),
         }), ["l_partkey", "month"], {"rev_e4": ("rev_e4", "sum")})
 
-    part = rd.read_parquet(_pq(sf_dir, "part"),
-                           columns=["p_partkey", "p_type"])
+    part = scan(sf_dir, "part", columns=["p_partkey", "p_type"])
 
     def split_promo(batch: pa.Table) -> pa.Table:
         # folded to one row per month IN-BATCH: month cardinality is
@@ -1238,8 +1223,8 @@ def region_supplier_revenue(sf_dir: str):
     s_nat = sup.column("s_nationkey").to_numpy()
     lookup_ref = ray.put((s_keys, n_name[s_nat], r_name[s_nat]))
 
-    ds = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    ds = scan(
+        sf_dir, "lineitem",
         columns=["l_suppkey", "l_extendedprice", "l_discount"])
 
     def join_cells(batch: pa.Table) -> pa.Table:
@@ -1281,8 +1266,7 @@ def distinct_users_salted(sf_dir: str, n_salts: int = 16):
     per-salt counts — exact, no set ever crosses the wire twice.
     (Algebraic aggregates get the combiner treatment elsewhere; this is
     the pattern for the aggregates combiners can't fold.)"""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "event_type"])
+    ds = scan(sf_dir, "events", columns=["user_id", "event_type"])
 
     def partial(b: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -1327,8 +1311,7 @@ def customer_order_counts(sf_dir: str):
     cutoff = pa.scalar(_dt.datetime(2000, 1, 1), type=pa.timestamp("us"))
     n_buckets = 64
 
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_name"])
+    cust = scan(sf_dir, "customer", columns=["c_custkey", "c_name"])
 
     def cust_rows(b: pa.Table) -> pa.Table:
         key = b.column("c_custkey").to_numpy()
@@ -1340,8 +1323,7 @@ def customer_order_counts(sf_dir: str):
             "kb": pa.array((key % n_buckets).astype(np.int32)),
         })
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_custkey", "o_orderdate"])
+    orders = scan(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
 
     def count_rows(b: pa.Table) -> pa.Table:
         recent = b.filter(
@@ -1394,8 +1376,7 @@ def props_numeric_agg(sf_dir: str):
     over the zero-copy Arrow column (no per-row json.loads loop, no
     pandas conversion); rows that don't parse are dropped identically
     on both sides. Sums stay int64-exact; only the mean is rounded."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "props"])
+    ds = scan(sf_dir, "events", columns=["event_type", "props"])
 
     def cells(b: pa.Table) -> pa.Table:
         m = pc.extract_regex(b.column("props"),
@@ -1451,9 +1432,9 @@ def revenue_rollup(sf_dir: str):
         names[cust.column("c_nationkey").to_numpy()],
     ))
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_custkey", "o_orderdate",
-                                  "o_totalprice"])
+    ds = scan(sf_dir, "orders",
+              columns=["o_custkey", "o_orderdate",
+                       "o_totalprice"])
 
     def base_cells(batch: pa.Table) -> pa.Table:
         keys, nations = ray.get(lookup_ref)
@@ -1506,8 +1487,7 @@ def price_quantity_corr(sf_dir: str):
     moments to float ONCE, mirroring the oracle's HUGEINT arithmetic."""
     import math
 
-    ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_quantity", "l_extendedprice"])
+    ds = scan(sf_dir, "lineitem", columns=["l_quantity", "l_extendedprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         q = np.round(batch.column("l_quantity").to_numpy()) \
@@ -1561,8 +1541,7 @@ def k_anonymity(sf_dir: str):
     catalog-bounded: |nations|×|segments|), one bounded fold sums
     class sizes, and the count-of-counts is a second ≤|classes|-key
     fold — all exact integers, nothing rides a float."""
-    ds = rd.read_parquet(_pq(sf_dir, "customer"),
-                         columns=["c_nationkey", "c_mktsegment"])
+    ds = scan(sf_dir, "customer", columns=["c_nationkey", "c_mktsegment"])
 
     def cells(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1599,7 +1578,7 @@ def benford_order_totals(sf_dir: str):
     driver-side."""
     import math
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_totalprice"])
+    ds = scan(sf_dir, "orders", columns=["o_totalprice"])
 
     def cells(b: pa.Table) -> pa.Table:
         v = np.floor(b.column("o_totalprice").to_numpy()).astype(np.int64)
@@ -1678,11 +1657,11 @@ def supplier_wilson_rank(sf_dir: str):
             "ts": pa.array(ship),
         })
 
-    orders = rd.read_parquet(
-        _pq(sf_dir, "orders"), columns=["o_orderkey", "o_orderdate"]
+    orders = scan(
+        sf_dir, "orders", columns=["o_orderkey", "o_orderdate"]
     ).map_batches(order_rows, batch_format="pyarrow", batch_size=65536)
-    lines = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    lines = scan(
+        sf_dir, "lineitem",
         columns=["l_orderkey", "l_suppkey", "l_shipdate"]
     ).map_batches(line_rows, batch_format="pyarrow", batch_size=65536)
 
@@ -1781,11 +1760,11 @@ def order_size_regression(sf_dir: str):
             "v": pa.array(q),
         })
 
-    orders = rd.read_parquet(
-        _pq(sf_dir, "orders"), columns=["o_orderkey", "o_totalprice"]
+    orders = scan(
+        sf_dir, "orders", columns=["o_orderkey", "o_totalprice"]
     ).map_batches(order_rows, batch_format="pyarrow", batch_size=65536)
-    lines = rd.read_parquet(
-        _pq(sf_dir, "lineitem"), columns=["l_orderkey", "l_quantity"]
+    lines = scan(
+        sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"]
     ).map_batches(line_rows, batch_format="pyarrow", batch_size=65536)
 
     _M = ("n", "s1", "s2", "s11", "s12", "s22", "sy", "s1y", "s2y", "yy")
@@ -1866,8 +1845,8 @@ def part_price_trend(sf_dir: str):
     per part) — O(catalog) narrow rows, never corpus rows. Parts with
     a single distinct ship day have zero x-variance and are dropped
     by the same integer test on both engines."""
-    ds = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    ds = scan(
+        sf_dir, "lineitem",
         columns=["l_partkey", "l_shipdate", "l_extendedprice"])
     n_buckets = 64
 
@@ -1929,8 +1908,8 @@ def customer_running_total(sf_dir: str):
     customer's order history fits in a worker's heap."""
     n_buckets = max(64, int(table_bytes(sf_dir, "orders") // (32 << 20)) + 1)
 
-    ds = rd.read_parquet(
-        _pq(sf_dir, "orders"),
+    ds = scan(
+        sf_dir, "orders",
         columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
@@ -1989,8 +1968,8 @@ def late_suppliers(sf_dir: str):
     is always the bucket count, never |orders| or |supplier|."""
     n_buckets = max(64, int(table_bytes(sf_dir, "lineitem") // (32 << 20)) + 1)
 
-    orders = rd.read_parquet(
-        _pq(sf_dir, "orders"),
+    orders = scan(
+        sf_dir, "orders",
         columns=["o_orderkey", "o_orderdate", "o_orderstatus"])
 
     def order_rows(b: pa.Table) -> pa.Table:
@@ -2005,8 +1984,8 @@ def late_suppliers(sf_dir: str):
             "bucket": pa.array((ok % n_buckets).astype(np.int32)),
         })
 
-    li = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    li = scan(
+        sf_dir, "lineitem",
         columns=["l_orderkey", "l_suppkey", "l_shipdate"])
 
     def li_rows(b: pa.Table) -> pa.Table:
@@ -2093,8 +2072,8 @@ def idle_customer_balance(sf_dir: str):
 
     cutoff = pa.scalar(_dt.datetime(2001, 1, 1), type=pa.timestamp("us"))
 
-    cust = rd.read_parquet(
-        _pq(sf_dir, "customer"),
+    cust = scan(
+        sf_dir, "customer",
         columns=["c_custkey", "c_acctbal", "c_mktsegment"])
 
     def bal_partial(b: pa.Table) -> pa.Table:
@@ -2123,8 +2102,7 @@ def idle_customer_balance(sf_dir: str):
             pc.greater_equal(b.column("o_orderdate"), cutoff))
         return pa.table({"o_custkey": pc.unique(recent.column("o_custkey"))})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_custkey", "o_orderdate"])
+    orders = scan(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
     act = orders.map_batches(active_keys, batch_format="pyarrow",
                              batch_size=65536)
     idle = hash_join(cust.map_batches(above_avg, batch_format="pyarrow",
@@ -2168,8 +2146,8 @@ def orders_pivot(sf_dir: str):
     aggregation. The column set is CALENDAR-BOUNDED (fixed year range),
     so the wide schema is a constant — the reshape never depends on the
     data."""
-    ds = rd.read_parquet(
-        _pq(sf_dir, "orders"),
+    ds = scan(
+        sf_dir, "orders",
         columns=["o_orderpriority", "o_orderdate", "o_totalprice"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2222,7 +2200,7 @@ def events_quantile_sketch(sf_dir: str):
 
     from ray.data.aggregate import Count, Max, Min
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["value"])
+    ds = scan(sf_dir, "events", columns=["value"])
     mm = ds.aggregate(Min("value"), Max("value"), Count())
     lo, hi = float(mm["min(value)"]), float(mm["max(value)"])
     n = int(mm["count()"])
@@ -2336,9 +2314,9 @@ def _class_segments(sf_dir: str):
     """Customers per (nation, balance band, segment) cell — the
     catalog-bounded quasi-id × sensitive census under l-diversity and
     t-closeness."""
-    ds = rd.read_parquet(_pq(sf_dir, "customer"),
-                         columns=["c_nationkey", "c_acctbal",
-                                  "c_mktsegment"])
+    ds = scan(sf_dir, "customer",
+              columns=["c_nationkey", "c_acctbal",
+                       "c_mktsegment"])
 
     def cells(b: pa.Table) -> pa.Table:
         cents = np.rint(
@@ -2367,7 +2345,7 @@ def key_skew_audit(sf_dir: str):
     vector — bounded by the supplier catalog, the ONLY driver-side
     hold — and the Gini is the doclen_gini rank formula on exact
     integers with one float expression mirroring the oracle."""
-    ds = rd.read_parquet(_pq(sf_dir, "lineitem"), columns=["l_suppkey"])
+    ds = scan(sf_dir, "lineitem", columns=["l_suppkey"])
 
     def cells(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -2462,8 +2440,7 @@ def fk_integrity_audit(sf_dir: str):
 
     parts = []
     for tbl, rels in roles.items():
-        ds = rd.read_parquet(_pq(sf_dir, tbl),
-                             columns=sorted({c for _, c, _ in rels}))
+        ds = scan(sf_dir, tbl, columns=sorted({c for _, c, _ in rels}))
 
         def tagged_partial(b: pa.Table, _rels=tuple(rels)) -> pa.Table:
             outs = []
@@ -2631,7 +2608,7 @@ def value_psi(sf_dir: str):
 
     from ray.data.aggregate import Max, Min
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "value"])
+    ds = scan(sf_dir, "events", columns=["ts", "value"])
 
     def mm_partial(b: pa.Table) -> pa.Table:
         us = b.column("ts").cast(pa.int64()).to_numpy()
@@ -2703,7 +2680,7 @@ def hill_tail_index(sf_dir: str):
     association order."""
     import math
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_totalprice"])
+    ds = scan(sf_dir, "orders", columns=["o_totalprice"])
 
     def cents(b: pa.Table) -> pa.Table:
         return pa.table({"c": pa.array(
@@ -2743,8 +2720,7 @@ def mannwhitney_order_values(sf_dir: str):
     window-function replay."""
     import math
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_totalprice"])
+    ds = scan(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
 
     n_kb = fold_buckets(sf_dir, "orders")
 
@@ -2880,8 +2856,7 @@ def bootstrap_median_ci(sf_dir: str):
     from ..functions.hashing import md5_hex
 
     n_kb = fold_buckets(sf_dir, "orders")
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_totalprice"])
+    ds = scan(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
     thr = np.array(_POISSON_T40, dtype=np.int64)
 
     mix = np.array(_BOOT_MIX, dtype=np.uint64)
@@ -3010,8 +2985,7 @@ def weekday_anova(sf_dir: str):
     convert the exact moments with the oracle's identical float
     expression — the only float sums are over SEVEN group terms,
     absorbed by the 4-dp round."""
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderdate", "o_totalprice"])
+    ds = scan(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(b: pa.Table) -> pa.Table:
         days = (b.column("o_orderdate").to_numpy()
@@ -3830,7 +3804,7 @@ def range_partition_manifest(sf_dir: str, parts: int = RANGE_PARTS):
     fetch), the count pass folds ≤``parts`` cells per block, and only
     the tiny manifest reaches the driver."""
     col = "o_totalprice"
-    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=[col])
+    ds = scan(sf_dir, "orders", columns=[col])
 
     def to_cents(batch: pa.Table) -> np.ndarray:
         return np.rint(

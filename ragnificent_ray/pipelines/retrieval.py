@@ -32,11 +32,10 @@ from collections import Counter
 import pandas as pd
 import numpy as np
 import pyarrow as pa
-import ray.data as rd
 
 from ..functions.hashing import stable_hash64
 from ..functions.numeric import round_half_away
-from .inputs import _pq
+from .inputs import scan
 
 # fixed benchmark queries (terms exist in the synthetic corpus vocabulary)
 BM25_QUERIES: dict[int, tuple[str, ...]] = {
@@ -57,7 +56,7 @@ def _corpus_stats(sf_dir: str) -> tuple[int, float, dict[str, int]]:
     """(n_docs, avgdl, per-term DF) in one streaming pass — one partial
     row per block reaches the driver."""
     terms = _all_terms()
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -139,7 +138,7 @@ def bm25_topk(sf_dir: str):
             "score": g.column("score"),
         })
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     return (
         ds.map_batches(score_block, batch_format="pyarrow", batch_size=8192)
         .groupby("query_id")
@@ -202,7 +201,7 @@ def inverted_index(sf_dir: str):
     import hashlib
 
     n_buckets = 64
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def pairs(batch: pa.Table) -> pa.Table:
         out_t, out_d, out_b = [], [], []

@@ -21,7 +21,7 @@ import ray.data as rd
 
 from ..functions.hashing import md5_hex
 from .combine import combine, fold
-from .inputs import _pq
+from .inputs import scan
 
 # per-stratum keep rates in percent (default 100 = keep everything);
 # the canonical downsample-the-head curation move
@@ -39,8 +39,7 @@ def stratified_sample(sf_dir: str):
 
     Keeps a document iff its md5-derived 0-99 bucket falls below the
     stratum's keep rate (``STRATA_RATES`` by ``lang``, default 100)."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "lang"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "lang"])
 
     def keep(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -76,8 +75,7 @@ def mix_sample(sf_dir: str):
     per source (bounded — sources are a catalog, not a corpus), the
     driver computes T from that tiny frame, and the keep pass is a
     pure per-batch filter. Nothing corpus-sized leaves the stream."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "source"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "source"])
 
     counts = combine(ds, "source", {"n": ("doc_id", "count")}).to_pandas()
     cmap = dict(zip(counts["source"], counts["n"].astype(int)))
@@ -110,8 +108,7 @@ def per_source_cap(sf_dir: str):
     to at most K rows per source BEFORE the shuffle, so the groupby
     moves O(K·sources·blocks) tiny rows no matter the corpus size, then
     each (bounded) source group takes its final K. No global sort."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "source"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "source"])
 
     def partial_topk(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -160,8 +157,7 @@ def _dsir_weights_table(sf_dir: str) -> "object":
 
     import numpy as np
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["lang", "text"])
+    ds = scan(sf_dir, "documents", columns=["lang", "text"])
 
     def count_partial(batch: pa.Table) -> pa.Table:
         tgt = np.zeros(N_DSIR_BUCKETS, dtype=np.int64)
@@ -214,8 +210,7 @@ def dsir_weights(sf_dir: str):
 
     w_mn = _dsir_weights_table(sf_dir)
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def score(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -333,8 +328,7 @@ def reservoir_sample(sf_dir: str):
     (a combiner — O(k) rows out per block regardless of block size),
     then one tiny single-group merge takes the global k. No shuffle of
     corpus-sized data, no driver-side pass, no randomness."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "source", "lang"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "source", "lang"])
 
     def partial_kmin(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -383,7 +377,7 @@ def balanced_sample(sf_dir: str):
     import pandas as pd
 
     cols = ["doc_id", "lang"]
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=cols)
+    ds = scan(sf_dir, "documents", columns=cols)
 
     def hist_rows(cell_of, flt=None):
         def fn(batch: pa.Table) -> pa.Table:
@@ -499,8 +493,7 @@ def dataset_split(sf_dir: str):
     combiners; the final fold is the ≤3×|sources| key space."""
     import numpy as np
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "source", "n_chars"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
 
     def cells(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy().astype(np.uint64)
@@ -539,8 +532,7 @@ def weighted_sample(sf_dir: str):
     ln on both engines; ties broken by doc_id."""
     import numpy as np
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "source", "n_chars"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
 
     def partial_topk(b: pa.Table) -> pa.Table:
         b = b.filter(pc.greater(b.column("n_chars"), 0))  # w must be > 0
@@ -605,8 +597,7 @@ def split_leakage_audit(sf_dir: str):
 
     from .dedup import _PREFIX_LEN, _bucket_count
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     n_buckets = _bucket_count(sf_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -684,8 +675,7 @@ def seeded_shuffle_manifest(sf_dir: str, epoch: int = 0):
     order (the resume cursor). Bucket-count uniformity IS the skew
     audit: each doc lands in a bucket with probability 1/64
     independent of doc_id locality."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "n_chars"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def partial(batch: pa.Table) -> pa.Table:
         import numpy as np

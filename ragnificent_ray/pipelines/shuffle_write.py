@@ -32,7 +32,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..functions.hashing import md5_hex
-from .inputs import _pq
+from .inputs import scan
 from .sampling import _SHUFFLE_KEY_BITS, SHUFFLE_BUCKETS
 
 
@@ -65,7 +65,7 @@ def shuffle_write(sf_dir: str, out_dir: str, epoch: int = 0,
     todo_arr = np.zeros(n_buckets, dtype=bool)
     todo_arr[todo] = True
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"))
+    ds = scan(sf_dir, "documents")
 
     def key_and_prune(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()

@@ -26,11 +26,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
 
 from ..functions.numeric import grouped_cumcount, round_half_away
 from .combine import combine, fold, group_agg
-from .inputs import _pq, table_bytes
+from .inputs import scan, table_bytes
 
 _SESSION_GAP_US = 1_800_000_000  # 30-minute session gap
 _MIN_BUCKETS = 64
@@ -80,8 +79,7 @@ def sessionize(sf_dir: str):
     variant is ``relational.events_hourly``.
     """
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_id", "value"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         bucket = b.column("user_id").to_numpy() % n_buckets
@@ -176,12 +174,12 @@ def user_order_asof(sf_dir: str):
             "price": pa.array(np.zeros(b.num_rows, dtype=np.float64)),
         })
 
-    orders = rd.read_parquet(
-        _pq(sf_dir, "orders"),
+    orders = scan(
+        sf_dir, "orders",
         columns=["o_custkey", "o_orderdate", "o_totalprice"],
     ).map_batches(tag_orders, batch_format="pyarrow", batch_size=65536)
-    events = rd.read_parquet(
-        _pq(sf_dir, "events"),
+    events = scan(
+        sf_dir, "events",
         columns=["user_id", "ts", "event_id"],
     ).map_batches(tag_events, batch_format="pyarrow", batch_size=65536)
 
@@ -246,8 +244,7 @@ def user_rolling_avg(sf_dir: str):
     as :func:`sessionize`; the per-bucket rolling mean is one
     vectorized pandas kernel, never per-user Python."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_id", "value"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         bucket = b.column("user_id").to_numpy() % n_buckets
@@ -308,8 +305,8 @@ def purchase_attribution(sf_dir: str):
     Inner semantics: purchases with no prior event in-window drop out.
     """
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(
-        _pq(sf_dir, "events"),
+    ds = scan(
+        sf_dir, "events",
         columns=["user_id", "ts", "event_id", "event_type", "value"])
 
     def tag(b: pa.Table) -> pa.Table:
@@ -401,8 +398,7 @@ def events_funnel(sf_dir: str):
     bucket emits ONE partial count row, and the driver only ever sees
     the per-bucket partials. Output is three rows: stage, users
     reaching it, conversion from the previous stage."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "event_type", "ts"])
+    ds = scan(sf_dir, "events", columns=["user_id", "event_type", "ts"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -461,7 +457,7 @@ def trending_items(sf_dir: str):
     the bucket group — the shuffle moves one row per (block, window,
     item), never per event.""" % TRENDING_K
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "props"])
+    ds = scan(sf_dir, "events", columns=["ts", "props"])
 
     def partial(batch: pa.Table) -> pa.Table:
         win = pc.strftime(
@@ -524,8 +520,7 @@ def active_sessions_hourly(sf_dir: str):
     user for sessionization and by hour for the count, one bounded
     exchange each."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_id"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts", "event_id"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         bucket = b.column("user_id").to_numpy() % n_buckets
@@ -605,8 +600,7 @@ def rolling_active_users(sf_dir: str):
     CALENDAR-BOUNDED day key space. Output days are exactly those with
     a nonempty trailing window, so no max-date clamp pass is needed."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts"])
 
     def day_user(b: pa.Table) -> pa.Table:
         # per-batch distinct (day, user) combiner
@@ -718,8 +712,7 @@ def interarrival_histogram(sf_dir: str):
     boundary error at exact powers would disagree with the oracle's
     string length)."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_id"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts", "event_id"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         bucket = b.column("user_id").to_numpy() % n_buckets
@@ -764,8 +757,7 @@ def events_late_arrival_stats(sf_dir: str):
     max-regression) row before the final bounded fold to a single
     corpus row. Regressions compare in exact integer microseconds."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_id"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts", "event_id"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         bucket = b.column("user_id").to_numpy() % n_buckets
@@ -820,9 +812,9 @@ def _pair_partials(sf_dir: str):
     (deterministic (ts, event_id) tiebreak) and each bucket pre-counts
     its pairs, so at most |types|² rows per bucket leave it."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_id",
-                                  "event_type"])
+    ds = scan(sf_dir, "events",
+              columns=["user_id", "ts", "event_id",
+                       "event_type"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         bucket = b.column("user_id").to_numpy() % n_buckets
@@ -915,8 +907,7 @@ def events_burstiness(sf_dir: str):
     HUGEINT expression."""
     from ray.data.aggregate import Max, Min
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "ts"])
+    ds = scan(sf_dir, "events", columns=["event_type", "ts"])
 
     span = ds.map_batches(
         lambda b: pa.table({"hr": pa.array(
@@ -973,7 +964,7 @@ def events_changepoint(sf_dir: str):
     census folds distributed (one cell per (hour) per block); the
     series walk is driver-side on ≤|hours| rows — the documented
     calendar-bounded-matrix pattern."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts"])
+    ds = scan(sf_dir, "events", columns=["ts"])
     hourly = _hourly_counts(ds, []).sort("hr").take_all()
     hr = np.array([r["hr"] for r in hourly], dtype=np.int64)
     c = np.array([r["c"] for r in hourly], dtype=np.int64)
@@ -1020,9 +1011,9 @@ def kaplan_meier_reorder(sf_dir: str):
     product multiplies the same IEEE factors in the same (time) order
     as the oracle's windowed ``product()``."""
     n_buckets = _bucket_count(sf_dir, ("orders",))
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_custkey", "o_orderdate",
-                                  "o_orderkey"])
+    ds = scan(sf_dir, "orders",
+              columns=["o_custkey", "o_orderdate",
+                       "o_orderkey"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         return b.append_column("bucket", pa.array(
@@ -1132,8 +1123,7 @@ def ab_conversion_ztest(sf_dir: str):
     identical term-for-term to the oracle's — touches floats only in
     the final single-row fold."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_type"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
     user_partial = _user_day_conversions(n_buckets)
 
@@ -1194,8 +1184,7 @@ def purchase_did(sf_dir: str):
     int64 cells; the four rates and Δ touch floats only in the final
     single-row fold, term-identical to the oracle."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_type"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
     from ray.data.aggregate import Max, Min
 
@@ -1317,8 +1306,7 @@ def ab_cuped(sf_dir: str):
     exact integer ratio divided once, and every later float mirrors
     the oracle term-for-term."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_type"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
     ev_sums = {"n_ev": ("n_ev", "sum"), "n_pur": ("n_pur", "sum")}
 
@@ -1502,9 +1490,9 @@ def session_path_topk(sf_dir: str):
     distributed sort-limit on the bounded path key space. Exact
     integer counts; deterministic (n DESC, path) order."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_id",
-                                  "event_type"])
+    ds = scan(sf_dir, "events",
+              columns=["user_id", "ts", "event_id",
+                       "event_type"])
 
     def add_bucket(b: pa.Table) -> pa.Table:
         bucket = b.column("user_id").to_numpy() % n_buckets
@@ -1593,9 +1581,9 @@ def churn_labels(sf_dir: str):
     the label fold per user inside the group from exact integers —
     the oracle replays the identical split arithmetic."""
     n_buckets = _bucket_count(sf_dir, ("events",))
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_type",
-                                  "value"])
+    ds = scan(sf_dir, "events",
+              columns=["user_id", "ts", "event_type",
+                       "value"])
 
     from ray.data.aggregate import Max, Min
 
@@ -1757,7 +1745,7 @@ ACF_MAX_LAG = 7
 def _daily_order_counts(sf_dir: str) -> tuple[int, np.ndarray]:
     """(first epoch day, orders per day) over the calendar-filled
     [min, max] order-date range — empty days are real zeros."""
-    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_orderdate"])
+    ds = scan(sf_dir, "orders", columns=["o_orderdate"])
 
     def cells(b: pa.Table) -> pa.Table:
         days = (b.column("o_orderdate").to_numpy()
@@ -1949,8 +1937,7 @@ def events_watermark_windows(sf_dir: str,
 
     lateness_us = int(lateness_s) * 1_000_000
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_id", "ts"])
+    ds = scan(sf_dir, "events", columns=["event_id", "ts"])
 
     def _arrival(b: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ids = b.column("event_id").to_numpy(
@@ -2469,8 +2456,7 @@ def cohort_retention(sf_dir: str):
     from exact integer counts."""
     _WEEK_US = 7 * 24 * 3600 * 1_000_000
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts"])
+    ds = scan(sf_dir, "events", columns=["user_id", "ts"])
 
     def partial(b: pa.Table) -> pa.Table:
         week = (_ts_us(b.column("ts").to_pandas()) // _WEEK_US)

@@ -14,11 +14,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from .combine import combine, fold, group_agg
-from .inputs import _pq, table_bytes
+from .inputs import scan, table_bytes
 from .orderstats import boundary_rows, histogram
 
 
@@ -48,7 +47,7 @@ _BPEISH = re.compile(r"\w+|[^\w\s]")
 def token_stats(sf_dir: str):
     """Per-document token counts (whitespace tokenization) + average
     token length — SQL-oracle-checkable."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def stats(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -71,7 +70,7 @@ def token_stats(sf_dir: str):
 def quality_scores(sf_dir: str):
     """Stopword-ratio quality signal (length/stopword heuristics the
     reference-scale pipelines use for corpus filtering)."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     stops = set(STOPWORDS)
 
     def score(batch: pa.Table) -> pa.Table:
@@ -121,7 +120,7 @@ class LangId:
 
 
 def lang_id(sf_dir: str):
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     return ds.map_batches(LangId, batch_format="pyarrow", batch_size=8192,
                           concurrency=2)
 
@@ -129,7 +128,7 @@ def lang_id(sf_dir: str):
 def token_count_bpeish(sf_dir: str):
     """Token counting with a BPE-ish regex (words + punctuation marks),
     the second tokenizer the brief asks for."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def count(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -149,7 +148,7 @@ def fingerprints(sf_dir: str):
     DuckDB oracle, not just row-counted."""
     from ..functions.hashing import md5_hex
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def fp(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -214,8 +213,7 @@ def doc_length_histogram(sf_dir: str):
     engines (``len(str(n))`` ≡ ``LENGTH(CAST(n AS VARCHAR))``), unlike
     a float ``log10`` boundary. Pure metadata scan (``n_chars`` column
     only — text bytes never leave storage) + one ≤20-key fold."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "n_chars"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def cells(b: pa.Table) -> pa.Table:
         n = b.column("n_chars").to_numpy()
@@ -258,8 +256,7 @@ def doclen_gini(sf_dir: str):
     int64 at ~10¹⁰ docs); floats appear only in the final ratio,
     mirroring the oracle's HUGEINT→DOUBLE cast. Pure metadata scan —
     text bytes never leave storage."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["source", "n_chars"])
+    ds = scan(sf_dir, "documents", columns=["source", "n_chars"])
 
     def partial(b: pa.Table) -> pa.Table:
         return group_agg(pa.table({
@@ -312,7 +309,7 @@ def normalize_text(sf_dir: str):
     list_filter lambda."""
     import hashlib
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def norm(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -340,7 +337,7 @@ def repetition_scores(sf_dir: str):
     map, no shuffle."""
     from collections import Counter
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def score(batch: pa.Table) -> pa.Table:
         dup_fracs, top_fracs = [], []
@@ -379,7 +376,7 @@ def gopher_quality_filter(sf_dir: str):
     non-destructive, so the filter decision is auditable downstream.
     Pure per-batch map, no shuffle; thresholds compare the ROUNDED
     signals so the oracle's arithmetic is byte-identical."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     stops = frozenset(STOPWORDS)
 
     def score(batch: pa.Table) -> pa.Table:
@@ -432,9 +429,9 @@ def pii_scan(sf_dir: str):
     BEFORE redaction: count first so drop-vs-redact policies (and the
     oracle) can value-check, then ``redact_sensitive_data`` scrubs.
     Pure per-batch map with module-compiled regexes, no shuffle."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def scan(batch: pa.Table) -> pa.Table:
+    def count_pii(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
         cols: dict = {"doc_id": batch["doc_id"]}
         counts = {k: [len(p.findall(t)) for t in texts]
@@ -446,7 +443,7 @@ def pii_scan(sf_dir: str):
              for i in range(len(texts))], type=pa.int64())
         return pa.table(cols)
 
-    return ds.map_batches(scan, batch_format="pyarrow", batch_size=8192)
+    return ds.map_batches(count_pii, batch_format="pyarrow", batch_size=8192)
 
 
 def vocab_top(sf_dir: str):
@@ -460,7 +457,7 @@ def vocab_top(sf_dir: str):
     stable on both sides of the oracle."""
     from collections import Counter
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
 
     def partial_df(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -497,7 +494,7 @@ def zipf_fit(sf_dir: str):
     regression then runs on exactly 100 driver rows. Ranks and counts
     are exact integers on both engines; ln() is libm on both; the
     4-dp rounding absorbs the float-sum association order."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
     top = (_token_counts(ds)
            .sort(["n", "token"], descending=[True, False])
            .limit(ZIPF_TOPK)
@@ -543,8 +540,7 @@ def naive_bayes_source(sf_dir: str):
 
     from ..functions.hashing import md5_hex
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["source", "text"])
+    ds = scan(sf_dir, "documents", columns=["source", "text"])
 
     def count_partial(batch: pa.Table) -> pa.Table:
         per: dict[str, np.ndarray] = {}
@@ -620,8 +616,7 @@ def naive_bayes_source(sf_dir: str):
 def _lang_source_counts(sf_dir: str):
     """Documents per (lang, source) cell — the catalog-bounded
     contingency table under the lang × source dependency tests."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["lang", "source"])
+    ds = scan(sf_dir, "documents", columns=["lang", "source"])
 
     def cells(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -682,7 +677,7 @@ def bigram_top(sf_dir: str):
     cutoff."""
     from collections import Counter
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -727,7 +722,7 @@ def heavy_hitter_tokens(sf_dir: str):
     """
     from collections import Counter
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
 
     def mg_partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -788,7 +783,7 @@ def countmin_tokens(sf_dir: str):
 
     from ..functions.hashing import md5_hex
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
 
     def _h(d: int, tok: str) -> int:
         return int(md5_hex(f"{d}|{tok}")[:15], 16) % CM_W
@@ -864,8 +859,8 @@ def fuzzy_name_pairs(sf_dir: str):
 
     _B = 64
 
-    brands = rd.read_parquet(_pq(sf_dir, "part"), columns=["p_brand"])
-    snames = rd.read_parquet(_pq(sf_dir, "supplier"), columns=["s_name"])
+    brands = scan(sf_dir, "part", columns=["p_brand"])
+    snames = scan(sf_dir, "supplier", columns=["s_name"])
 
     def vocab_partial(col):
         def inner(batch: pa.Table) -> pa.Table:
@@ -961,7 +956,7 @@ def bigram_logprob(sf_dir: str):
     import numpy as np
     import ray
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     uni = _token_counts(ds).to_pandas()
     vsize = len(uni)
@@ -1016,8 +1011,7 @@ def source_mixture(sf_dir: str):
     size."""
     from collections import defaultdict
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["source", "text"])
+    ds = scan(sf_dir, "documents", columns=["source", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         docs: dict = defaultdict(int)
@@ -1055,8 +1049,7 @@ def lang_confusion(sf_dir: str):
     tiny two-key groupby folds the partial counts."""
     from collections import Counter
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text", "lang"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     profiles = {k: frozenset(v) for k, v in _LANG_PROFILES.items()}
 
     def guess_and_count(batch: pa.Table) -> pa.Table:
@@ -1094,7 +1087,7 @@ def _fit_unigram_model(sf_dir: str):
     import numpy as np
     import ray
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
     counts = _token_counts(ds).to_pandas()
     total = int(counts["n"].sum())
     vsize = len(counts)
@@ -1118,7 +1111,7 @@ def unigram_logprob(sf_dir: str):
     import numpy as np
     import ray
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     ref = _fit_unigram_model(sf_dir)
 
     class Score:
@@ -1175,7 +1168,7 @@ def pmi_bigrams(sf_dir: str):
 
     from collections import Counter
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
 
     def uni_partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -1248,8 +1241,7 @@ def perplexity_buckets(sf_dir: str):
     import ray
 
     ref = _fit_unigram_model(sf_dir)
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["text", "lang"])
+    ds = scan(sf_dir, "documents", columns=["text", "lang"])
 
     class Cells:
         def __init__(self, ref):
@@ -1447,10 +1439,9 @@ def keyword_topk(sf_dir: str):
     from ..functions.hashing import stable_hash64
 
     n_buckets = 64
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     # total document count: metadata-only, no data pass
-    n_docs = rd.read_parquet(_pq(sf_dir, "documents"),
-                             columns=["doc_id"]).count()
+    n_docs = scan(sf_dir, "documents", columns=["doc_id"]).count()
 
     def tf_and_df_rows(batch: pa.Table) -> pa.Table:
         out_d, out_t, out_tf = [], [], []
@@ -1585,8 +1576,7 @@ def heaps_law_fit(sf_dir: str):
     from .dedup import _bucket_count
 
     n_buckets = _bucket_count(sf_dir)
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
+    ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     def grams(batch: pa.Table) -> pa.Table:
         gmin: dict[int, int] = {}
@@ -1686,8 +1676,7 @@ def kl_source_divergence(sf_dir: str):
 
     from ..functions.hashing import md5_hex
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["source", "text"])
+    ds = scan(sf_dir, "documents", columns=["source", "text"])
 
     def count_partial(batch: pa.Table) -> pa.Table:
         per: dict[str, np.ndarray] = {}
@@ -1763,7 +1752,7 @@ def ams_f2_tokens(sf_dir: str):
 
     from ..functions.hashing import md5_hex
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["text"])
+    ds = scan(sf_dir, "documents", columns=["text"])
 
     def sign_partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -1895,8 +1884,7 @@ def quality_corr_matrix(sf_dir: str):
     tree term for term."""
     import math
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["text", "n_chars"])
+    ds = scan(sf_dir, "documents", columns=["text", "n_chars"])
     k = len(_QCORR_FEATS)
 
     def moments(batch: pa.Table) -> pa.Table:
@@ -2688,8 +2676,8 @@ def logreg_quality_gd(sf_dir: str, iters: int = LOGREG_ITERS):
             "y": pa.array(y),
         })
 
-    ints = rd.read_parquet(
-        _pq(sf_dir, "documents"), columns=["doc_id", "text"]
+    ints = scan(
+        sf_dir, "documents", columns=["doc_id", "text"]
     ).map_batches(feats, batch_format="pyarrow",
                   batch_size=8192).materialize()
     n = ints.count()
@@ -2835,8 +2823,7 @@ def domain_quality_gate(sf_dir: str):
     each batch (source cardinality is catalog-bounded), a tiny groupby,
     and a driver-side verdict over the handful of source rows."""
     stops = frozenset(STOPWORDS)
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["text", "source"])
+    ds = scan(sf_dir, "documents", columns=["text", "source"])
 
     def cells(b: pa.Table) -> pa.Table:
         texts = b.column("text").to_pylist()
@@ -2911,8 +2898,7 @@ def token_fertility(sf_dir: str):
     language): per-lang exact integer sums of both token counts plus
     the rounded ratio. One pruned scan, per-batch fold to the bounded
     lang key space, tiny groupby."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["text", "lang"])
+    ds = scan(sf_dir, "documents", columns=["text", "lang"])
 
     def cells(b: pa.Table) -> pa.Table:
         texts = b.column("text").to_pylist()
@@ -3040,7 +3026,7 @@ def temperature_mix_weights(sf_dir: str, alpha: float = MIX_ALPHA):
     oversample factor (weight·N/n_s) divide exact ints, rounded at
     6 dp. One metadata-only scan folding to per-source counts, then
     driver arithmetic on the catalog-bounded source rows."""
-    ds = rd.read_parquet(_pq(sf_dir, "documents"), columns=["source"])
+    ds = scan(sf_dir, "documents", columns=["source"])
 
     def cells(b: pa.Table) -> pa.Table:
         return b.append_column(

@@ -29,12 +29,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from .combine import combine, group_agg
 from .exchange import hash_join
-from .inputs import _pq, table_bytes
+from .inputs import _pq, scan, table_bytes
 
 
 def _buckets(sf_dir: str, table: str, target_bytes: int = 32 << 20,
@@ -85,8 +84,7 @@ def order_priority_exists(sf_dir: str):
     The final fold is the ≤5-row priority key space."""
     n_buckets = _buckets(sf_dir, "lineitem")
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_shipdate"])
+    li = scan(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
 
     def max_partial(b: pa.Table) -> pa.Table:
         return _with_kb(group_agg(b, "l_orderkey", {
@@ -95,9 +93,9 @@ def order_priority_exists(sf_dir: str):
     def max_fold(g: pa.Table) -> pa.Table:
         return group_agg(g, "l_orderkey", {"max_ship": ("max_ship", "max")})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_orderdate",
-                                      "o_orderpriority"])
+    orders = scan(sf_dir, "orders",
+                  columns=["o_orderkey", "o_orderdate",
+                           "o_orderpriority"])
 
     thirty_days_us = np.int64(30 * 86400 * 1_000_000)
 
@@ -147,10 +145,10 @@ def trade_volume(sf_dir: str):
     lookup_ref = ray.put((skey[sorder], snat[sorder],
                           nk[order], nn[order]))
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_suppkey",
-                                  "l_extendedprice", "l_discount",
-                                  "l_shipdate"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_orderkey", "l_suppkey",
+                       "l_extendedprice", "l_discount",
+                       "l_shipdate"])
 
     # plain task functions, not actor pools: the lookup `ray.get` is a
     # zero-copy plasma read per batch
@@ -166,10 +164,8 @@ def trade_volume(sf_dir: str):
                 "rev_e4": pa.array(_rev_e4(b), type=pa.int64()),
             }), ["l_orderkey", "supp_nation", "ship_year"], _REV_SUM)
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey"])
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"])
+    orders = scan(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    cust = scan(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
 
     def cell_partial(b: pa.Table) -> pa.Table:
             _, _, nk2, nn2 = ray.get(lookup_ref)
@@ -224,9 +220,9 @@ def important_parts(sf_dir: str):
     n_parts = pq.ParquetFile(_pq(sf_dir, "part")).metadata.num_rows
     n_buckets = _buckets(sf_dir, "lineitem")
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_partkey", "l_extendedprice",
-                                  "l_discount"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_partkey", "l_extendedprice",
+                       "l_discount"])
 
     def partial(b: pa.Table) -> pa.Table:
         return _with_kb(group_agg(pa.table({
@@ -292,9 +288,9 @@ def top_supplier(sf_dir: str):
     lo = pa.scalar(_dt.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1997, 1, 1), type=pa.timestamp("us"))
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_suppkey", "l_extendedprice",
-                                  "l_discount", "l_shipdate"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_suppkey", "l_extendedprice",
+                       "l_discount", "l_shipdate"])
 
     def partial(b: pa.Table) -> pa.Table:
         win = b.filter(pc.and_(
@@ -352,9 +348,9 @@ def small_quantity_revenue(sf_dir: str):
     no float average decides a boundary row. Output is one scalar."""
     n_buckets = _buckets(sf_dir, "lineitem")
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_partkey", "l_quantity",
-                                  "l_extendedprice"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_partkey", "l_quantity",
+                       "l_extendedprice"])
 
     stat_sums = {"sq": ("sq", "sum"), "cnt": ("cnt", "sum")}
 
@@ -407,8 +403,7 @@ def large_orders(sf_dir: str):
     n_buckets = _buckets(sf_dir, "lineitem")
     threshold_e2 = 250 * 100
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_quantity"])
+    li = scan(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     def qty_partial(b: pa.Table) -> pa.Table:
         q_e2 = np.rint(
@@ -429,9 +424,9 @@ def large_orders(sf_dir: str):
                 type=pa.float64()),
         })
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_orderdate",
-                                      "o_totalprice"])
+    orders = scan(sf_dir, "orders",
+                  columns=["o_orderkey", "o_orderdate",
+                           "o_totalprice"])
 
     return (
         hash_join(li.map_batches(qty_partial, batch_format="pyarrow",
@@ -468,8 +463,8 @@ def priority_line_counts(sf_dir: str):
 
     lo = dt.datetime(1996, 1, 1)
     hi = dt.datetime(1997, 1, 1)
-    li = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    li = scan(
+        sf_dir, "lineitem",
         columns=["l_orderkey", "l_returnflag", "l_shipdate"],
         filter=(pads.field("l_shipdate") >= lo)
                & (pads.field("l_shipdate") < hi))
@@ -481,8 +476,7 @@ def priority_line_counts(sf_dir: str):
             "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
         }), ["l_orderkey", "flag"], {"n": ("n", "sum")})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_orderpriority"])
+    orders = scan(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
 
     def split(b: pa.Table) -> pa.Table:
         pr = b.column("o_orderpriority").to_numpy(zero_copy_only=False)

@@ -33,12 +33,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from .combine import combine, fold, group_agg
 from .exchange import hash_join
-from .inputs import _pq
+from .inputs import _pq, scan
 from .tpch_more import _REV_E4_SQL, _REV_SUM, _buckets, _rev_e4, _with_kb
 
 
@@ -85,25 +84,24 @@ def local_supplier_revenue(sf_dir: str):
     lo = pa.scalar(_dt.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1997, 1, 1), type=pa.timestamp("us"))
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate"])
+    orders = scan(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey",
+                           "o_orderdate"])
 
     def o_window(b: pa.Table) -> pa.Table:
         w = b.filter(pc.and_(pc.greater_equal(b.column("o_orderdate"), lo),
                              pc.less(b.column("o_orderdate"), hi)))
         return w.select(["o_orderkey", "o_custkey"])
 
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"])
+    cust = scan(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
 
     oc = hash_join(orders.map_batches(o_window, batch_format="pyarrow",
                                       batch_size=65536),
                    cust, "inner", "o_custkey", "c_custkey")
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_suppkey",
-                                  "l_extendedprice", "l_discount"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_orderkey", "l_suppkey",
+                       "l_extendedprice", "l_discount"])
     in_region_arr = np.sort(np.fromiter(in_region, dtype=np.int64))
 
     def li_partial(b: pa.Table) -> pa.Table:
@@ -156,8 +154,7 @@ def market_share(sf_dir: str):
 
     lo = pa.scalar(_dt.datetime(1995, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1997, 1, 1), type=pa.timestamp("us"))
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_orderdate"])
+    orders = scan(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
 
     def o_window(b: pa.Table) -> pa.Table:
         w = b.filter(pc.and_(pc.greater_equal(b.column("o_orderdate"), lo),
@@ -167,9 +164,9 @@ def market_share(sf_dir: str):
             "o_year": pc.cast(pc.year(w.column("o_orderdate")), pa.int32()),
         })
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_partkey", "l_suppkey",
-                                  "l_extendedprice", "l_discount"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_orderkey", "l_partkey", "l_suppkey",
+                       "l_extendedprice", "l_discount"])
 
     def li_partial(b: pa.Table) -> pa.Table:
         kp, sk, sn, tgt = ray.get(lookup_ref)
@@ -226,8 +223,7 @@ def product_type_profit(sf_dir: str):
     skey, snatk, nation_of, _ = _supp_nation_lookup(sf_dir)
     lookup_ref = ray.put((pk[order], retail_cents[order], skey, snatk))
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_orderdate"])
+    orders = scan(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
 
     def o_year(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -235,10 +231,10 @@ def product_type_profit(sf_dir: str):
             "o_year": pc.cast(pc.year(b.column("o_orderdate")), pa.int32()),
         })
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_partkey", "l_suppkey",
-                                  "l_quantity", "l_extendedprice",
-                                  "l_discount"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_orderkey", "l_partkey", "l_suppkey",
+                       "l_quantity", "l_extendedprice",
+                       "l_discount"])
 
     def li_partial(b: pa.Table) -> pa.Table:
         pks, cents, sk, sn = ray.get(lookup_ref)
@@ -292,18 +288,18 @@ def returned_item_customers(sf_dir: str):
     lo = pa.scalar(_dt.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1996, 4, 1), type=pa.timestamp("us"))
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate"])
+    orders = scan(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey",
+                           "o_orderdate"])
 
     def o_window(b: pa.Table) -> pa.Table:
         w = b.filter(pc.and_(pc.greater_equal(b.column("o_orderdate"), lo),
                              pc.less(b.column("o_orderdate"), hi)))
         return w.select(["o_orderkey", "o_custkey"])
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_returnflag",
-                                  "l_extendedprice", "l_discount"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_orderkey", "l_returnflag",
+                       "l_extendedprice", "l_discount"])
 
     def li_partial(b: pa.Table) -> pa.Table:
         sub = b.filter(pc.equal(b.column("l_returnflag"), "R"))
@@ -392,9 +388,9 @@ def bracket_revenue(sf_dir: str):
     order = np.argsort(keys)
     lookup_ref = ray.put((keys[order], qlo[order], qhi[order]))
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_partkey", "l_quantity",
-                                  "l_extendedprice", "l_discount"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_partkey", "l_quantity",
+                       "l_extendedprice", "l_discount"])
 
     def partial(b: pa.Table) -> pa.Table:
         pks, lo_q, hi_q = ray.get(lookup_ref)
@@ -439,8 +435,7 @@ def supplier_part_variety(sf_dir: str):
     lookup_ref = ray.put((pk[order], brand[m][order], ptype[m][order],
                           size[m][order]))
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_partkey", "l_suppkey"])
+    li = scan(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
 
     def pair_partial(b: pa.Table) -> pa.Table:
         pks, _, _, _ = ray.get(lookup_ref)
@@ -515,8 +510,8 @@ def bulk_suppliers(sf_dir: str):
     pk = np.sort(part.column("p_partkey").to_numpy()[is_blue])
     lookup_ref = ray.put(pk)
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_partkey", "l_suppkey", "l_quantity"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_partkey", "l_suppkey", "l_quantity"])
 
     def partial(b: pa.Table) -> pa.Table:
         pks = ray.get(lookup_ref)
@@ -595,8 +590,7 @@ def min_balance_supplier(sf_dir: str):
         np.asarray(sup.column("s_name").to_pylist(), dtype=object)[sorder],
         sup.column("s_acctbal").to_numpy()[sorder]))
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_partkey", "l_suppkey"])
+    li = scan(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
 
     def pair_partial(b: pa.Table) -> pa.Table:
         pks, _, _, _, _ = ray.get(lookup_ref)
@@ -667,9 +661,9 @@ def forecast_revenue_change(sf_dir: str):
     lo = pa.scalar(_dt.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1997, 1, 1), type=pa.timestamp("us"))
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_shipdate", "l_discount",
-                                  "l_quantity", "l_extendedprice"])
+    li = scan(sf_dir, "lineitem",
+              columns=["l_shipdate", "l_discount",
+                       "l_quantity", "l_extendedprice"])
 
     def partial(b: pa.Table) -> pa.Table:
         w = b.filter(pc.and_(
@@ -730,8 +724,7 @@ def pareto_parts(sf_dir: str):
     O(log n) rows) and one single-key fold re-applies the same mask to
     the union of frontiers. Prices compare in exact integer cents, so
     the dominance test cannot float-drift."""
-    ds = rd.read_parquet(_pq(sf_dir, "part"),
-                         columns=["p_partkey", "p_retailprice", "p_size"])
+    ds = scan(sf_dir, "part", columns=["p_partkey", "p_retailprice", "p_size"])
 
     def local(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:

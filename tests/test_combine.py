@@ -232,3 +232,24 @@ def test_one_partition_output_is_sorted_by_keys(ray_session):
                   batch_size=16).to_pandas()
     keys = list(zip(got["a"], got["b"]))
     assert keys == sorted(keys) and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("parts", [1, 4])
+def test_empty_input_keeps_key_and_aggregate_types(ray_session, monkeypatch,
+                                                   parts):
+    """Ray runs no map over an empty block, so an empty input's partials
+    are column-less; the fold still types the key and the sum int64, at
+    one partition and with the split path forced."""
+    import ray.data as rd
+
+    from ragnificent_ray.pipelines import exchange
+
+    monkeypatch.setattr(exchange, "partition_count", lambda nbytes: parts)
+    t = pa.table({"k": pa.array([], pa.int64()),
+                  "v": pa.array([], pa.int64())})
+    got = combine(rd.from_arrow(t), "k", {"s": ("v", "sum")})
+    assert got.count() == 0
+    schema = got.schema().base_schema
+    assert schema.names == ["k", "s"]
+    assert schema.field("k").type == pa.int64()
+    assert schema.field("s").type == pa.int64()

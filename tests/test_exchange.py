@@ -1,7 +1,9 @@
 """The shared hash exchange (pipelines/exchange.py): its join against
 ``pa.Table.join`` on the concatenated inputs, compared as sorted rows
 under the same column names, and AST scans that keep every join and
-grouped fold of the package on it.
+grouped fold of the package on it. The one read of an ``sf_dir`` table
+(pipelines/inputs.py ``scan``) against ``pq.read_table``, its block
+rule, and an AST scan that keeps every table read on it.
 
 Inputs have several blocks. ``PARTITION_BYTES`` is cut to a few bytes
 where a test needs ``P > 1``, so those joins run the split tasks and one
@@ -301,3 +303,165 @@ def test_no_query_folds_through_ray_grouped_aggregate():
     ``groupby().aggregate()`` sort-shuffles and walks groups in Python."""
     root = pathlib.Path(__file__).resolve().parents[1] / "ragnificent_ray"
     assert grouped_aggregates(root) == []
+
+
+# --- the one read of an sf_dir table (pipelines/inputs.py scan) -------
+
+def _scanned(ds) -> pa.Table:
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def _lineitem(n: int) -> pa.Table:
+    rng = np.random.default_rng(5)
+    day = np.datetime64("1995-06-01", "us")
+    return pa.table({
+        "l_orderkey": pa.array(np.arange(n, dtype=np.int64) // 4),
+        "l_returnflag": pa.array(rng.choice(["A", "N", "R"], n)),
+        "l_shipdate": pa.array(
+            day + rng.integers(0, 900, n).astype("timedelta64[D]")),
+        "l_quantity": pa.array(rng.integers(1, 50, n)),
+    })
+
+
+def _write(tmp_path, name: str, table: pa.Table, parts: int = 1,
+           row_group_size=None) -> str:
+    import pyarrow.parquet as pq
+
+    path = tmp_path / f"{name}.parquet"
+    if parts == 1:
+        pq.write_table(table, path, row_group_size=row_group_size)
+        return str(path)
+    path.mkdir()
+    size = -(-table.num_rows // parts)
+    for i, o in enumerate(range(0, table.num_rows, size)):
+        pq.write_table(table.slice(o, size), path / f"part-{i}.parquet")
+    return str(path)
+
+
+def test_scan_equals_read_table(ray_session, tmp_path):
+    """A column subset, the ``filter=`` expression of
+    ``priority_line_counts`` (also on a column it does not select), a
+    directory-of-parts table and an empty table read as
+    ``pq.read_table`` reads them."""
+    import datetime as dt
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from ragnificent_ray.pipelines.inputs import scan
+
+    li = _lineitem(3000)
+    one = _write(tmp_path, "lineitem", li)
+    parts = _write(tmp_path, "parts", li, parts=3)
+    empty = _write(tmp_path, "empty", li.slice(0, 0))
+    window = ((pads.field("l_shipdate") >= dt.datetime(1996, 1, 1))
+              & (pads.field("l_shipdate") < dt.datetime(1997, 1, 1)))
+    cols = ["l_orderkey", "l_returnflag", "l_shipdate"]
+    cases = [("lineitem", one, cols, None),
+             ("lineitem", one, cols, window),
+             ("lineitem", one, ["l_orderkey"], window),
+             ("parts", parts, None, None),
+             ("parts", parts, ["l_quantity", "l_orderkey"], window)]
+    for name, path, columns, filt in cases:
+        want = pq.read_table(path, columns=columns, filters=filt)
+        got = _scanned(scan(str(tmp_path), name, columns, filt))
+        assert got.schema == want.schema, (name, columns)
+        assert 0 < got.num_rows < li.num_rows or filt is None
+        assert _sorted_rows(got) == _sorted_rows(want), (name, columns)
+    ds = scan(str(tmp_path), "empty", ["l_orderkey", "l_shipdate"])
+    want = pq.read_table(empty, columns=["l_orderkey", "l_shipdate"])
+    assert ds.count() == 0
+    assert ds.schema().base_schema == want.schema
+
+
+def test_scan_block_rule(ray_session, tmp_path):
+    """A table below ``BLOCK_BYTES`` of selected columns is one read
+    task and one block; above it, one block per ``BLOCK_BYTES``, at most
+    two per CPU, whether the table is one row group that Ray cuts after
+    its read task or many row groups read in runs."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from ragnificent_ray.pipelines import inputs
+
+    cap = 2 * int(ray.cluster_resources()["CPU"])
+    per_row = 8  # the int64 column read
+    wide = 2 * cap * inputs.BLOCK_BYTES // per_row
+    cases = [("small", 1000, None),
+             ("three", 3 * inputs.BLOCK_BYTES // per_row, None),
+             ("wide", wide, None),
+             ("groups", wide, wide // 16)]
+    counts = []
+    for name, rows, group in cases:
+        # "pad" is as wide as "k" but not read, so not counted
+        k = np.arange(rows, dtype=np.int64)
+        t = pa.table({"k": pa.array(k), "pad": pa.array(3 * k)})
+        path = _write(tmp_path, name, t, row_group_size=group)
+        meta = pq.read_metadata(path)
+        nbytes = sum(meta.row_group(i).column(0).total_uncompressed_size
+                     for i in range(meta.num_row_groups))
+        ds = inputs.scan(str(tmp_path), name, ["k"]).materialize()
+        assert ds.num_blocks() == inputs.block_count(nbytes)
+        assert ds.sum("k") == rows * (rows - 1) // 2
+        counts.append(ds.num_blocks())
+    assert counts[0] == 1
+    assert 1 < counts[1] < cap
+    assert counts[2] == counts[3] == cap
+
+
+def test_scan_plans_without_a_task(ray_session, tmp_path, monkeypatch):
+    """Planning a scan starts no task: Ray's parquet reader samples its
+    files in a remote ``sample_fragments`` task, patched here to raise."""
+    import ray.data as rd
+    from ray.data._internal.datasource import parquet_datasource
+
+    from ragnificent_ray.pipelines.inputs import scan
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("sample_fragments ran")
+
+    monkeypatch.setattr(parquet_datasource, "sample_fragments", sampled)
+    path = _write(tmp_path, "lineitem", _lineitem(500))
+    with pytest.raises(AssertionError, match="sample_fragments"):
+        rd.read_parquet(path)
+    ds = scan(str(tmp_path), "lineitem", ["l_orderkey"])
+    assert ds.count() == 500
+
+
+# the readers of paths that are not an sf_dir table: crawl outputs
+# (CrawlResult.dataset), shuffle_write's part files, yaml_pipeline's
+# declared sources
+_NON_TABLE_READERS = {"crawl.py", "shuffle_write.py", "yaml_pipeline.py"}
+
+
+def table_reads(root: pathlib.Path) -> list[str]:
+    """``file:line`` of every ``read_parquet`` call under ``root``
+    outside the non-table readers or of a ``_pq(...)`` table path, and
+    of every ``override_num_blocks=`` outside ``inputs.py``."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            table_path = any(isinstance(a, ast.Call)
+                             and getattr(a.func, "id", None) == "_pq"
+                             for a in node.args)
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "read_parquet"
+                    and (path.name not in _NON_TABLE_READERS or table_path)
+                    or path.name != "inputs.py"
+                    and any(k.arg == "override_num_blocks"
+                            for k in node.keywords)):
+                found.append(f"{path}:{node.lineno}")
+    return found
+
+
+def test_every_table_read_goes_through_scan():
+    """Every read of an ``sf_dir`` table goes through ``inputs.scan``:
+    Ray's ``read_parquet`` samples its files in a task per call and cuts
+    a one-row-group table into 2 x CPUs blocks."""
+    root = (pathlib.Path(__file__).resolve().parents[1] / "ragnificent_ray"
+            / "pipelines")
+    assert table_reads(root) == []
