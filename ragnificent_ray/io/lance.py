@@ -1,13 +1,16 @@
-"""Lance sink adapter (S13): real ``write_lance`` when available,
+"""Lance sink adapter (S13): real Lance fragments when available,
 Parquet-directory layout otherwise (SURVEY §7.6 — no ``pylance`` in this
 sandbox).
 
-The adapter keeps one sink call site in the pipelines:
-``write_harvest(ds_or_table, uri)``. With pylance installed it becomes
-``ray.data.Dataset.write_lance(uri)``; without, it writes
-``{uri}/part-*.parquet`` plus ``_lance_adapter.json`` recording the
-schema and the intended Lance layout, and ``read_harvest`` reads either
-form back.
+A harvest table is written the way Ray's own ``LanceDatasink`` writes a
+Dataset: each write task calls :func:`write_harvest` on its own rows,
+and the table's owner calls :func:`commit_harvest` once with every
+task's result. With pylance installed a part is the fragments
+``lance.fragment.write_fragments`` returns, and the commit is one
+``LanceDataset.commit`` of an ``Overwrite`` of them; without, a part is
+one content-addressed ``{uri}/part-*.parquet`` file, and the commit
+writes ``_lance_adapter.json`` recording the schema, the parts and the
+intended Lance layout. ``read_harvest`` reads either form back.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..state.checkpoint import write_part
+
 try:  # pragma: no cover - not present in sandbox
     import lance  # noqa: F401
 
@@ -26,43 +31,40 @@ except ImportError:
     HAVE_LANCE = False
 
 
-def write_harvest(data, uri: str) -> None:
-    """data: ray.data.Dataset or pyarrow.Table → Lance table at uri."""
-    import ray.data as rd
-
+def write_harvest(table: pa.Table, uri: str) -> list:
+    """One part of the harvest table at ``uri``, for
+    :func:`commit_harvest`: the Lance fragments written, or the parquet
+    file name. An empty table writes nothing (``[]``)."""
+    if not table.num_rows:
+        return []
     if HAVE_LANCE:
-        if isinstance(data, pa.Table):
-            import lance
+        from lance.fragment import write_fragments
 
-            lance.write_dataset(data, uri, mode="overwrite")
-        else:
-            data.write_lance(uri)
+        return write_fragments(table, uri, schema=table.schema)
+    # a part's image ids name it, so a retried task rewrites its file
+    basis = "\n".join(table.column("image_id").to_pylist())
+    return [write_part(table, uri, basis)]
+
+
+def commit_harvest(uri: str, parts: list, schema: pa.Schema) -> None:
+    """Make the :func:`write_harvest` ``parts`` the harvest table at
+    ``uri``, in one commit."""
+    written = [p for part in parts for p in part]
+    if HAVE_LANCE:
+        import lance
+
+        lance.LanceDataset.commit(
+            uri, lance.LanceOperation.Overwrite(schema, written))
         return
     os.makedirs(uri, exist_ok=True)
-    if isinstance(data, pa.Table):
-        pq.write_table(data, os.path.join(uri, "part-00000.parquet"))
-        schema = data.schema
-    else:
-        assert isinstance(data, rd.Dataset)
-        data.write_parquet(uri)
-        schema = pa.schema(
-            [(f.name, f.type) for f in
-             pq.read_schema(_first_parquet(uri))]
-        ) if _first_parquet(uri) else None
     meta = {
         "format": "lance-parquet-adapter",
         "schema": str(schema),
+        "parts": sorted(written),
         "note": "pylance unavailable in sandbox; parquet stand-in",
     }
     with open(os.path.join(uri, "_lance_adapter.json"), "w") as f:
         json.dump(meta, f, indent=2)
-
-
-def _first_parquet(uri: str) -> str | None:
-    for name in sorted(os.listdir(uri)):
-        if name.endswith(".parquet"):
-            return os.path.join(uri, name)
-    return None
 
 
 def read_harvest(uri: str) -> pa.Table:

@@ -1,39 +1,43 @@
-"""The Ray-Data-native crawl: BFS frontier rounds, four executions each.
+"""The Ray-Data-native crawl: BFS frontier rounds, one execution each.
 
 Per round (SURVEY §3.1-new; stages/claims.py)::
 
-    exec 1 (critical)  frontier ──▶ fetch ──▶ parse ──▶ AttachClaims
+    exec   (critical)  frontier ──▶ fetch ──▶ parse ──▶ AttachClaims
                          (image seen-claims + payload-carrying outlink
                           min-rank proposals on the sharded seen set) ──▶
-                         block-write documents ──▶ materialize
+                         block-write documents ──▶ block refs
                                                 [= proposal barrier]
     RPC    (critical)  seen.take_winners_to_parquet — each shard claims
                          its pending winners and writes its own next-
                          frontier parquet part (phase-2 resolve without
                          a dataset execution; read lazily next round)
-    exec 3 (background) render ──▶ block-write rendered ──▶ chunk
-                         (──▶ embed) ──▶ chunks sink
-    exec 4 (background) ExplodeClaimedImages ──▶ block-write
-                         image_frontier ──▶ fetch ──▶ decode+phash ──▶
-                         harvest sink (Lance adapter)
+    lane 3 (background) one task per documents block: render ──▶
+                         rendered part ──▶ chunk (──▶ embed) ──▶ chunks
+                         part
+    lane 4 (background) one task per documents block:
+                         ExplodeClaimedImages ──▶ image_frontier part,
+                         streamed back cut into fetch batches; then one
+                         task per batch: fetch ──▶ decode+phash ──▶
+                         harvest part (Lance adapter)
 
-Every execution is a pure streaming map chain: no repartition or
-other all-to-all operator runs anywhere in a crawl. The frontier is cut
-where it is made — round 0 by one discovery task per seed
-(``_cut_frontier``), every later round by the seen shards' resolve —
-into about ``BLOCKS_PER_CPU`` blocks per CPU, none under one fetch
-batch, so Ray Data bundles those blocks straight into fetch tasks of at
-least ``fetch_batch_size`` rows.
+The critical execution is the only Ray Data execution in a round, and a
+pure streaming map chain: no repartition or other all-to-all operator
+runs anywhere in a crawl. The frontier is cut where it is made — round 0
+by one discovery task per seed (``_cut_stream``), every later round by
+the seen shards' resolve — into about ``BLOCKS_PER_CPU`` blocks per CPU,
+none under one fetch batch, so Ray Data bundles those blocks straight
+into fetch tasks of at least ``fetch_batch_size`` rows.
 The crawl's Datasets carry their own ``target_max_block_size``
 (``_bounded``), so Ray Data starts an execution's tasks side by side
 instead of one at a time, and no other Dataset of the session sees it.
 
-Background sinks run on a bounded lane pool and overlap the next
-round's critical path; a round is marked complete only after all its
-writes land, so the crawl is resumable from per-round checkpoints with
-lineage+metrics (state/checkpoint.py). Checkpoint writes are fused
-into the map stages (content-addressed per-block files — a retried
-task overwrites, never duplicates).
+The background lanes are plain Ray tasks over the critical execution's
+documents block refs, at most one under the session's CPUs at once
+until the last round's critical path ends (``_Lanes``). They overlap the next round's critical path; a round is marked complete
+only after all its writes land, so the crawl is resumable from per-round
+checkpoints with lineage+metrics (state/checkpoint.py). Every part is
+written by the task that made its rows, under a content-addressed name
+(a retried task overwrites, never duplicates).
 
 Control crosses process boundaries only at the seen/politeness shard
 RPCs; per-domain politeness state never moves (SURVEY §3.1). Seen
@@ -53,9 +57,12 @@ the URL-seen set evolves in exact round order despite the overlap.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -63,10 +70,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
+from ray import ObjectRefGenerator
 
 from ..config import CrawlConfig
-from ..io.lance import write_harvest
-from ..schema import FRONTIER
+from ..io.lance import commit_harvest, write_harvest
+from ..schema import FRONTIER, HARVEST
 from ..sources.sitemap import discover_domain_urls, filter_urls
 from ..stages.canonicalize import canonicalize_batch
 from ..stages.chunk import chunk_batch
@@ -83,7 +91,7 @@ from ..stages.extract import (
 )
 from ..stages.fetch import FetchWorker, cached_backend
 from ..state import hosts as shard_hosts
-from ..state.checkpoint import CheckpointManager, config_hash
+from ..state.checkpoint import CheckpointManager, config_hash, write_part
 from ..state.politeness import PolitenessService
 from ..state.seen import SeenSet, cut_blocks, streamed_blocks
 from .exchange import from_block_refs
@@ -97,7 +105,7 @@ RANK_STRIDE = 100_000
 class DiscoverWorker:
     """Sitemap discovery per seed (S2-S4): robots → sitemap recursion →
     reference-order filter → ranked frontier rows. Runs in one
-    :func:`_cut_frontier` task per seed (one batch = one seed); each
+    :func:`_cut_stream` task per seed (one batch = one seed); each
     seed's discovery is inherently sequential (first-hit-wins), so
     parallelism is across seeds."""
 
@@ -261,12 +269,6 @@ def _dir_cache_hits(path: str) -> int:
     return total
 
 
-def _write_parquet(ds: rd.Dataset, path: str) -> int:
-    os.makedirs(path, exist_ok=True)
-    ds.write_parquet(path)
-    return _dir_rows(path)
-
-
 def _failure_sampler(path: str, per_block: int = 5):
     """O4 — failure-log sampling (``core/scraper.py:884-891``: log the
     first 5 failed URLs + a count). Fused pass-through stage between
@@ -275,8 +277,6 @@ def _failure_sampler(path: str, per_block: int = 5):
     the total rides ``pages_failed``. Bounded everywhere — no failure
     list ever accumulates unbounded, unlike the reference's in-memory
     ``failed_urls``."""
-    import hashlib
-
     def sample(batch: pa.Table) -> pa.Table:
         failed = batch.filter(pc.or_kleene(
             pc.not_equal(batch.column("status"), 200),
@@ -284,14 +284,8 @@ def _failure_sampler(path: str, per_block: int = 5):
                 pc.binary_length(batch.column("html")), 0), 0),
         ))
         if failed.num_rows:
-            os.makedirs(path, exist_ok=True)
             out = failed.select(["url", "status"]).slice(0, per_block)
-            key = hashlib.blake2b(
-                "\n".join(out.column("url").to_pylist()).encode(),
-                digest_size=10).hexdigest()
-            tmp = os.path.join(path, f".part-{key}.tmp")
-            pq.write_table(out, tmp)
-            os.replace(tmp, os.path.join(path, f"part-{key}.parquet"))
+            write_part(out, path, "\n".join(out.column("url").to_pylist()))
         return batch
 
     return sample
@@ -341,13 +335,14 @@ BLOCKS_PER_CPU = 4
 
 
 @ray.remote
-def _cut_frontier(cut: tuple, make, *args):
-    """The frontier table ``make(*args)``, made in this task and streamed
-    as :func:`~..state.seen.cut_blocks` ``(table, *cut)`` slices owned by
+def _cut_stream(cut: tuple, make, *args):
+    """The table ``make(*args)``, made in this task and streamed as
+    :func:`~..state.seen.cut_blocks` ``(table, *cut)`` slices owned by
     the caller: round 0 discovers one seed per task, a resume reads one
-    checkpointed frontier part per task. A Ray Data map cannot cut them:
-    its per-task output buffer merges a UDF's tables back into blocks of
-    up to ``target_max_block_size`` bytes."""
+    checkpointed frontier part per task, and a harvest lane explodes one
+    documents block's claimed images per task. A Ray Data map cannot cut
+    them: its per-task output buffer merges a UDF's tables back into
+    blocks of up to ``target_max_block_size`` bytes."""
     head, blocks = cut_blocks(make(*args), *cut)
     yield head
     yield from blocks
@@ -363,13 +358,24 @@ def _frontier_from_refs(blocks: list) -> rd.Dataset:
 
 # ------------------------------------------------------------------- crawl
 
+def _content_key(block: pa.Table) -> str:
+    """What names a part made from ``block``: its url sequence, or a
+    digest of the serialized block when it has no url column (so two
+    distinct same-sized blocks can't collide on one file)."""
+    if "url" in block.column_names:
+        return "\n".join(block.column("url").to_pylist())
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, block.schema) as w:
+        w.write_table(block)
+    return hashlib.blake2b(
+        sink.getvalue().to_pybytes(), digest_size=10).hexdigest()
+
+
 def _block_writer(path: str, drop_columns: tuple = (), tag: str = ""):
     """Per-block parquet writer fused into a map stage (write + pass
     through) so a checkpoint costs zero extra executions. Filenames are
-    content-addressed (hash of the block's url sequence) so a retried
-    task overwrites its own file instead of duplicating rows."""
-    import hashlib
-
+    content-addressed (:func:`_content_key`) so a retried task
+    overwrites its own file instead of duplicating rows."""
     os.makedirs(path, exist_ok=True)
 
     def write(batch: pa.Table) -> pa.Table:
@@ -378,25 +384,82 @@ def _block_writer(path: str, drop_columns: tuple = (), tag: str = ""):
         if drop:
             out = out.drop_columns(drop)
         if out.num_rows:
-            if "url" in out.column_names:
-                basis = "\n".join(out.column("url").to_pylist())
-            else:
-                # no natural key: digest the serialized block so two
-                # distinct same-sized blocks can't collide on one file
-                sink = pa.BufferOutputStream()
-                with pa.ipc.new_stream(sink, out.schema) as w:
-                    w.write_table(out)
-                basis = hashlib.blake2b(
-                    sink.getvalue().to_pybytes(), digest_size=10
-                ).hexdigest()
-            key = hashlib.blake2b(
-                (tag + basis).encode(), digest_size=10).hexdigest()
-            tmp = os.path.join(path, f".part-{key}.tmp")
-            pq.write_table(out, tmp)
-            os.replace(tmp, os.path.join(path, f"part-{key}.parquet"))
+            write_part(out, path, tag + _content_key(out))
         return batch
 
     return write
+
+
+# The background lanes are plain tasks: they take their stage callables as
+# arguments, looked up in this module's namespace when they are submitted,
+# so a caller that swaps a stage here (a traced stand-in) reaches the
+# workers too. A global resolved inside a worker would not.
+
+@ray.remote
+def _render_lane(docs: pa.Table, render, chunk, embed, markdown_only: bool,
+                 dirs: tuple, tag: str) -> tuple[int, int]:
+    """The render lane of one documents block: ``render`` → rendered
+    part → ``chunk`` (→ ``embed``) → chunks part, both parts named by
+    the block's urls. Returns the (rendered, chunk) row counts."""
+    rendered_dir, chunks_dir = dirs
+    key = tag + _content_key(docs)
+    rendered = render(docs)
+    if rendered.num_rows:
+        write_part(rendered, rendered_dir, "rendered" + key)
+    src = rendered
+    if markdown_only:
+        src = src.filter(pc.equal(src.column("fmt"), "markdown"))
+    chunks = chunk(src)
+    if embed is not None:
+        chunks = embed(chunks)
+    if chunks.num_rows:
+        write_part(chunks, chunks_dir, "chunks" + key)
+    return rendered.num_rows, chunks.num_rows
+
+
+@ray.remote
+def _harvest_lane(images: pa.Table, fetch, decode, write,
+                  uri: str) -> tuple[int, list]:
+    """The harvest lane of one fetch batch of claimed image rows:
+    ``fetch`` → ``decode`` → one harvest part ``write``-n at ``uri``.
+    Returns the part's rows and what ``commit_harvest`` takes of it."""
+    harvest = decode(fetch(images))
+    return harvest.num_rows, write(harvest, uri)
+
+
+class _Lanes:
+    """Submits a crawl's background lane tasks, at most ``n`` in flight
+    over all its rounds: a submission waits for a free slot, and a task
+    frees its slot when it finishes. With ``n`` one under the session's
+    CPUs, the next round's critical tasks always find a CPU; with every
+    CPU held by lane tasks they waited for one, and Ray started a new
+    worker process for them. Once no critical work is left, :meth:`widen`
+    gives the lanes that CPU too."""
+
+    def __init__(self, n: int):
+        self._free = threading.Semaphore(n)
+
+    def submit(self, task, *args):
+        self._free.acquire()
+        try:
+            out = task.remote(*args)
+        except BaseException:  # e.g. an argument that does not pickle
+            self._free.release()
+            raise
+        done = out.completed() if isinstance(out, ObjectRefGenerator) \
+            else out
+        done.future().add_done_callback(lambda _: self._free.release())
+        return out
+
+    def widen(self) -> None:
+        """One more slot: the crawl's last critical path has finished."""
+        self._free.release()
+
+
+def _claimed_images(write, docs: pa.Table) -> pa.Table:
+    """One documents block's claimed images, one row each, after
+    ``write`` checkpointed them as an image_frontier part."""
+    return write(ExplodeClaimedImages()(docs))
 
 
 def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResult:
@@ -413,24 +476,29 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
     (``ready_s``).
 
     Execution shape: a Ray Data execution has a fixed dispatch cost and
-    concurrent executions serialize their dispatch, so each round's
-    critical path is ONE execution plus one RPC fan-out
-    (stages/claims.py):
+    concurrent executions serialize their dispatch, so each round runs
+    ONE execution, its critical path, plus one RPC fan-out and plain
+    Ray tasks (stages/claims.py):
 
-    0. round 0 only — one ``_cut_frontier`` Ray task per seed:
+    0. round 0 only — one ``_cut_stream`` Ray task per seed:
        discover → canonicalize → seen-filter → frontier checkpoint,
        streamed back as ``cut_blocks`` slices.
     1. critical — fetch → parse → AttachClaims (image seen-claims +
        payload-carrying outlink min-rank proposals on the sharded seen
-       set) → block-write(documents) → materialize (= phase-1 barrier).
+       set) → block-write(documents) → the documents block refs
+       (= phase-1 barrier).
     2. critical RPC — seen.take_winners_to_parquet: each shard claims
        its pending winners, writes its own next-frontier parquet part
        and streams them back as ``cut_blocks`` slices (phase-2 resolve
        without a dataset execution).
-    3. background — render → block-write(rendered) → chunk (→ embed)
-       → chunks sink.
-    4. background — ExplodeClaimedImages → block-write(image_frontier)
-       → fetch → decode → harvest sink.
+    3. background — one ``_render_lane`` task per documents block:
+       render → rendered part → chunk (→ embed) → chunks part.
+    4. background — one ``_cut_stream`` task per documents block:
+       ExplodeClaimedImages → image_frontier part, streamed back in
+       slices of at most ``fetch_batch_size`` image rows; then one
+       ``_harvest_lane`` task per slice: fetch → decode → harvest part.
+       The round's finalizer commits the parts once
+       (``io.lance.commit_harvest``).
 
     Each execution is a chain of maps over frontier blocks cut where
     they are made: each of a round's producers (seeds, seen shards,
@@ -444,12 +512,16 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
     object-store budget and run it alone.
     ``DataContext.get_current()`` is never changed.
 
-    Background sinks overlap the next round's critical path; a round is
-    marked complete in the manifest only after ALL its writes land, so
-    resume semantics are unchanged. The seen set evolves in exact round
-    order because every claim happens inside the critical path.
+    The lanes take their stages (``render_batch``, ``chunk_batch``,
+    ``FetchWorker``, ``harvest_decode_batch``, ``write_harvest``) from
+    this module's namespace when the crawl starts, as arguments. They
+    overlap the next round's critical path, which always finds a CPU
+    free of them (``_Lanes``); a round is marked complete
+    in the manifest only after ALL its writes land, so resume semantics
+    are unchanged, and a failed lane task fails the crawl. The seen set
+    evolves in exact round order because every claim happens inside the
+    critical path.
     """
-    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     ckpt = CheckpointManager(out_dir)
@@ -459,14 +531,6 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
     result = CrawlResult(out_dir=out_dir)
     t_start = time.monotonic()
     pool = ThreadPoolExecutor(max_workers=16)
-    # BOUNDED background lanes: the heavy sinks run on 4 lanes so both
-    # in-flight rounds' render + harvest can run concurrently (the
-    # 2-round finalizer window bounds it there). With 2 lanes the LAST
-    # round's harvest queued behind the previous round's harvest (the
-    # longest execution), adding a serial tail — A/B at 16 CPUs under
-    # matched host states: 4 lanes 42.8/53.1 s vs 2 lanes 55.7/67.5 s.
-    bg_pool = ThreadPoolExecutor(
-        max_workers=int(os.environ.get("RAGNIFICENT_BG_LANES", "4")))
     manifest_lock = threading.Lock()
     finalizers = []
     lease = shard_hosts.lease(
@@ -518,9 +582,23 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
             )
 
         fetcher = _fetcher(politeness)
-        # the harvest lane overlaps later rounds' critical paths, so its
-        # reservations are counted apart from the per-round watermarks
-        image_fetcher = _fetcher(politeness.background())
+        # the lanes' stages, taken from this namespace once (see
+        # _render_lane); the harvest lane overlaps later rounds' critical
+        # paths, so its reservations are counted apart from the per-round
+        # watermarks
+        formats = tuple(cfg.formats)
+        render_stages = (
+            partial(render_batch, formats=formats),
+            partial(chunk_batch, strategy=cfg.chunk_strategy,
+                    chunk_size=cfg.chunk_size,
+                    chunk_overlap=cfg.chunk_overlap),
+            (partial(embed_batch, dim=cfg.embedding_dim)
+             if cfg.embed_chunks else None),
+            len(formats) > 1,
+        )
+        harvest_stages = (_fetcher(politeness.background()),
+                          harvest_decode_batch, write_harvest)
+        lanes = _Lanes(max(1, cpus - 1))
 
         done = ckpt.completed_rounds(chash) if resume else []
         if done:
@@ -565,70 +643,34 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                 u.split("://", 1)[-1].split("/", 1)[0] for u in seed_pool
             }
 
-        def _timed(times: dict, name: str, fn):
-            def run(*a, **kw):
-                t0 = time.monotonic()
-                try:
-                    return fn(*a, **kw)
-                finally:
-                    times[name] = round(time.monotonic() - t0, 3)
-            return run
-
-        def _render_and_chunk(docs_pq, depth: int):
-            """Background execution 3: one render pass feeds both the
-            rendered checkpoint (fused block-write) and the chunker."""
-            formats = tuple(cfg.formats)
-            rendered = docs_pq.map_batches(
-                lambda b: render_batch(b, formats=formats),
-                batch_format="pyarrow",
-            ).map_batches(
-                _block_writer(ckpt.table_dir(depth, "rendered"),
-                              tag=f"rendered{depth}:"),
-                batch_format="pyarrow",
-            )
-            chunk_src = rendered
-            if len(formats) > 1:
-                chunk_src = chunk_src.map_batches(
-                    lambda b: b.filter(
-                        pc.equal(b.column("fmt"), "markdown")),
-                    batch_format="pyarrow",
-                )
-            chunks = chunk_src.map_batches(
-                lambda b: chunk_batch(
-                    b,
-                    strategy=cfg.chunk_strategy,
-                    chunk_size=cfg.chunk_size,
-                    chunk_overlap=cfg.chunk_overlap,
-                ),
-                batch_format="pyarrow",
-            )
-            if cfg.embed_chunks:
-                chunks = chunks.map_batches(
-                    lambda b: embed_batch(b, dim=cfg.embedding_dim),
-                    batch_format="pyarrow",
-                    batch_size=1024,
-                )
-            n_chunks = _write_parquet(chunks, ckpt.table_dir(depth, "chunks"))
-            return _dir_rows(ckpt.table_dir(depth, "rendered")), n_chunks
-
-        def _harvest(docs_pq, depth: int):
-            """Background execution 4: already-claimed image URLs →
-            image_frontier checkpoint (fused) → fetch → decode →
-            harvest sink, one execution."""
-            stream = docs_pq.map_batches(
-                ExplodeClaimedImages(), batch_format="pyarrow",
-            ).map_batches(
-                _block_writer(ckpt.table_dir(depth, "image_frontier"),
-                              tag=f"imgf{depth}:"),
-                batch_format="pyarrow",
-            ).map_batches(
-                image_fetcher,
-                batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size,
-            ).map_batches(harvest_decode_batch, batch_format="pyarrow")
+        def _start_lanes(depth: int, docs_refs: list) -> tuple:
+            """Submit a round's background lane tasks (module doc) over
+            its documents blocks, in a pool thread since a submission
+            waits for a lane slot: ``(render refs, image slices, harvest
+            refs)``."""
+            image_streams = []
+            if cfg.harvest_images:
+                # each block's image rows, cut by the frontier's share
+                # rule capped at one fetch batch: as that rule cuts no
+                # slice under a batch, all but a block's last are one
+                claimed = partial(_claimed_images, _block_writer(
+                    ckpt.table_dir(depth, "image_frontier"),
+                    tag=f"imgf{depth}:"))
+                image_cut = (*cut(len(docs_refs)), cfg.fetch_batch_size)
+                image_streams = [
+                    lanes.submit(_cut_stream, image_cut, claimed, ref)
+                    for ref in docs_refs]
+            lane_dirs = (ckpt.table_dir(depth, "rendered"),
+                         ckpt.table_dir(depth, "chunks"))
+            render_refs = [
+                lanes.submit(_render_lane, ref, *render_stages, lane_dirs,
+                             f"{depth}:")
+                for ref in docs_refs]
+            images = streamed_blocks(image_streams)
             hdir = ckpt.table_dir(depth, "harvest")
-            write_harvest(stream, hdir)
-            return _dir_rows(hdir)
+            return render_refs, images, [
+                lanes.submit(_harvest_lane, ref, *harvest_stages, hdir)
+                for _, _, ref in images]
 
         # (materialized next-round frontier, row count) handed from the
         # resolve execution of round d to round d+1 — the only
@@ -649,7 +691,7 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                          for name in sorted(os.listdir(frontier_dir))
                          if name.endswith(".parquet")]
                 blocks = streamed_blocks(
-                    _cut_frontier.remote(cut(len(parts)), pq.read_table, p)
+                    _cut_stream.remote(cut(len(parts)), pq.read_table, p)
                     for p in parts)
                 n_frontier = sum(n for n, _, _ in blocks)
                 frontier_mat = _bounded(_frontier_from_refs(blocks), rows)
@@ -688,7 +730,7 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                     return write(keep_new(canonicalize_batch(discover(seed))))
 
                 blocks = streamed_blocks(
-                    _cut_frontier.remote(
+                    _cut_stream.remote(
                         cut(len(seeds)), discover_seed, seed_table.slice(i, 1))
                     for i in range(len(seeds)))
                 n_frontier = sum(n for n, _, _ in blocks)
@@ -741,22 +783,19 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
             )
             branch_times["plan"] = round(time.monotonic() - round_t0, 3)
             t_fetch0 = time.monotonic()
-            docs_pq = docs.materialize()  # phase-1 barrier for proposals
+            # the execution's block refs: phase-1 barrier for proposals
+            docs_blocks = [(ref, meta.num_rows)
+                           for bundle in docs.iter_internal_ref_bundles()
+                           for ref, meta in bundle.blocks]
             branch_times["docs_mat"] = round(time.monotonic() - t_fetch0, 3)
-            n_docs = docs_pq.count()
+            n_docs = sum(n for _, n in docs_blocks)
+            docs_refs = [ref for ref, n in docs_blocks if n]
             fetch_parse_sec = time.monotonic() - t_fetch0
+            # the lanes start now, overlapping the resolve below
+            lanes_run = pool.submit(_start_lanes, depth, docs_refs)
 
-            futures = {}
             n_next = 0
             if n_docs:
-                futures["render_chunks"] = bg_pool.submit(
-                    _timed(branch_times, "render_chunks",
-                           _render_and_chunk), docs_pq, depth)
-                if cfg.harvest_images:
-                    futures["harvest"] = bg_pool.submit(
-                        _timed(branch_times, "harvest", _harvest),
-                        docs_pq, depth)
-
                 # ---- phase-2 resolve: shard-side, no execution --------------
                 if follow:
                     branch_times["pre_outlinks"] = round(
@@ -811,7 +850,8 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
             # can never skip a round whose sinks were still in flight
             prev_finalizer = finalizers[-1] if finalizers else None
 
-            def _finalize(depth=depth, futures=futures, n_frontier=n_frontier,
+            def _finalize(depth=depth, lanes_run=lanes_run,
+                          n_frontier=n_frontier,
                           n_docs=n_docs, n_next=n_next,
                           branch_times=branch_times, round_t0=round_t0,
                           critical_sec=critical_sec,
@@ -819,11 +859,13 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                           frontier_dir=frontier_dir,
                           seen_telemetry=seen_telemetry,
                           prev_finalizer=prev_finalizer):
-                n_rendered, n_chunks = (
-                    futures["render_chunks"].result()
-                    if "render_chunks" in futures else (0, 0))
-                n_harvest = (futures["harvest"].result()
-                             if "harvest" in futures else 0)
+                # every lane task's result: a failed task raises here
+                render_refs, images, harvested = lanes_run.result()
+                rendered = ray.get(render_refs)
+                harvested = ray.get(harvested)
+                if cfg.harvest_images and n_docs:
+                    commit_harvest(ckpt.table_dir(depth, "harvest"),
+                                   [part for _, part in harvested], HARVEST)
                 if prev_finalizer is not None:
                     prev_finalizer.result()
                 lineage = {
@@ -840,11 +882,10 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                     "pages_failed": n_frontier - n_docs,
                     "failed_samples": _failure_samples(
                         ckpt.table_dir(depth, "failures")),
-                    "rendered": n_rendered,
-                    "chunks": n_chunks,
-                    "image_frontier": _dir_rows(
-                        ckpt.table_dir(depth, "image_frontier")),
-                    "harvest_rows": n_harvest,
+                    "rendered": sum(n for n, _ in rendered),
+                    "chunks": sum(n for _, n in rendered),
+                    "image_frontier": sum(n for n, _, _ in images),
+                    "harvest_rows": sum(n for n, _ in harvested),
                     "next_frontier": n_next,
                     "round_sec": round(time.monotonic() - round_t0, 3),
                     "critical_sec": round(critical_sec, 3),
@@ -859,16 +900,17 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
 
             finalizers.append(pool.submit(_finalize))
 
-            # bound the pipeline window to 2 rounds so materialized
-            # documents of unfinished rounds don't pile up in the
-            # object store on deep crawls
-            if len(finalizers) >= 2:
-                finalizers[-2].result()
-
             if next_frontier is None:
                 break  # frontier exhausted (or link-following off)
 
+            # bound the pipeline window to 2 rounds so the documents
+            # blocks of unfinished rounds don't pile up in the object
+            # store on deep crawls
+            if len(finalizers) >= 2:
+                finalizers[-2].result()
+
         # ---- wait for all background sinks ---------------------------------
+        lanes.widen()  # no critical path is left to keep a CPU for
         for f in finalizers:
             f.result()
         result.rounds.sort()
@@ -911,7 +953,6 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
         clean = True
         return result
     finally:
-        bg_pool.shutdown(wait=True)
         pool.shutdown(wait=True)
         # only hosts of a crawl that returned normally are reused
         lease.release(reuse=clean)

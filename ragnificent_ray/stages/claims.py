@@ -4,25 +4,27 @@ the fetch+parse execution.
 A Ray Data execution has a fixed dispatch cost (~1 s for ~128 tasks in
 this sandbox, measured) and concurrent executions serialize their
 dispatch, so a crawl round built from many small executions pays a
-serial floor that caps scaling. These stages collapse the round's
-critical path to ONE execution plus one RPC round trip:
+serial floor that caps scaling. These stages collapse the round to
+ONE execution plus one RPC round trip and plain Ray tasks:
 
 1. fetch → parse → **AttachClaims** → block-write(documents) —
    critical path. AttachClaims canonicalizes each page's image and
    outlink candidates, *claims* image URLs on the sharded seen set
    (``check_and_add``), and *proposes* each outlink's full frontier
    payload (url, domain, depth, min rank) to the owning seen shard
-   (``propose_full``). The execution's materialize is the phase-1
-   barrier of the min-rank claim.
+   (``propose_full``). The execution running to its last documents
+   block ref is the phase-1 barrier of the min-rank claim.
 2. **seen.take_winners_to_parquet** — critical path, NOT an execution:
    each shard claims its pending winners and writes its own frontier
    parquet part. The next round's fetch execution reads those parts
    lazily, so resolve costs one actor RPC fan-out instead of a whole
    dataset execution (explode → resolve → write) per round.
-3. render → block-write(rendered) → chunk (→ embed) → chunks sink —
-   background.
-4. **ExplodeClaimedImages** → block-write(image_frontier) → fetch →
-   decode → harvest sink — background.
+3. render → rendered part → chunk (→ embed) → chunks part —
+   background, one plain task per documents block.
+4. **ExplodeClaimedImages** → image_frontier part — background, one
+   plain task per documents block, which streams the block's image
+   rows back in slices of at most one fetch batch; then fetch →
+   decode → harvest part, one plain task per slice.
 
 Determinism: image claims and outlink proposals happen inside the
 round's critical-path execution, so the seen set evolves in exact

@@ -120,6 +120,20 @@ class CheckpointManager:
         return pa.concat_tables([pq.read_table(f) for f in files])
 
 
+def write_part(table: pa.Table, path: str, basis: str) -> str:
+    """Write ``table`` into the directory ``path`` as
+    ``part-<digest of basis>.parquet`` (tmp file, then rename) and return
+    the file name. The caller names a part by its content, so a retried
+    task overwrites its own file instead of duplicating rows."""
+    key = hashlib.blake2b(basis.encode(), digest_size=10).hexdigest()
+    os.makedirs(path, exist_ok=True)
+    tmp = os.path.join(path, f".part-{key}.tmp")
+    pq.write_table(table, tmp)
+    name = f"part-{key}.parquet"
+    os.replace(tmp, os.path.join(path, name))
+    return name
+
+
 def config_hash(cfg) -> str:
     """Stable hash of the crawl config for lineage records."""
     from dataclasses import asdict

@@ -70,12 +70,17 @@ def _min_per_key(h: np.ndarray, r: np.ndarray, *payload: np.ndarray):
     return out
 
 
-def cut_blocks(table, rows: int, pieces: int = 1) -> tuple[list, list]:
+def cut_blocks(table, rows: int, pieces: int = 1,
+               most: int | None = None) -> tuple[list, list]:
     """``table`` as consecutive slices of ``max(rows, ceil(n / pieces))``
-    rows: ``([(rows, bytes) per slice], slices)``, no slice for an empty
-    table. A frontier is cut where it is made: into ``pieces`` blocks,
-    but none under one fetch batch of ``rows`` rows."""
+    rows, but none over ``most``: ``([(rows, bytes) per slice],
+    slices)``, no slice for an empty table. A frontier is cut where it is
+    made: into ``pieces`` blocks, but none under one fetch batch of
+    ``rows`` rows; a harvest lane's image rows go one fetch batch to a
+    slice at most."""
     size = max(rows, -(-table.num_rows // pieces))
+    if most is not None:
+        size = min(size, most)
     slices = [table.slice(i, size) for i in range(0, table.num_rows, size)]
     return [(t.num_rows, t.nbytes) for t in slices], slices
 

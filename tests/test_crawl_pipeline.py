@@ -269,12 +269,18 @@ def test_table_accessor_guard_routes_big_results_to_dataset(
 def test_crawl_executions_are_map_chains_over_cut_frontier_blocks(
     ray_session, tmp_path, monkeypatch
 ):
-    """No crawl execution holds an all-to-all operator (no repartition
-    barrier before the fetch), every frontier block the fetch reads holds
-    at most ``fetch_batch_size`` rows — round 0's 40-row seeds included,
-    since on 4 CPUs no seed's or shard's share of the ``BLOCKS_PER_CPU
-    × CPUs`` blocks reaches one batch — and every execution runs with
-    the crawl's block-size bound."""
+    """A seed-list round runs ONE Ray Data execution, its critical path,
+    and its background lanes as plain tasks. No crawl execution holds an
+    all-to-all operator (no repartition barrier before the fetch), every
+    frontier block the fetch reads holds at most ``fetch_batch_size``
+    rows — round 0's 40-row seeds included, since on 4 CPUs no seed's or
+    shard's share of the ``BLOCKS_PER_CPU × CPUs`` blocks reaches one
+    batch — every execution runs with the crawl's block-size bound, no
+    harvest task gets more than ``fetch_batch_size`` image rows, and
+    each round commits its harvest parts once."""
+    import os
+    import uuid
+
     from ray.data._internal.logical.operators.all_to_all_operator import (
         AbstractAllToAll,
     )
@@ -289,15 +295,34 @@ def test_crawl_executions_are_map_chains_over_cut_frontier_blocks(
         for dep in op.input_dependencies:
             yield from ops(dep)
 
+    # every execution, materialized or streamed, starts one executor
     executions = []
-    real_execute = ExecutionPlan.execute
+    real_create = ExecutionPlan.create_executor
 
-    def recording_execute(self, *args, **kwargs):
+    def recording_create(self, *args, **kwargs):
         executions.append((list(ops(self._logical_plan.dag)),
                            self._context.target_max_block_size))
-        return real_execute(self, *args, **kwargs)
+        return real_create(self, *args, **kwargs)
 
-    monkeypatch.setattr(ExecutionPlan, "execute", recording_execute)
+    # the harvest tasks run in workers: each leaves its row count in a file
+    decoded = tmp_path / "decoded"
+    decoded.mkdir()
+    real_decode = crawl.harvest_decode_batch
+
+    def recording_decode(batch):
+        (decoded / uuid.uuid4().hex).write_text(str(batch.num_rows))
+        return real_decode(batch)
+
+    commits = []
+    real_commit = crawl.commit_harvest
+
+    def recording_commit(uri, parts, schema):
+        commits.append((uri, len(parts)))
+        return real_commit(uri, parts, schema)
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", recording_create)
+    monkeypatch.setattr(crawl, "harvest_decode_batch", recording_decode)
+    monkeypatch.setattr(crawl, "commit_harvest", recording_commit)
     batch = 16
     cfg = CrawlConfig(
         world=WorldConfig(n_domains=2, pages_per_domain=40, images_per_page=1),
@@ -307,7 +332,8 @@ def test_crawl_executions_are_map_chains_over_cut_frontier_blocks(
     res = crawl.run_crawl(cfg, str(tmp_path / "cut"))
     monkeypatch.undo()
 
-    assert executions
+    rounds = [res.metrics[f"round_{r}"] for r in sorted(res.rounds)]
+    assert len(executions) == sum(1 for m in rounds if m["n_frontier"]) == 2
     for plan_ops, bound in executions:
         assert not [op for op in plan_ops if isinstance(op, AbstractAllToAll)]
         assert bound == batch * crawl.ROW_BYTES_BOUND
@@ -325,8 +351,60 @@ def test_crawl_executions_are_map_chains_over_cut_frontier_blocks(
         assert max(rows) <= batch
         assert sum(rows) == n
 
+    harvest_inputs = [int(f.read_text()) for f in decoded.iterdir()]
+    n_images = sum(m["image_frontier"] for m in rounds)
+    assert n_images > 2 * batch
+    assert sum(harvest_inputs) == n_images
+    assert max(harvest_inputs) <= batch
+    # one commit per round, of one part per harvest task
+    assert sorted(uri for uri, _ in commits) == [
+        os.path.join(res.out_dir, "rounds", f"round={r:04d}", "harvest")
+        for r in (0, 1)]
+    assert sum(n for _, n in commits) == len(harvest_inputs)
+
     oracle = run_oracle(cfg)
     ft = res.table("frontier")
     assert sorted(zip(ft.column("depth").to_pylist(),
                       ft.column("seed_rank").to_pylist(),
                       ft.column("url").to_pylist())) == sorted(oracle.order)
+
+
+def test_failed_harvest_task_fails_the_crawl(ray_session, tmp_path,
+                                             monkeypatch):
+    """The harvest lane runs the ``harvest_decode_batch`` of the
+    ``pipelines.crawl`` namespace (the seam traced stand-ins use), and a
+    lane task that raises fails the crawl loudly: ``run_crawl`` raises,
+    the round never reaches the manifest, and the crawl's shard hosts
+    are killed, not returned to the idle pool."""
+    import ray
+
+    from ragnificent_ray.pipelines import crawl
+    from ragnificent_ray.state import hosts as shard_hosts
+    from ragnificent_ray.state.checkpoint import CheckpointManager
+
+    leased = []
+    real_lease = shard_hosts.lease
+
+    def spy(*args, **kwargs):
+        lease = real_lease(*args, **kwargs)
+        leased.append(list(lease.hosts))
+        return lease
+
+    def broken_decode(batch):
+        raise ValueError("decode stand-in failed")
+
+    monkeypatch.setattr(shard_hosts, "lease", spy)
+    monkeypatch.setattr(crawl, "harvest_decode_batch", broken_decode)
+    out = str(tmp_path / "broken")
+    with pytest.raises(ValueError, match="decode stand-in failed"):
+        crawl.run_crawl(tiny_cfg(), out)
+    monkeypatch.undo()
+
+    assert CheckpointManager(out).completed_rounds() == []
+    [hosts] = leased
+    with shard_hosts._LOCK:
+        idle = [h for entry in shard_hosts._IDLE.values() for h in entry[0]]
+    assert not set(hosts) & set(idle)
+    for h in hosts:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(h.pid.remote(), timeout=30)

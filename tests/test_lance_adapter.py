@@ -4,12 +4,13 @@ The sandbox has no ``pylance``, so the parquet stand-in is what every
 crawl run exercises; these tests additionally pin the REAL-Lance branch
 by injecting a fake ``lance`` module, so the non-sandbox path (the one
 the north rule's Lance-table output contract actually uses) cannot rot
-unnoticed: ``write_harvest`` must route a pyarrow Table through
-``lance.write_dataset(table, uri, mode="overwrite")``, a Ray Dataset
-through ``Dataset.write_lance(uri)``, and ``read_harvest`` through
-``lance.dataset(uri).to_table()``.
+unnoticed: each ``write_harvest`` call must write its part through
+``lance.fragment.write_fragments``, ``commit_harvest`` must make them
+one table with exactly one ``LanceDataset.commit`` of an ``Overwrite``,
+and ``read_harvest`` must read through ``lance.dataset(uri).to_table()``.
 """
 
+import os
 import sys
 import types
 from unittest import mock
@@ -46,11 +47,23 @@ def _harvest_table() -> pa.Table:
 def fake_lance(monkeypatch):
     """A recording stand-in for the pylance module, installed only for
     the duration of a test (HAVE_LANCE flips with it)."""
-    calls = {"write": [], "read": []}
+    calls = {"fragments": [], "commit": [], "read": []}
     mod = types.ModuleType("lance")
+    fragment = types.ModuleType("lance.fragment")
 
-    def write_dataset(table, uri, mode=None):
-        calls["write"].append((table, uri, mode))
+    def write_fragments(table, uri, schema=None):
+        calls["fragments"].append((table, uri, schema))
+        return [f"fragment-{len(calls['fragments'])}"]
+
+    class LanceOperation:
+        @staticmethod
+        def Overwrite(schema, fragments):
+            return ("overwrite", schema, fragments)
+
+    class LanceDataset:
+        @staticmethod
+        def commit(uri, operation, read_version=None):
+            calls["commit"].append((uri, operation))
 
     def dataset(uri):
         calls["read"].append(uri)
@@ -58,30 +71,38 @@ def fake_lance(monkeypatch):
         ds.to_table.return_value = _harvest_table()
         return ds
 
-    mod.write_dataset = write_dataset
+    fragment.write_fragments = write_fragments
+    mod.fragment = fragment
+    mod.LanceOperation = LanceOperation
+    mod.LanceDataset = LanceDataset
     mod.dataset = dataset
     monkeypatch.setitem(sys.modules, "lance", mod)
+    monkeypatch.setitem(sys.modules, "lance.fragment", fragment)
     monkeypatch.setattr(lance_io, "HAVE_LANCE", True)
     return calls
 
 
-def test_real_lance_table_write(fake_lance, tmp_path):
+def test_real_lance_writes_a_fragment_per_part_and_commits_once(
+        fake_lance, tmp_path):
     t = _harvest_table()
     uri = str(tmp_path / "harvest.lance")
-    lance_io.write_harvest(t, uri)
-    assert len(fake_lance["write"]) == 1
-    written, got_uri, mode = fake_lance["write"][0]
-    assert got_uri == uri and mode == "overwrite"
-    assert written.schema.equals(HARVEST_SCHEMA)
-    assert written.num_rows == 2
+    parts = [lance_io.write_harvest(t.slice(i, 1), uri) for i in range(2)]
+    assert [(n.num_rows, u, s.equals(HARVEST_SCHEMA))
+            for n, u, s in fake_lance["fragments"]] == [(1, uri, True)] * 2
+    assert fake_lance["commit"] == []  # parts are invisible until the commit
+
+    lance_io.commit_harvest(uri, parts, HARVEST_SCHEMA)
+    assert len(fake_lance["commit"]) == 1
+    got_uri, (op, schema, fragments) = fake_lance["commit"][0]
+    assert got_uri == uri and op == "overwrite"
+    assert schema.equals(HARVEST_SCHEMA)
+    assert fragments == ["fragment-1", "fragment-2"]
 
 
-def test_real_lance_dataset_write(fake_lance, tmp_path):
-    ds = mock.Mock(spec=["write_lance"])
+def test_real_lance_empty_part_writes_no_fragment(fake_lance, tmp_path):
     uri = str(tmp_path / "harvest.lance")
-    lance_io.write_harvest(ds, uri)
-    ds.write_lance.assert_called_once_with(uri)
-    assert fake_lance["write"] == []  # Dataset path goes via write_lance
+    assert lance_io.write_harvest(_harvest_table().slice(0, 0), uri) == []
+    assert fake_lance["fragments"] == []
 
 
 def test_real_lance_read(fake_lance, tmp_path):
@@ -92,12 +113,39 @@ def test_real_lance_read(fake_lance, tmp_path):
 
 
 def test_adapter_parquet_roundtrip_without_lance(tmp_path):
-    """The sandbox branch: parquet parts + _lance_adapter.json sidecar,
-    read back equal — and HAVE_LANCE must actually be off here."""
+    """The sandbox branch: one parquet part per write and a
+    _lance_adapter.json sidecar on commit, read back equal — and
+    HAVE_LANCE must actually be off here."""
     assert not lance_io.HAVE_LANCE
     t = _harvest_table()
     uri = str(tmp_path / "harvest.lance")
-    lance_io.write_harvest(t, uri)
+    part = lance_io.write_harvest(t, uri)
+    lance_io.commit_harvest(uri, [part], t.schema)
     assert (tmp_path / "harvest.lance" / "_lance_adapter.json").exists()
     back = lance_io.read_harvest(uri)
     assert back.equals(t)
+
+
+def test_adapter_parquet_roundtrip_of_several_parts(tmp_path):
+    """Three writes (one per harvest task) make three content-addressed
+    parts; a retried write rewrites its own part; the one commit records
+    them all, and they read back as the whole table."""
+    import json
+
+    t = _harvest_table()
+    more = t.slice(0, 1).set_column(
+        0, "image_id", pa.array(["c"], type=pa.string()))
+    uri = str(tmp_path / "harvest.lance")
+    pieces = [t.slice(0, 1), t.slice(1, 1), more]
+    parts = [lance_io.write_harvest(p, uri) for p in pieces]
+    assert lance_io.write_harvest(pieces[0], uri) == parts[0]  # a retry
+    lance_io.commit_harvest(uri, parts, t.schema)
+
+    files = sorted(n for n in os.listdir(uri) if n.endswith(".parquet"))
+    assert len(files) == 3
+    meta = json.loads((tmp_path / "harvest.lance" /
+                       "_lance_adapter.json").read_text())
+    assert meta["parts"] == files
+    back = lance_io.read_harvest(uri)
+    assert sorted(back.to_pylist(), key=lambda r: r["image_id"]) == \
+        pa.concat_tables(pieces).to_pylist()
