@@ -369,6 +369,35 @@ def _aspect_bucket_stats(sf_dir: str):
             .map_batches(finish, batch_format="pyarrow"))
 
 
+def _image_topk_partials(qids: list, qm, top_k: int):
+    """Per-batch map over image feature rows: each query's local
+    top-``top_k`` images by feature dot product in (−sim, image_id)
+    order; the query panel rides in the closure."""
+    import numpy as np
+    import pyarrow as pa
+
+    from ragnificent_ray.functions.numeric import list_column_matrix
+
+    def partial_topk(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch.column("image_id").to_pylist(), dtype=object)
+        m = list_column_matrix(batch.column("features"), dtype=np.float64)
+        sims = qm @ m.T
+        k = min(top_k, len(ids))
+        out_q, out_n, out_s = [], [], []
+        for qi, qid in enumerate(qids):
+            sel = np.lexsort((ids, -sims[qi]))[:k]
+            out_q.extend([qid] * len(sel))
+            out_n.extend(ids[sel].tolist())
+            out_s.extend(sims[qi][sel].tolist())
+        return pa.table({
+            "query_id": pa.array(out_q, type=pa.string()),
+            "neighbor_id": pa.array(out_n, type=pa.string()),
+            "sim": pa.array(out_s, type=pa.float64()),
+        })
+
+    return partial_topk
+
+
 def _image_feature_ann(sf_dir: str):
     """Image-to-image similarity search over the crawl harvest: exact
     cosine top-5 of every query image against the whole image corpus.
@@ -382,14 +411,11 @@ def _image_feature_ann(sf_dir: str):
     (binary-payload input — no SQL view)."""
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
 
     from ragnificent_ray.functions.imaging import decode_image
-    from ragnificent_ray.functions.numeric import (list_column_matrix,
-                                                   round_half_away)
+    from ragnificent_ray.functions.numeric import round_half_away
     from ragnificent_ray.stages.multimodal import ImageFeatureStage
 
     top_k = 5
@@ -402,34 +428,10 @@ def _image_feature_ann(sf_dir: str):
         for b, f in zip(qrows.column("bytes").to_pylist(),
                         qrows.column("fmt").to_pylist())
     ]).astype(np.float64)
-    qref = ray.put((qids, qm))
 
     feats = rd.from_arrow(harvest.select(["image_id", "bytes", "fmt"])) \
         .map_batches(ImageFeatureStage, batch_format="pyarrow",
                      batch_size=64, concurrency=2)
-
-    class PartialTopK:
-        def __init__(self, ref):
-            self.qids, self.qm = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("image_id").to_pylist()
-            m = list_column_matrix(batch.column("features"),
-                                   dtype=np.float64)
-            sims = self.qm @ m.T
-            out_q, out_n, out_s = [], [], []
-            k = min(top_k, len(ids))
-            ids_arr = np.asarray(ids, dtype=object)
-            for qi, qid in enumerate(self.qids):
-                order = np.lexsort((ids_arr, -sims[qi]))[:k]
-                out_q.extend([qid] * len(order))
-                out_n.extend(ids_arr[order].tolist())
-                out_s.extend(sims[qi][order].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.string()),
-                "neighbor_id": pa.array(out_n, type=pa.string()),
-                "sim": pa.array(out_s, type=pa.float64()),
-            })
 
     def merge(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values(["sim", "neighbor_id"],
@@ -440,9 +442,8 @@ def _image_feature_ann(sf_dir: str):
         return g[["query_id", "neighbor_id", "rank", "cos_sim"]]
 
     return (
-        feats.map_batches(PartialTopK, fn_constructor_kwargs={"ref": qref},
-                          batch_format="pyarrow", batch_size=4096,
-                          concurrency=2)
+        feats.map_batches(_image_topk_partials(qids, qm, top_k),
+                          batch_format="pyarrow", batch_size=4096)
         .groupby("query_id")
         .map_groups(merge, batch_format="pandas")
     )
@@ -581,12 +582,9 @@ def _caption_to_image_recall(sf_dir: str):
     tiny per-query merge. Rows-only (binary payloads)."""
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
 
-    from ragnificent_ray.functions.numeric import list_column_matrix
     from ragnificent_ray.stages.embed import HashEmbedder
     from ragnificent_ray.stages.multimodal import ImageFeatureStage
 
@@ -597,34 +595,10 @@ def _caption_to_image_recall(sf_dir: str):
     qids = qrows.column("image_id").to_pylist()
     qm = HashEmbedder(dim=64)._encode(
         qrows.column("caption").to_pylist()).astype(np.float64)
-    qref = ray.put((qids, qm))
 
     feats = rd.from_arrow(harvest.select(["image_id", "bytes", "fmt"])) \
         .map_batches(ImageFeatureStage, batch_format="pyarrow",
                      batch_size=64, concurrency=2)
-
-    class PartialTopK:
-        def __init__(self, ref):
-            self.qids, self.qm = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("image_id").to_pylist(),
-                             dtype=object)
-            m = list_column_matrix(batch.column("features"),
-                                   dtype=np.float64)
-            sims = self.qm @ m.T
-            k = min(top_k, len(ids))
-            out_q, out_n, out_s = [], [], []
-            for qi, qid in enumerate(self.qids):
-                sel = np.lexsort((ids, -sims[qi]))[:k]
-                out_q.extend([qid] * len(sel))
-                out_n.extend(ids[sel].tolist())
-                out_s.extend(sims[qi][sel].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.string()),
-                "neighbor_id": pa.array(out_n, type=pa.string()),
-                "sim": pa.array(out_s, type=pa.float64()),
-            })
 
     def merge(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values(["sim", "neighbor_id"],
@@ -639,10 +613,8 @@ def _caption_to_image_recall(sf_dir: str):
                                  dtype="int64"),
         })
 
-    return (feats.map_batches(PartialTopK,
-                              fn_constructor_kwargs={"ref": qref},
-                              batch_format="pyarrow", batch_size=4096,
-                              concurrency=2)
+    return (feats.map_batches(_image_topk_partials(qids, qm, top_k),
+                              batch_format="pyarrow", batch_size=4096)
             .groupby("query_id")
             .map_groups(merge, batch_format="pandas"))
 
@@ -669,7 +641,6 @@ def _hard_negative_mining(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
 
     from ragnificent_ray.functions.numeric import (list_column_matrix,
@@ -684,44 +655,37 @@ def _hard_negative_mining(sf_dir: str):
     qids = qrows.column("image_id").to_pylist()
     qm = HashEmbedder(dim=64)._encode(
         qrows.column("caption").to_pylist()).astype(np.float64)
-    qref = ray.put((qids, qm))
 
     feats = rd.from_arrow(harvest.select(["image_id", "bytes", "fmt"])) \
         .map_batches(ImageFeatureStage, batch_format="pyarrow",
                      batch_size=64, concurrency=2)
 
-    class PartialTopK:
-        def __init__(self, ref):
-            self.qids, self.qm = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("image_id").to_pylist(),
-                             dtype=object)
-            m = list_column_matrix(batch.column("features"),
-                                   dtype=np.float64)
-            sims = self.qm @ m.T
-            # top-(k+1) covers the worst case where the positive is in
-            # this block's top-k; the positive's own row always rides
-            # along (marked) so the merge knows the pair sim
-            k = min(top_k + 1, len(ids))
-            out_q, out_n, out_s, out_own = [], [], [], []
-            for qi, qid in enumerate(self.qids):
-                sel = np.lexsort((ids, -sims[qi]))[:k]
-                keep = list(sel)
-                own_idx = np.nonzero(ids == qid)[0]
-                if len(own_idx) and own_idx[0] not in keep:
-                    keep.append(own_idx[0])
-                for i in keep:
-                    out_q.append(qid)
-                    out_n.append(ids[i])
-                    out_s.append(sims[qi][i])
-                    out_own.append(bool(ids[i] == qid))
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.string()),
-                "neighbor_id": pa.array(out_n, type=pa.string()),
-                "sim": pa.array(out_s, type=pa.float64()),
-                "is_own": pa.array(out_own, type=pa.bool_()),
-            })
+    def partial_topk(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch.column("image_id").to_pylist(), dtype=object)
+        m = list_column_matrix(batch.column("features"), dtype=np.float64)
+        sims = qm @ m.T
+        # top-(k+1) covers the worst case where the positive is in
+        # this block's top-k; the positive's own row always rides
+        # along (marked) so the merge knows the pair sim
+        k = min(top_k + 1, len(ids))
+        out_q, out_n, out_s, out_own = [], [], [], []
+        for qi, qid in enumerate(qids):
+            sel = np.lexsort((ids, -sims[qi]))[:k]
+            keep = list(sel)
+            own_idx = np.nonzero(ids == qid)[0]
+            if len(own_idx) and own_idx[0] not in keep:
+                keep.append(own_idx[0])
+            for i in keep:
+                out_q.append(qid)
+                out_n.append(ids[i])
+                out_s.append(sims[qi][i])
+                out_own.append(bool(ids[i] == qid))
+        return pa.table({
+            "query_id": pa.array(out_q, type=pa.string()),
+            "neighbor_id": pa.array(out_n, type=pa.string()),
+            "sim": pa.array(out_s, type=pa.float64()),
+            "is_own": pa.array(out_own, type=pa.bool_()),
+        })
 
     def merge(g: "pd.DataFrame") -> "pd.DataFrame":
         qid = g["query_id"].iloc[0]
@@ -740,10 +704,8 @@ def _hard_negative_mining(sf_dir: str):
                 neg["sim"].to_numpy() - own_sim, 4),
         })
 
-    return (feats.map_batches(PartialTopK,
-                              fn_constructor_kwargs={"ref": qref},
-                              batch_format="pyarrow", batch_size=4096,
-                              concurrency=2)
+    return (feats.map_batches(partial_topk, batch_format="pyarrow",
+                              batch_size=4096)
             .groupby("query_id")
             .map_groups(merge, batch_format="pandas"))
 

@@ -60,7 +60,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 class FileExportSink:
-    """``map_batches`` sink: rendered rows → one file per page.
+    """``map_batches`` task sink: rendered rows → one file per page.
 
     Expects columns ``url``, ``fmt``, ``content`` (the crawl's
     ``rendered`` table layout). Emits a count row per batch."""
@@ -90,15 +90,12 @@ def export_rendered_files(data, out_dir: str) -> int:
     import pyarrow.compute as pc
     import ray.data as rd
 
+    sink = FileExportSink(out_dir)
     if isinstance(data, pa.Table):
-        sink = FileExportSink(out_dir)
         return int(sink(data).column("files_written")[0].as_py())
     assert isinstance(data, rd.Dataset)
-    counts = data.map_batches(
-        FileExportSink, fn_constructor_kwargs={"out_dir": out_dir},
-        batch_format="pyarrow", batch_size=1024, concurrency=2,
-        num_cpus=0.5,
-    )
+    counts = data.map_batches(sink, batch_format="pyarrow", batch_size=1024,
+                              num_cpus=0.5)
     total = 0
     for b in counts.iter_batches(batch_size=4096, batch_format="pyarrow"):
         total += int(pc.sum(b.column("files_written")).as_py() or 0)
@@ -144,16 +141,12 @@ def export_chunks(data, out_dir: str, fmt: str = "jsonl") -> int:
     import pyarrow.compute as pc
     import ray.data as rd
 
+    sink = ChunkExportSink(out_dir, fmt)
     if isinstance(data, pa.Table):
-        sink = ChunkExportSink(out_dir, fmt)
         return int(sink(data).column("files_written")[0].as_py())
     assert isinstance(data, rd.Dataset)
-    counts = data.map_batches(
-        ChunkExportSink, fn_constructor_kwargs={"out_dir": out_dir,
-                                                "fmt": fmt},
-        batch_format="pyarrow", batch_size=2048, concurrency=2,
-        num_cpus=0.5,
-    )
+    counts = data.map_batches(sink, batch_format="pyarrow", batch_size=2048,
+                              num_cpus=0.5)
     total = 0
     for b in counts.iter_batches(batch_size=4096, batch_format="pyarrow"):
         total += int(pc.sum(b.column("files_written")).as_py() or 0)

@@ -1,9 +1,10 @@
 """Similarity search over the ``embeddings`` table.
 
 * ``ann_topk`` — brute-force cosine top-k: the query matrix is broadcast
-  (``ray.put`` once), every batch computes a block matmul and keeps its
-  local top-k per query, then a tiny per-query ``map_groups`` merges
-  partials — the canonical distributed exact-kNN shape. SQL-checkable.
+  (captured in the map's closure), every batch computes a block matmul
+  and keeps its local top-k per query, then a tiny per-query
+  ``map_groups`` merges partials — the canonical distributed exact-kNN
+  shape. SQL-checkable.
 * ``ann_lsh_topk`` — the scale path: random-hyperplane LSH buckets
   (deterministic seed); queries probe only matching buckets. Approximate
   (rows-only check): at 10^10 rows the bucketing turns the all-pairs
@@ -17,7 +18,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 
 from ..functions.numeric import list_column_matrix, round_half_away
 from .inputs import _pq, scan
@@ -39,53 +39,53 @@ def _query_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     return qids, qn
 
 
-def ann_topk(sf_dir: str):
-    """Exact cosine top-k of every vec_id < N_QUERIES query."""
-    qids, qn = _query_matrix(sf_dir)
-    qref = ray.put((qids, qn))
-
-    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    class PartialTopK:
-        def __init__(self, ref):
-            self.qids, self.qn = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-            m = list_column_matrix(batch.column("embedding"), dtype=np.float64)
-            m /= np.linalg.norm(m, axis=1, keepdims=True)
-            sims = self.qn @ m.T  # (Q, B)
-            out_q, out_n, out_s = [], [], []
-            k = min(TOP_K, sims.shape[1])
-            for qi in range(len(self.qids)):
-                # local top-k with deterministic (−sim, id) order
-                order = np.lexsort((ids, -sims[qi]))[:k]
-                out_q.extend([int(self.qids[qi])] * len(order))
-                out_n.extend(ids[order].tolist())
-                out_s.extend(sims[qi][order].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "sim": pa.array(out_s, type=pa.float64()),
-            })
-
-    def merge(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("sim", "descending"),
-                       ("neighbor_id", "ascending")]).slice(0, TOP_K)
+def _partial_topk(qids: np.ndarray, qn: np.ndarray, k: int):
+    """Per-batch map: each query's local top-``k`` (query_id,
+    neighbor_id, sim) rows in deterministic (−sim, id) order, the query
+    matrix captured in the closure."""
+    def partial(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        m = list_column_matrix(batch.column("embedding"), dtype=np.float64)
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        sims = qn @ m.T  # (Q, B)
+        out_q, out_n, out_s = [], [], []
+        kk = min(k, sims.shape[1])
+        for qi in range(len(qids)):
+            order = np.lexsort((ids, -sims[qi]))[:kk]
+            out_q.extend([int(qids[qi])] * len(order))
+            out_n.extend(ids[order].tolist())
+            out_s.extend(sims[qi][order].tolist())
         return pa.table({
-            "query_id": g.column("query_id"),
-            "neighbor_id": g.column("neighbor_id"),
-            "rank": pa.array(np.arange(1, g.num_rows + 1,
-                                       dtype=np.int64)),
-            "cos_sim": pa.array(round_half_away(
-                g.column("sim").to_numpy(zero_copy_only=False), 4)),
+            "query_id": pa.array(out_q, type=pa.int64()),
+            "neighbor_id": pa.array(out_n, type=pa.int64()),
+            "sim": pa.array(out_s, type=pa.float64()),
         })
 
+    return partial
+
+
+def _ranked_topk(g: pa.Table) -> pa.Table:
+    """One query's merged top-``TOP_K`` with 1-based ranks and the
+    4-decimal cosine."""
+    g = g.sort_by([("sim", "descending"),
+                   ("neighbor_id", "ascending")]).slice(0, TOP_K)
+    return pa.table({
+        "query_id": g.column("query_id"),
+        "neighbor_id": g.column("neighbor_id"),
+        "rank": pa.array(np.arange(1, g.num_rows + 1, dtype=np.int64)),
+        "cos_sim": pa.array(round_half_away(
+            g.column("sim").to_numpy(zero_copy_only=False), 4)),
+    })
+
+
+def ann_topk(sf_dir: str):
+    """Exact cosine top-k of every vec_id < N_QUERIES query."""
+    ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return (
-        ds.map_batches(PartialTopK, fn_constructor_kwargs={"ref": qref},
-                       batch_format="pyarrow", batch_size=4096, concurrency=2)
+        ds.map_batches(_partial_topk(*_query_matrix(sf_dir), TOP_K),
+                       batch_format="pyarrow", batch_size=4096)
         .groupby("query_id")
-        .map_groups(merge, batch_format="pyarrow")
+        .map_groups(_ranked_topk, batch_format="pyarrow")
     )
 
 
@@ -100,53 +100,36 @@ def ann_lsh_topk(sf_dir: str):
     dim = qn.shape[1]
     planes = rng.standard_normal((LSH_PLANES, dim))
     qbuckets = (qn @ planes.T > 0) @ (1 << np.arange(LSH_PLANES))
-    ref = ray.put((qids, qn, planes, qbuckets))
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    class BucketSearch:
-        def __init__(self, ref):
-            self.qids, self.qn, self.planes, self.qbuckets = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-            m = list_column_matrix(batch.column("embedding"), dtype=np.float64)
-            m /= np.linalg.norm(m, axis=1, keepdims=True)
-            buckets = (m @ self.planes.T > 0) @ (1 << np.arange(LSH_PLANES))
-            out_q, out_n, out_s = [], [], []
-            for qi in range(len(self.qids)):
-                mask = buckets == self.qbuckets[qi]
-                if not mask.any():
-                    continue
-                sims = self.qn[qi] @ m[mask].T
-                sub_ids = ids[mask]
-                order = np.lexsort((sub_ids, -sims))[:TOP_K]
-                out_q.extend([int(self.qids[qi])] * len(order))
-                out_n.extend(sub_ids[order].tolist())
-                out_s.extend(sims[order].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "sim": pa.array(out_s, type=pa.float64()),
-            })
-
-    def merge(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("sim", "descending"),
-                       ("neighbor_id", "ascending")]).slice(0, TOP_K)
+    def bucket_search(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        m = list_column_matrix(batch.column("embedding"), dtype=np.float64)
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        buckets = (m @ planes.T > 0) @ (1 << np.arange(LSH_PLANES))
+        out_q, out_n, out_s = [], [], []
+        for qi in range(len(qids)):
+            mask = buckets == qbuckets[qi]
+            if not mask.any():
+                continue
+            sims = qn[qi] @ m[mask].T
+            sub_ids = ids[mask]
+            order = np.lexsort((sub_ids, -sims))[:TOP_K]
+            out_q.extend([int(qids[qi])] * len(order))
+            out_n.extend(sub_ids[order].tolist())
+            out_s.extend(sims[order].tolist())
         return pa.table({
-            "query_id": g.column("query_id"),
-            "neighbor_id": g.column("neighbor_id"),
-            "rank": pa.array(np.arange(1, g.num_rows + 1,
-                                       dtype=np.int64)),
-            "cos_sim": pa.array(round_half_away(
-                g.column("sim").to_numpy(zero_copy_only=False), 4)),
+            "query_id": pa.array(out_q, type=pa.int64()),
+            "neighbor_id": pa.array(out_n, type=pa.int64()),
+            "sim": pa.array(out_s, type=pa.float64()),
         })
 
     return (
-        ds.map_batches(BucketSearch, fn_constructor_kwargs={"ref": ref},
-                       batch_format="pyarrow", batch_size=4096, concurrency=2)
+        ds.map_batches(bucket_search, batch_format="pyarrow",
+                       batch_size=4096)
         .groupby("query_id")
-        .map_groups(merge, batch_format="pyarrow")
+        .map_groups(_ranked_topk, batch_format="pyarrow")
     )
 
 
@@ -170,15 +153,9 @@ def ann_lsh_recall(sf_dir: str):
             })
         return add
 
-    # Each branch materializes before the union: results are ≤ Q·k rows
-    # (bounded by construction, not by input size), and running both
-    # actor-pool searches concurrently would demand 2× the pool CPUs at
-    # once — sequencing them keeps the op runnable at any cluster size.
-    exact = ann_topk(sf_dir).map_batches(
-        tag("exact"), batch_format="pyarrow").materialize()
-    approx = ann_lsh_topk(sf_dir).map_batches(
-        tag("lsh"), batch_format="pyarrow").materialize()
-    both = exact.union(approx)
+    both = ann_topk(sf_dir).map_batches(
+        tag("exact"), batch_format="pyarrow").union(
+        ann_lsh_topk(sf_dir).map_batches(tag("lsh"), batch_format="pyarrow"))
 
     def recall(g: pa.Table) -> pa.Table:
         src_col = g.column("src")
@@ -210,51 +187,15 @@ def search_rerank(sf_dir: str):
     candidate texts via an id-filtered parquet read (the candidate→
     documents semi-join pushed down to the scan)."""
     over_k = 2 * TOP_K
-    qids, qn = _query_matrix(sf_dir)
-    qref = ray.put((qids, qn))
-
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    class PartialTopK:
-        def __init__(self, ref):
-            self.ref = ref
-            self._q = None
-
-        def __getstate__(self):
-            s = self.__dict__.copy()
-            s["_q"] = None
-            return s
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if self._q is None:
-                self._q = ray.get(self.ref)
-            qids, qn = self._q
-            ids = np.asarray(batch.column("vec_id").to_pylist(),
-                             dtype=np.int64)
-            m = list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64)
-            m /= np.linalg.norm(m, axis=1, keepdims=True)
-            sims = qn @ m.T
-            out_q, out_n, out_s = [], [], []
-            k = min(over_k, sims.shape[1])
-            for qi in range(len(qids)):
-                order = np.lexsort((ids, -sims[qi]))[:k]
-                out_q.extend([int(qids[qi])] * len(order))
-                out_n.extend(ids[order].tolist())
-                out_s.extend(sims[qi][order].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "sim": pa.array(out_s, type=pa.float64()),
-            })
 
     def merge(g: pa.Table) -> pa.Table:
         return g.sort_by([("sim", "descending"),
                           ("neighbor_id", "ascending")]).slice(0, over_k)
 
     cands = (
-        ds.map_batches(PartialTopK(qref), batch_format="pyarrow",
-                       batch_size=4096)
+        ds.map_batches(_partial_topk(*_query_matrix(sf_dir), over_k),
+                       batch_format="pyarrow", batch_size=4096)
         .groupby("query_id")
         .map_groups(merge, batch_format="pyarrow")
     ).to_pandas()
@@ -315,33 +256,7 @@ def mmr_rerank(sf_dir: str):
     so the selection is a total order."""
     import pyarrow.parquet as pq
 
-    qids, qn = _query_matrix(sf_dir)
-    qref = ray.put((qids, qn))
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    class PartialTopK:
-        def __init__(self, ref):
-            self.qids, self.qn = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("vec_id").to_pylist(),
-                             dtype=np.int64)
-            m = list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64)
-            m /= np.linalg.norm(m, axis=1, keepdims=True)
-            sims = self.qn @ m.T
-            out_q, out_n, out_s = [], [], []
-            k = min(MMR_CANDIDATES, sims.shape[1])
-            for qi in range(len(self.qids)):
-                order = np.lexsort((ids, -sims[qi]))[:k]
-                out_q.extend([int(self.qids[qi])] * len(order))
-                out_n.extend(ids[order].tolist())
-                out_s.extend(sims[qi][order].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "sim": pa.array(out_s, type=pa.float64()),
-            })
 
     def merge(g: pa.Table) -> pa.Table:
         return g.sort_by([("sim", "descending"),
@@ -349,9 +264,9 @@ def mmr_rerank(sf_dir: str):
                          ).slice(0, MMR_CANDIDATES)
 
     cands = (
-        ds.map_batches(PartialTopK, fn_constructor_kwargs={"ref": qref},
-                       batch_format="pyarrow", batch_size=4096,
-                       concurrency=2)
+        ds.map_batches(
+            _partial_topk(*_query_matrix(sf_dir), MMR_CANDIDATES),
+            batch_format="pyarrow", batch_size=4096)
         .groupby("query_id")
         .map_groups(merge, batch_format="pyarrow")
     ).to_pandas()

@@ -4,10 +4,10 @@ Semantic curation pipelines cluster the corpus embedding space, then
 work within clusters (SemDeDup drops near-duplicates per cluster;
 mixing rebalances cluster mass). The scale-critical step is the
 ASSIGNMENT pass: every vector against K centroids. K is small (1e2-1e5)
-while the corpus is 100 TB — so centroids are a broadcast (``ray.put``
-once, block matmul per batch), never a join. The per-cluster follow-on
-work is the bounded-bucket groupby discipline of ``pipelines/dedup.py``
-(cluster id is the bucket).
+while the corpus is 100 TB — so centroids are a broadcast (captured in
+the map's closure, block matmul per batch), never a join. The
+per-cluster follow-on work is the bounded-bucket groupby discipline of
+``pipelines/dedup.py`` (cluster id is the bucket).
 
 ``kmeans_assign`` does one deterministic assignment pass with centroids
 seeded from the first K vectors (vec_id < K via row-filter pushdown, as
@@ -24,9 +24,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 
 from ..functions.numeric import list_column_matrix, round_half_away
+from .ann import N_QUERIES, TOP_K, _ranked_topk
 from .combine import fold
 from .inputs import _pq, scan
 
@@ -42,49 +42,44 @@ def _centroids(sf_dir: str) -> np.ndarray:
                               dtype=np.float64)[order]
 
 
+def _nearest(x: np.ndarray, c: np.ndarray) -> tuple:
+    """``(cell, d)``: each row of ``x``'s nearest centroid of ``c`` and
+    the squared euclidean distances ``d`` (rows × centroids), expanded
+    as ``||x||^2 - 2 x.c + ||c||^2`` into one block matmul. np.argmin
+    breaks exact ties on the lowest centroid index, matching the
+    oracles' ``ORDER BY dist, cid``."""
+    c_sq = (c * c).sum(axis=1)
+    d = (x * x).sum(axis=1, keepdims=True) - 2.0 * (x @ c.T) + c_sq[None, :]
+    return np.argmin(d, axis=1).astype(np.int64), d
+
+
 def kmeans_assign(sf_dir: str):
     """Nearest-centroid assignment of every non-seed vector.
 
     Returns (vec_id, cluster, dist): the winning centroid index and the
     squared euclidean distance to it (rounded to 4 decimals)."""
-    cent_ref = ray.put(_centroids(sf_dir))
+    c = _centroids(sf_dir)
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    class Assign:
-        def __init__(self, ref):
-            c = ray.get(ref)
-            self.c = c
-            self.c_sq = (c * c).sum(axis=1)
+    def assign(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        keep = ids >= N_CENTROIDS
+        ids = ids[keep]
+        x = list_column_matrix(batch.column("embedding"),
+                               dtype=np.float64)[keep]
+        cluster, d = _nearest(x, c)
+        dist = d[np.arange(len(ids)), cluster]
+        return pa.table({
+            "vec_id": pa.array(ids),
+            "cluster": pa.array(cluster),
+            "dist": pa.array(round_half_away(dist, 4)),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("vec_id").to_pylist(),
-                             dtype=np.int64)
-            keep = ids >= N_CENTROIDS
-            ids = ids[keep]
-            x = list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64)[keep]
-            # ||x-c||^2 = ||x||^2 - 2 x.c + ||c||^2 as a block matmul;
-            # np.argmin breaks exact ties on the lowest centroid index,
-            # matching the oracle's ORDER BY dist, cid
-            d = (x * x).sum(axis=1, keepdims=True) \
-                - 2.0 * (x @ self.c.T) + self.c_sq[None, :]
-            cluster = np.argmin(d, axis=1)
-            dist = d[np.arange(len(ids)), cluster]
-            return pa.table({
-                "vec_id": pa.array(ids),
-                "cluster": pa.array(cluster.astype(np.int64)),
-                "dist": pa.array(round_half_away(dist, 4)),
-            })
-
-    return ds.map_batches(Assign, fn_constructor_kwargs={"ref": cent_ref},
-                          batch_format="pyarrow", batch_size=4096,
-                          concurrency=2)
+    return ds.map_batches(assign, batch_format="pyarrow", batch_size=4096)
 
 
 N_PROBE = 2
-TOP_K = 10
-N_QUERIES = 5
 SEMDEDUP_TAU = 0.4
 
 
@@ -104,7 +99,6 @@ def ann_ivf_topk(sf_dir: str):
     value-checks exactly.
     """
     cent = _centroids(sf_dir)
-    c_sq = (cent * cent).sum(axis=1)
 
     t = pq.read_table(_pq(sf_dir, "embeddings"),
                       columns=["vec_id", "embedding"],
@@ -113,63 +107,40 @@ def ann_ivf_topk(sf_dir: str):
     q = list_column_matrix(t.column("embedding"), dtype=np.float64)
     order = np.argsort(qids)
     qids, q = qids[order], q[order]
-    qd = (q * q).sum(axis=1, keepdims=True) - 2.0 * (q @ cent.T) + c_sq[None, :]
+    qd = _nearest(q, cent)[1]
     # N_PROBE nearest cells, (dist, cid) order — argsort is stable, so
     # equal distances resolve to the lower centroid index
     q_cells = np.argsort(qd, axis=1, kind="stable")[:, :N_PROBE]
     qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-    ref = ray.put((qids, qn, q_cells, cent, c_sq))
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    class ProbeSearch:
-        def __init__(self, ref):
-            self.qids, self.qn, self.q_cells, self.c, self.c_sq = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("vec_id").to_pylist(),
-                             dtype=np.int64)
-            x = list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64)
-            d = (x * x).sum(axis=1, keepdims=True) \
-                - 2.0 * (x @ self.c.T) + self.c_sq[None, :]
-            cell = np.argmin(d, axis=1)
-            xn = x / np.linalg.norm(x, axis=1, keepdims=True)
-            out_q, out_n, out_s = [], [], []
-            for qi in range(len(self.qids)):
-                mask = np.isin(cell, self.q_cells[qi])
-                if not mask.any():
-                    continue
-                sims = self.qn[qi] @ xn[mask].T
-                sub_ids = ids[mask]
-                order = np.lexsort((sub_ids, -sims))[:TOP_K]
-                out_q.extend([int(self.qids[qi])] * len(order))
-                out_n.extend(sub_ids[order].tolist())
-                out_s.extend(sims[order].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "sim": pa.array(out_s, type=pa.float64()),
-            })
-
-    def merge(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("sim", "descending"),
-                       ("neighbor_id", "ascending")]).slice(0, TOP_K)
+    def probe_search(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        x = list_column_matrix(batch.column("embedding"), dtype=np.float64)
+        cell = _nearest(x, cent)[0]
+        xn = x / np.linalg.norm(x, axis=1, keepdims=True)
+        out_q, out_n, out_s = [], [], []
+        for qi in range(len(qids)):
+            mask = np.isin(cell, q_cells[qi])
+            if not mask.any():
+                continue
+            sims = qn[qi] @ xn[mask].T
+            sub_ids = ids[mask]
+            order = np.lexsort((sub_ids, -sims))[:TOP_K]
+            out_q.extend([int(qids[qi])] * len(order))
+            out_n.extend(sub_ids[order].tolist())
+            out_s.extend(sims[order].tolist())
         return pa.table({
-            "query_id": g.column("query_id"),
-            "neighbor_id": g.column("neighbor_id"),
-            "rank": pa.array(np.arange(1, g.num_rows + 1,
-                                       dtype=np.int64)),
-            "cos_sim": pa.array(round_half_away(
-                g.column("sim").to_numpy(zero_copy_only=False), 4)),
+            "query_id": pa.array(out_q, type=pa.int64()),
+            "neighbor_id": pa.array(out_n, type=pa.int64()),
+            "sim": pa.array(out_s, type=pa.float64()),
         })
 
     return (
-        ds.map_batches(ProbeSearch, fn_constructor_kwargs={"ref": ref},
-                       batch_format="pyarrow", batch_size=4096,
-                       concurrency=2)
+        ds.map_batches(probe_search, batch_format="pyarrow", batch_size=4096)
         .groupby("query_id")
-        .map_groups(merge, batch_format="pyarrow")
+        .map_groups(_ranked_topk, batch_format="pyarrow")
     )
 
 
@@ -177,9 +148,7 @@ def ann_ivf_recall(sf_dir: str):
     """Recall@k of the IVF probe against the exact top-k, per query —
     the tuning gauge for ``N_PROBE`` (probe more cells → higher recall,
     more compute). Same bounded-result comparison shape as
-    ``ann.ann_lsh_recall``: both branches materialize (≤ Q·k rows by
-    construction) so the two actor-pool searches never contend for the
-    same CPU slots."""
+    ``ann.ann_lsh_recall`` (≤ Q·k rows per branch by construction)."""
     from .ann import ann_topk
     from ..functions.numeric import round_half_away as _r4
 
@@ -192,10 +161,10 @@ def ann_ivf_recall(sf_dir: str):
             })
         return add
 
-    exact = ann_topk(sf_dir).map_batches(
-        tag("exact"), batch_format="pyarrow").materialize()
-    approx = ann_ivf_topk(sf_dir).map_batches(
-        tag("ivf"), batch_format="pyarrow").materialize()
+    exact = ann_topk(sf_dir).map_batches(tag("exact"),
+                                         batch_format="pyarrow")
+    approx = ann_ivf_topk(sf_dir).map_batches(tag("ivf"),
+                                              batch_format="pyarrow")
 
     def recall(g: pa.Table) -> pa.Table:
         src_col = g.column("src")
@@ -229,32 +198,23 @@ def semantic_dedup(sf_dir: str):
     row per DROPPED vector with its keeper = the lowest-id same-cell
     vector at sim ≥ τ.
     """
-    cent_ref = ray.put(_centroids(sf_dir))
+    c = _centroids(sf_dir)
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    class Assign:
-        def __init__(self, ref):
-            c = ray.get(ref)
-            self.c = c
-            self.c_sq = (c * c).sum(axis=1)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("vec_id").to_pylist(),
-                             dtype=np.int64)
-            keep = ids >= N_CENTROIDS
-            ids = ids[keep]
-            x = list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64)[keep]
-            d = (x * x).sum(axis=1, keepdims=True) \
-                - 2.0 * (x @ self.c.T) + self.c_sq[None, :]
-            cluster = np.argmin(d, axis=1).astype(np.int64)
-            xn = x / np.linalg.norm(x, axis=1, keepdims=True)
-            return pa.table({
-                "vec_id": pa.array(ids),
-                "cluster": pa.array(cluster),
-                "nemb": pa.array(list(xn)),
-            })
+    def assign(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        keep = ids >= N_CENTROIDS
+        ids = ids[keep]
+        x = list_column_matrix(batch.column("embedding"),
+                               dtype=np.float64)[keep]
+        cluster = _nearest(x, c)[0]
+        xn = x / np.linalg.norm(x, axis=1, keepdims=True)
+        return pa.table({
+            "vec_id": pa.array(ids),
+            "cluster": pa.array(cluster),
+            "nemb": pa.array(list(xn)),
+        })
 
     def prune(g: pa.Table) -> pa.Table:
         ids = g.column("vec_id").to_numpy(
@@ -278,9 +238,7 @@ def semantic_dedup(sf_dir: str):
         })
 
     return (
-        ds.map_batches(Assign, fn_constructor_kwargs={"ref": cent_ref},
-                       batch_format="pyarrow", batch_size=4096,
-                       concurrency=2)
+        ds.map_batches(assign, batch_format="pyarrow", batch_size=4096)
         .groupby("cluster")
         .map_groups(prune, batch_format="pyarrow")
     )
@@ -294,39 +252,28 @@ def cluster_purity(sf_dir: str):
     block."""
     from collections import Counter
 
-    cent_ref = ray.put(_centroids(sf_dir))
+    cent = _centroids(sf_dir)
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding", "label"])
 
-    class AssignCount:
-        def __init__(self, ref):
-            c = ray.get(ref)
-            self.c = c
-            self.c_sq = (c * c).sum(axis=1)
+    def assign_count(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        keep = ids >= N_CENTROIDS
+        labels = np.asarray(batch.column("label").to_pylist(),
+                            dtype=np.int64)[keep]
+        x = list_column_matrix(batch.column("embedding"),
+                               dtype=np.float64)[keep]
+        cluster = _nearest(x, cent)[0]
+        c: Counter = Counter(zip(cluster.tolist(), labels.tolist()))
+        keys = sorted(c)
+        return pa.table({
+            "cluster": pa.array([k[0] for k in keys], type=pa.int64()),
+            "label": pa.array([k[1] for k in keys], type=pa.int64()),
+            "n": pa.array([c[k] for k in keys], type=pa.int64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("vec_id").to_pylist(),
-                             dtype=np.int64)
-            keep = ids >= N_CENTROIDS
-            labels = np.asarray(batch.column("label").to_pylist(),
-                                dtype=np.int64)[keep]
-            x = list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64)[keep]
-            d = (x * x).sum(axis=1, keepdims=True) \
-                - 2.0 * (x @ self.c.T) + self.c_sq[None, :]
-            cluster = np.argmin(d, axis=1).astype(np.int64)
-            c: Counter = Counter(zip(cluster.tolist(), labels.tolist()))
-            keys = sorted(c)
-            return pa.table({
-                "cluster": pa.array([k[0] for k in keys], type=pa.int64()),
-                "label": pa.array([k[1] for k in keys], type=pa.int64()),
-                "n": pa.array([c[k] for k in keys], type=pa.int64()),
-            })
-
-    return fold(ds.map_batches(AssignCount,
-                               fn_constructor_kwargs={"ref": cent_ref},
-                               batch_format="pyarrow", batch_size=4096,
-                               concurrency=2),
+    return fold(ds.map_batches(assign_count, batch_format="pyarrow",
+                               batch_size=4096),
                 ["cluster", "label"], {"n": ("n", "sum")})
 
 
@@ -340,8 +287,8 @@ def knn_label_accuracy(sf_dir: str):
 
     Per vector: top-``KNN_K`` cosine neighbors excluding itself,
     majority vote with deterministic tie-break (higher count first,
-    smaller label wins ties). Exact gate: the corpus matrix broadcasts
-    once (``ray.put``) and each batch block-matmuls against it — same
+    smaller label wins ties). Exact gate: the corpus matrix rides in the
+    map's closure and each batch block-matmuls against it — same
     documented ~10M-vector ceiling as ``embedding_neardup``, with
     ``ann_ivf_topk`` as the bucketed scale route."""
     t = pq.read_table(_pq(sf_dir, "embeddings"),
@@ -350,42 +297,34 @@ def knn_label_accuracy(sf_dir: str):
     labels = np.asarray(t.column("label").to_pylist(), dtype=np.int64)
     m = list_column_matrix(t.column("embedding"), dtype=np.float64)
     m /= np.linalg.norm(m, axis=1, keepdims=True)
-    ref = ray.put((ids, labels, m))
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding", "label"])
 
-    class Vote:
-        def __init__(self, ref):
-            self.ids, self.labels, self.m = ray.get(ref)
+    def vote(batch: pa.Table) -> pa.Table:
+        q_ids = np.asarray(batch.column("vec_id").to_pylist(),
+                           dtype=np.int64)
+        q_lab = np.asarray(batch.column("label").to_pylist(),
+                           dtype=np.int64)
+        x = list_column_matrix(batch.column("embedding"), dtype=np.float64)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        sims = x @ m.T  # (B, N)
+        pred = np.empty(len(q_ids), dtype=np.int64)
+        for i in range(len(q_ids)):
+            row = sims[i].copy()
+            row[ids == q_ids[i]] = -np.inf  # leave-one-out
+            top = np.lexsort((ids, -row))[:KNN_K]
+            votes: dict[int, int] = {}
+            for lb in labels[top]:
+                votes[int(lb)] = votes.get(int(lb), 0) + 1
+            pred[i] = min(votes, key=lambda lb: (-votes[lb], lb))
+        return pa.table({
+            "vec_id": pa.array(q_ids),
+            "true_label": pa.array(q_lab),
+            "pred_label": pa.array(pred),
+            "correct": pa.array((pred == q_lab).astype(np.int64)),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            q_ids = np.asarray(batch.column("vec_id").to_pylist(),
-                               dtype=np.int64)
-            q_lab = np.asarray(batch.column("label").to_pylist(),
-                               dtype=np.int64)
-            x = list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64)
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
-            sims = x @ self.m.T  # (B, N)
-            pred = np.empty(len(q_ids), dtype=np.int64)
-            for i in range(len(q_ids)):
-                row = sims[i].copy()
-                row[self.ids == q_ids[i]] = -np.inf  # leave-one-out
-                top = np.lexsort((self.ids, -row))[:KNN_K]
-                votes: dict[int, int] = {}
-                for lb in self.labels[top]:
-                    votes[int(lb)] = votes.get(int(lb), 0) + 1
-                pred[i] = min(votes, key=lambda lb: (-votes[lb], lb))
-            return pa.table({
-                "vec_id": pa.array(q_ids),
-                "true_label": pa.array(q_lab),
-                "pred_label": pa.array(pred),
-                "correct": pa.array((pred == q_lab).astype(np.int64)),
-            })
-
-    return ds.map_batches(Vote, fn_constructor_kwargs={"ref": ref},
-                          batch_format="pyarrow", batch_size=2048,
-                          concurrency=2)
+    return ds.map_batches(vote, batch_format="pyarrow", batch_size=2048)
 
 
 EMB_Q = 1000   # e-3 quantization, the embedding_gram convention
@@ -791,28 +730,20 @@ def int8_quantize(sf_dir: str):
     scale = np.zeros(len(parts), dtype=np.float64)
     scale[parts["d"].to_numpy()] = parts["m"].to_numpy()
     scale = np.where(scale == 0.0, 1.0, scale)  # all-zero dim guard
-    scale_ref = ray.put(scale)
 
-    class Quant:
-        def __init__(self, ref):
-            self.scale = ray.get(ref)
+    def quant(batch: pa.Table) -> pa.Table:
+        x = list_column_matrix(batch.column("embedding"), dtype=np.float64)
+        q = round_half_away(x / scale * 127.0, 0)
+        rec = q * scale / 127.0
+        return pa.table({
+            "vec_id": batch["vec_id"],
+            "q_l1": pa.array(np.abs(q).sum(axis=1).astype(np.int64)),
+            "mse": pa.array(
+                round_half_away(((x - rec) ** 2).mean(axis=1), 8),
+                type=pa.float64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            x = list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64)
-            q = round_half_away(x / self.scale * 127.0, 0)
-            rec = q * self.scale / 127.0
-            return pa.table({
-                "vec_id": batch["vec_id"],
-                "q_l1": pa.array(np.abs(q).sum(axis=1).astype(np.int64)),
-                "mse": pa.array(
-                    round_half_away(((x - rec) ** 2).mean(axis=1), 8),
-                    type=pa.float64()),
-            })
-
-    return ds.map_batches(Quant, fn_constructor_kwargs={"ref": scale_ref},
-                          batch_format="pyarrow", batch_size=4096,
-                          concurrency=2)
+    return ds.map_batches(quant, batch_format="pyarrow", batch_size=4096)
 
 
 ORACLE_SQL["embedding_gram"] = """
@@ -903,13 +834,13 @@ def kmeans_fit(sf_dir: str, k: int = N_CENTROIDS, iters: int = KM_ITERS):
     recurrence as CTEs.
 
     Scale shape is canonical distributed k-means: centroids broadcast
-    (``ray.put``, K×D ints), each batch folds to K×(D+1) partial rows
-    (per-cluster dim sums + counts) — the per-iteration exchange is
-    K·D rows per block regardless of corpus size — and the driver
-    updates the tiny centroid matrix. ``iters`` passes + one final
-    labeled-assignment pass; the quantized input is materialized once
-    and reused across passes (at 100 TB you'd re-read the column-pruned
-    parquet instead and let the object store spill).
+    (captured in the map's closure, K×D ints), each batch folds to
+    K×(D+1) partial rows (per-cluster dim sums + counts) — the
+    per-iteration exchange is K·D rows per block regardless of corpus
+    size — and the driver updates the tiny centroid matrix. ``iters``
+    passes + one final labeled-assignment pass; the quantized input is
+    materialized once and reused across passes (at 100 TB you'd re-read
+    the column-pruned parquet instead and let the object store spill).
 
     Empty clusters keep their previous centroid (mirrored by the
     oracle's COALESCE). Ties break toward the lower cluster id."""
@@ -947,38 +878,44 @@ def kmeans_fit(sf_dir: str, k: int = N_CENTROIDS, iters: int = KM_ITERS):
                 - 2 * (m @ cent.T)
                 + (cent * cent).sum(axis=1, dtype=np.int64)[None, :])
 
-    class Partial:
-        def __init__(self, ref):
-            self.C = ray.get(ref)
+    # the maps read the current ``C``: each pass's fold runs when called
+    def partial(batch: pa.Table) -> pa.Table:
+        m = list_column_matrix(batch.column("x"), dtype=np.int64)
+        assign = np.argmin(_dists(m, C), axis=1)
+        kk, dd = C.shape
+        sums = np.zeros((kk, dd), dtype=np.int64)
+        counts = np.zeros(kk, dtype=np.int64)
+        for c in range(kk):
+            members = m[assign == c]
+            counts[c] = len(members)
+            if len(members):
+                sums[c] = members.sum(axis=0, dtype=np.int64)
+        # flatten to (cluster, dim, s); dim = -1 carries the count
+        cluster = np.repeat(np.arange(kk, dtype=np.int32), dd + 1)
+        dim = np.tile(np.arange(-1, dd, dtype=np.int32), kk)
+        s = np.concatenate(
+            [np.concatenate(([counts[c]], sums[c])) for c in range(kk)])
+        return pa.table({
+            "cluster": pa.array(cluster),
+            "dim": pa.array(dim),
+            "s": pa.array(s, type=pa.int64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = list_column_matrix(batch.column("x"), dtype=np.int64)
-            assign = np.argmin(_dists(m, self.C), axis=1)
-            kk, dd = self.C.shape
-            sums = np.zeros((kk, dd), dtype=np.int64)
-            counts = np.zeros(kk, dtype=np.int64)
-            for c in range(kk):
-                members = m[assign == c]
-                counts[c] = len(members)
-                if len(members):
-                    sums[c] = members.sum(axis=0, dtype=np.int64)
-            # flatten to (cluster, dim, s); dim = -1 carries the count
-            cluster = np.repeat(np.arange(kk, dtype=np.int32), dd + 1)
-            dim = np.tile(np.arange(-1, dd, dtype=np.int32), kk)
-            s = np.concatenate(
-                [np.concatenate(([counts[c]], sums[c])) for c in range(kk)])
-            return pa.table({
-                "cluster": pa.array(cluster),
-                "dim": pa.array(dim),
-                "s": pa.array(s, type=pa.int64()),
-            })
+    def final_assign(batch: pa.Table) -> pa.Table:
+        m = list_column_matrix(batch.column("x"), dtype=np.int64)
+        d2 = _dists(m, C)
+        assign = np.argmin(d2, axis=1)
+        return pa.table({
+            "vec_id": batch.column("vec_id"),
+            "cluster": pa.array(assign.astype(np.int32)),
+            "sq_dist": pa.array(
+                d2[np.arange(len(assign)), assign], type=pa.int64()),
+        })
 
     for _ in range(iters):
-        ref = ray.put(C)
         small = fold(
-            ints.map_batches(Partial, fn_constructor_kwargs={"ref": ref},
-                             batch_format="pyarrow", batch_size=4096,
-                             concurrency=2),
+            ints.map_batches(partial, batch_format="pyarrow",
+                             batch_size=4096),
             ["cluster", "dim"], {"s": ("s", "sum")}).to_pandas()
         piv = small.pivot(index="cluster", columns="dim",
                           values="s").sort_index()
@@ -989,26 +926,8 @@ def kmeans_fit(sf_dir: str, k: int = N_CENTROIDS, iters: int = KM_ITERS):
                         C).astype(np.int64)
         C = newC
 
-    ref = ray.put(C)
-
-    class FinalAssign:
-        def __init__(self, ref):
-            self.C = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = list_column_matrix(batch.column("x"), dtype=np.int64)
-            d2 = _dists(m, self.C)
-            assign = np.argmin(d2, axis=1)
-            return pa.table({
-                "vec_id": batch.column("vec_id"),
-                "cluster": pa.array(assign.astype(np.int32)),
-                "sq_dist": pa.array(
-                    d2[np.arange(len(assign)), assign], type=pa.int64()),
-            })
-
-    return ints.map_batches(FinalAssign, fn_constructor_kwargs={"ref": ref},
-                            batch_format="pyarrow", batch_size=4096,
-                            concurrency=2)
+    return ints.map_batches(final_assign, batch_format="pyarrow",
+                            batch_size=4096)
 
 
 def _kmeans_fit_sql(k: int = N_CENTROIDS, iters: int = KM_ITERS) -> str:
@@ -1094,39 +1013,30 @@ def pq_encode(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES):
     D = C.shape[1]
     sd = D // m
     cent = C.reshape(k, m, sd)          # (k, m, sd)
-    ref = ray.put(cent)
 
-    class Encode:
-        def __init__(self, ref):
-            self.cent = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            kk, mm, ss = self.cent.shape
-            mtx = round_half_away(
-                list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64) * KM_SCALE, 0
-            ).astype(np.int64).reshape(-1, mm, ss)      # (n, m, sd)
-            # exact int64 distances per (row, sub, code)
-            diff = mtx[:, None, :, :] - self.cent[None, :, :, :]
-            d2 = (diff * diff).sum(axis=3)               # (n, k, m)
-            codes = np.argmin(d2, axis=1)                # (n, m)
-            n = mtx.shape[0]
-            rows = np.arange(n)[:, None]
-            subs = np.arange(mm)[None, :]
-            best = d2[rows, codes, subs]                 # (n, m)
-            vec = np.repeat(
-                batch.column("vec_id").to_numpy(), mm)
-            return pa.table({
-                "vec_id": pa.array(vec, type=pa.int64()),
-                "sub": pa.array(np.tile(np.arange(mm, dtype=np.int32), n)),
-                "code": pa.array(codes.ravel().astype(np.int32)),
-                "sq_dist": pa.array(best.ravel(), type=pa.int64()),
-            })
+    def encode(batch: pa.Table) -> pa.Table:
+        mtx = round_half_away(
+            list_column_matrix(batch.column("embedding"),
+                               dtype=np.float64) * KM_SCALE, 0
+        ).astype(np.int64).reshape(-1, m, sd)       # (n, m, sd)
+        # exact int64 distances per (row, sub, code)
+        diff = mtx[:, None, :, :] - cent[None, :, :, :]
+        d2 = (diff * diff).sum(axis=3)               # (n, k, m)
+        codes = np.argmin(d2, axis=1)                # (n, m)
+        n = mtx.shape[0]
+        rows = np.arange(n)[:, None]
+        subs = np.arange(m)[None, :]
+        best = d2[rows, codes, subs]                 # (n, m)
+        vec = np.repeat(batch.column("vec_id").to_numpy(), m)
+        return pa.table({
+            "vec_id": pa.array(vec, type=pa.int64()),
+            "sub": pa.array(np.tile(np.arange(m, dtype=np.int32), n)),
+            "code": pa.array(codes.ravel().astype(np.int32)),
+            "sq_dist": pa.array(best.ravel(), type=pa.int64()),
+        })
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return ds.map_batches(Encode, fn_constructor_kwargs={"ref": ref},
-                          batch_format="pyarrow", batch_size=4096,
-                          concurrency=2)
+    return ds.map_batches(encode, batch_format="pyarrow", batch_size=4096)
 
 
 _PQ_ENCODE_SQL = f"""
@@ -1204,45 +1114,57 @@ def pq_train_encode(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES,
         d2 = ((mtx3[:, None, :, :] - cent[None, :, :, :]) ** 2).sum(axis=3)
         return d2, np.argmin(d2, axis=1)        # (n,k,m), (n,m)
 
-    class Partial:
-        def __init__(self, ref):
-            self.cent = ray.get(ref)
+    def _matrix(batch: pa.Table) -> np.ndarray:
+        return list_column_matrix(batch.column("x"), dtype=np.int64) \
+            .reshape(-1, m, sd)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            kk, mm, ss = self.cent.shape
-            mtx = list_column_matrix(batch.column("x"), dtype=np.int64) \
-                .reshape(-1, mm, ss)
-            _, codes = _codes(mtx, self.cent)
-            sums = np.zeros((kk, mm, ss), dtype=np.int64)
-            counts = np.zeros((kk, mm), dtype=np.int64)
-            for c in range(kk):
-                for s in range(mm):
-                    members = mtx[codes[:, s] == c, s, :]
-                    counts[c, s] = len(members)
-                    if len(members):
-                        sums[c, s] = members.sum(axis=0, dtype=np.int64)
-            # flatten: (code, sub, dim, v); dim = -1 carries the count
-            code_col = np.repeat(np.arange(kk, dtype=np.int32),
-                                 mm * (ss + 1))
-            sub_col = np.tile(np.repeat(np.arange(mm, dtype=np.int32),
-                                        ss + 1), kk)
-            dim_col = np.tile(np.arange(-1, ss, dtype=np.int32), kk * mm)
-            v = np.concatenate([
-                np.concatenate(([counts[c, s]], sums[c, s]))
-                for c in range(kk) for s in range(mm)])
-            return pa.table({
-                "code": pa.array(code_col),
-                "sub": pa.array(sub_col),
-                "dim": pa.array(dim_col),
-                "v": pa.array(v, type=pa.int64()),
-            })
+    # the maps read the current ``cent``: each pass's fold runs when called
+    def partial(batch: pa.Table) -> pa.Table:
+        mtx = _matrix(batch)
+        _, codes = _codes(mtx, cent)
+        sums = np.zeros((k, m, sd), dtype=np.int64)
+        counts = np.zeros((k, m), dtype=np.int64)
+        for c in range(k):
+            for s in range(m):
+                members = mtx[codes[:, s] == c, s, :]
+                counts[c, s] = len(members)
+                if len(members):
+                    sums[c, s] = members.sum(axis=0, dtype=np.int64)
+        # flatten: (code, sub, dim, v); dim = -1 carries the count
+        code_col = np.repeat(np.arange(k, dtype=np.int32), m * (sd + 1))
+        sub_col = np.tile(np.repeat(np.arange(m, dtype=np.int32), sd + 1),
+                          k)
+        dim_col = np.tile(np.arange(-1, sd, dtype=np.int32), k * m)
+        v = np.concatenate([
+            np.concatenate(([counts[c, s]], sums[c, s]))
+            for c in range(k) for s in range(m)])
+        return pa.table({
+            "code": pa.array(code_col),
+            "sub": pa.array(sub_col),
+            "dim": pa.array(dim_col),
+            "v": pa.array(v, type=pa.int64()),
+        })
+
+    def encode(batch: pa.Table) -> pa.Table:
+        mtx = _matrix(batch)
+        d2, codes = _codes(mtx, cent)
+        n = mtx.shape[0]
+        rows = np.arange(n)[:, None]
+        subs = np.arange(m)[None, :]
+        best = d2[rows, codes, subs]
+        return pa.table({
+            "vec_id": pa.array(
+                np.repeat(batch.column("vec_id").to_numpy(), m),
+                type=pa.int64()),
+            "sub": pa.array(np.tile(np.arange(m, dtype=np.int32), n)),
+            "code": pa.array(codes.ravel().astype(np.int32)),
+            "sq_dist": pa.array(best.ravel(), type=pa.int64()),
+        })
 
     for _ in range(iters):
-        ref = ray.put(cent)
         small = fold(
-            ints.map_batches(Partial, fn_constructor_kwargs={"ref": ref},
-                             batch_format="pyarrow", batch_size=4096,
-                             concurrency=2),
+            ints.map_batches(partial, batch_format="pyarrow",
+                             batch_size=4096),
             ["code", "sub", "dim"], {"v": ("v", "sum")}).to_pandas()
         piv = small.pivot(index=["code", "sub"], columns="dim",
                           values="v").sort_index()
@@ -1254,33 +1176,7 @@ def pq_train_encode(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES,
                         cent).astype(np.int64)
         cent = newc
 
-    ref = ray.put(cent)
-
-    class Encode:
-        def __init__(self, ref):
-            self.cent = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            kk, mm, ss = self.cent.shape
-            mtx = list_column_matrix(batch.column("x"), dtype=np.int64) \
-                .reshape(-1, mm, ss)
-            d2, codes = _codes(mtx, self.cent)
-            n = mtx.shape[0]
-            rows = np.arange(n)[:, None]
-            subs = np.arange(mm)[None, :]
-            best = d2[rows, codes, subs]
-            return pa.table({
-                "vec_id": pa.array(
-                    np.repeat(batch.column("vec_id").to_numpy(), mm),
-                    type=pa.int64()),
-                "sub": pa.array(np.tile(np.arange(mm, dtype=np.int32), n)),
-                "code": pa.array(codes.ravel().astype(np.int32)),
-                "sq_dist": pa.array(best.ravel(), type=pa.int64()),
-            })
-
-    return ints.map_batches(Encode, fn_constructor_kwargs={"ref": ref},
-                            batch_format="pyarrow", batch_size=4096,
-                            concurrency=2)
+    return ints.map_batches(encode, batch_format="pyarrow", batch_size=4096)
 
 
 def _pq_train_sql(m: int = PQ_SUBSPACES, k: int = PQ_CODES,
@@ -1340,6 +1236,19 @@ WHERE rn = 1
 """
 
 
+def _ranked_adc(g: pa.Table) -> pa.Table:
+    """One query's merged top-k by (ADC distance, neighbor id), ranked
+    from 1."""
+    g = g.sort_by([("adc", "ascending"),
+                   ("neighbor_id", "ascending")]).slice(0, TOP_K)
+    return pa.table({
+        "query_id": g.column("query_id"),
+        "neighbor_id": g.column("neighbor_id"),
+        "rank": pa.array(np.arange(1, g.num_rows + 1, dtype=np.int64)),
+        "adc": g.column("adc"),
+    })
+
+
 def ann_pq_topk(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES):
     """PQ-ADC approximate nearest-neighbor search — how an IVF-PQ index
     actually answers queries: each corpus vector is represented only by
@@ -1370,55 +1279,37 @@ def ann_pq_topk(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES):
     # LUT[q, sub, code] = ||q_sub - cent[code, sub]||^2, exact int64
     diff = qv[:, None, :, :] - cent[None, :, :, :]       # (Q, k, m, sd)
     lut = (diff * diff).sum(axis=3).transpose(0, 2, 1)   # (Q, m, k)
-    ref = ray.put((cent, lut))
 
-    class PartialTopK:
-        def __init__(self, ref):
-            self.cent, self.lut = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            kk, mm, ss = self.cent.shape
-            ids = batch.column("vec_id").to_numpy()
-            mtx = round_half_away(
-                list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64) * KM_SCALE, 0
-            ).astype(np.int64).reshape(-1, mm, ss)
-            d2 = ((mtx[:, None, :, :] - self.cent[None, :, :, :]) ** 2) \
-                .sum(axis=3)                              # (n, k, m)
-            codes = np.argmin(d2, axis=1)                 # (n, m)
-            n = len(ids)
-            subs = np.arange(mm)[None, :]
-            out_q, out_n, out_d = [], [], []
-            kq = min(TOP_K, n)
-            for qi in range(self.lut.shape[0]):
-                adc = self.lut[qi][subs, codes].sum(axis=1)   # (n,)
-                order = np.lexsort((ids, adc))[:kq]
-                out_q.extend([qi] * len(order))
-                out_n.extend(ids[order].tolist())
-                out_d.extend(adc[order].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "adc": pa.array(out_d, type=pa.int64()),
-            })
-
-    def merge(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("adc", "ascending"),
-                       ("neighbor_id", "ascending")]).slice(0, TOP_K)
+    def partial_topk(batch: pa.Table) -> pa.Table:
+        ids = batch.column("vec_id").to_numpy()
+        mtx = round_half_away(
+            list_column_matrix(batch.column("embedding"),
+                               dtype=np.float64) * KM_SCALE, 0
+        ).astype(np.int64).reshape(-1, m, sd)
+        d2 = ((mtx[:, None, :, :] - cent[None, :, :, :]) ** 2) \
+            .sum(axis=3)                                  # (n, k, m)
+        codes = np.argmin(d2, axis=1)                     # (n, m)
+        n = len(ids)
+        subs = np.arange(m)[None, :]
+        out_q, out_n, out_d = [], [], []
+        kq = min(TOP_K, n)
+        for qi in range(lut.shape[0]):
+            adc = lut[qi][subs, codes].sum(axis=1)        # (n,)
+            order = np.lexsort((ids, adc))[:kq]
+            out_q.extend([qi] * len(order))
+            out_n.extend(ids[order].tolist())
+            out_d.extend(adc[order].tolist())
         return pa.table({
-            "query_id": g.column("query_id"),
-            "neighbor_id": g.column("neighbor_id"),
-            "rank": pa.array(np.arange(1, g.num_rows + 1,
-                                       dtype=np.int64)),
-            "adc": g.column("adc"),
+            "query_id": pa.array(out_q, type=pa.int64()),
+            "neighbor_id": pa.array(out_n, type=pa.int64()),
+            "adc": pa.array(out_d, type=pa.int64()),
         })
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return (ds.map_batches(PartialTopK, fn_constructor_kwargs={"ref": ref},
-                           batch_format="pyarrow", batch_size=4096,
-                           concurrency=2)
+    return (ds.map_batches(partial_topk, batch_format="pyarrow",
+                           batch_size=4096)
             .groupby("query_id")
-            .map_groups(merge, batch_format="pyarrow"))
+            .map_groups(_ranked_adc, batch_format="pyarrow"))
 
 
 def ann_ivfpq_topk(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES):
@@ -1458,61 +1349,43 @@ def ann_ivfpq_topk(sf_dir: str, m: int = PQ_SUBSPACES, k: int = PQ_CODES):
     # LUT[q, sub, code] = ||q_sub − cent[code, sub]||², exact int64
     diff = qv.reshape(N_QUERIES, m, sd)[:, None, :, :] - cent[None, :, :, :]
     lut = (diff * diff).sum(axis=3).transpose(0, 2, 1)   # (Q, m, k)
-    ref = ray.put((coarse, cent, lut, q_cells))
 
-    class ProbeADC:
-        def __init__(self, ref):
-            (self.coarse, self.cent, self.lut, self.q_cells) = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            kk, mm, ss = self.cent.shape
-            ids = batch.column("vec_id").to_numpy()
-            xi = round_half_away(
-                list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64) * KM_SCALE, 0
-            ).astype(np.int64)
-            cd = ((xi[:, None, :] - self.coarse[None, :, :]) ** 2) \
-                .sum(axis=2)                              # (n, C)
-            cell = np.argmin(cd, axis=1)
-            mtx = xi.reshape(-1, mm, ss)
-            d2 = ((mtx[:, None, :, :] - self.cent[None, :, :, :]) ** 2) \
-                .sum(axis=3)                              # (n, k, m)
-            codes = np.argmin(d2, axis=1)                 # (n, m)
-            subs = np.arange(mm)[None, :]
-            out_q, out_n, out_d = [], [], []
-            for qi in range(self.lut.shape[0]):
-                mask = np.isin(cell, self.q_cells[qi])
-                if not mask.any():
-                    continue
-                adc = self.lut[qi][subs, codes[mask]].sum(axis=1)
-                sub_ids = ids[mask]
-                top = np.lexsort((sub_ids, adc))[:TOP_K]
-                out_q.extend([qi] * len(top))
-                out_n.extend(sub_ids[top].tolist())
-                out_d.extend(adc[top].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "adc": pa.array(out_d, type=pa.int64()),
-            })
-
-    def merge(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("adc", "ascending"),
-                       ("neighbor_id", "ascending")]).slice(0, TOP_K)
+    def probe_adc(batch: pa.Table) -> pa.Table:
+        ids = batch.column("vec_id").to_numpy()
+        xi = round_half_away(
+            list_column_matrix(batch.column("embedding"),
+                               dtype=np.float64) * KM_SCALE, 0
+        ).astype(np.int64)
+        cd = ((xi[:, None, :] - coarse[None, :, :]) ** 2) \
+            .sum(axis=2)                                  # (n, C)
+        cell = np.argmin(cd, axis=1)
+        mtx = xi.reshape(-1, m, sd)
+        d2 = ((mtx[:, None, :, :] - cent[None, :, :, :]) ** 2) \
+            .sum(axis=3)                                  # (n, k, m)
+        codes = np.argmin(d2, axis=1)                     # (n, m)
+        subs = np.arange(m)[None, :]
+        out_q, out_n, out_d = [], [], []
+        for qi in range(lut.shape[0]):
+            mask = np.isin(cell, q_cells[qi])
+            if not mask.any():
+                continue
+            adc = lut[qi][subs, codes[mask]].sum(axis=1)
+            sub_ids = ids[mask]
+            top = np.lexsort((sub_ids, adc))[:TOP_K]
+            out_q.extend([qi] * len(top))
+            out_n.extend(sub_ids[top].tolist())
+            out_d.extend(adc[top].tolist())
         return pa.table({
-            "query_id": g.column("query_id"),
-            "neighbor_id": g.column("neighbor_id"),
-            "rank": pa.array(np.arange(1, g.num_rows + 1,
-                                       dtype=np.int64)),
-            "adc": g.column("adc"),
+            "query_id": pa.array(out_q, type=pa.int64()),
+            "neighbor_id": pa.array(out_n, type=pa.int64()),
+            "adc": pa.array(out_d, type=pa.int64()),
         })
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return (ds.map_batches(ProbeADC, fn_constructor_kwargs={"ref": ref},
-                           batch_format="pyarrow", batch_size=4096,
-                           concurrency=2)
+    return (ds.map_batches(probe_adc, batch_format="pyarrow",
+                           batch_size=4096)
             .groupby("query_id")
-            .map_groups(merge, batch_format="pyarrow"))
+            .map_groups(_ranked_adc, batch_format="pyarrow"))
 
 
 def ann_pq_recall(sf_dir: str):
@@ -1742,31 +1615,20 @@ def ivf_cell_balance(sf_dir: str):
     the tiny centroid matrix, one block matmul + in-batch fold per
     batch, a ≤K-key groupby — the audit costs one pruned scan."""
     cent = _centroids(sf_dir)
-    c_sq = (cent * cent).sum(axis=1)
-    ref = ray.put((cent, c_sq))
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    class CellCount:
-        def __init__(self, ref):
-            self.c, self.c_sq = ray.get(ref)
+    def cell_count(batch: pa.Table) -> pa.Table:
+        x = list_column_matrix(batch.column("embedding"), dtype=np.float64)
+        cell = _nearest(x, cent)[0]
+        g = pa.table({
+            "cell": pa.array(cell),
+            "n": pa.array(np.ones(len(cell), dtype=np.int64)),
+        }).group_by("cell").aggregate([("n", "sum")])
+        return g.rename_columns(["cell", "n"])
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            x = list_column_matrix(batch.column("embedding"),
-                                   dtype=np.float64)
-            d = (x * x).sum(axis=1, keepdims=True) \
-                - 2.0 * (x @ self.c.T) + self.c_sq[None, :]
-            cell = np.argmin(d, axis=1).astype(np.int64)
-            g = pa.table({
-                "cell": pa.array(cell),
-                "n": pa.array(np.ones(len(cell), dtype=np.int64)),
-            }).group_by("cell").aggregate([("n", "sum")])
-            return g.rename_columns(["cell", "n"])
-
-    per_cell = fold(ds.map_batches(CellCount,
-                                   fn_constructor_kwargs={"ref": ref},
-                                   batch_format="pyarrow", batch_size=4096,
-                                   concurrency=2),
+    per_cell = fold(ds.map_batches(cell_count, batch_format="pyarrow",
+                                   batch_size=4096),
                     "cell", {"n": ("n", "sum")}).to_pandas()
     n = per_cell["n"].to_numpy().astype(np.int64)
     total = int(n.sum())
@@ -1855,31 +1717,23 @@ def gram_power_iteration(sf_dir: str, iters: int = PI_ITERS):
     ).map_batches(to_int, batch_format="pyarrow",
                   batch_size=4096).materialize()
 
-    class Partial:
-        def __init__(self, ref):
-            self.v = ray.get(ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
+    def _fold_u(v: np.ndarray) -> list[int]:
+        def partial(b: pa.Table) -> pa.Table:
             X = list_column_matrix(b.column("x"), dtype=np.int64)
             # s_i = x_i . v  (<= D*Q*S = 6.4e10); u_j = sum_i x_ij*s_i
             # (<= Q*6.4e10*4096 = 2.6e17 per batch: int64-safe)
-            s = X @ self.v
+            s = X @ v
             u = s @ X
             hi = u // _PI_SPLIT
             lo = u - hi * _PI_SPLIT
-            d = len(u)
             return pa.table({
-                "dim": pa.array(np.arange(d, dtype=np.int64)),
+                "dim": pa.array(np.arange(len(u), dtype=np.int64)),
                 "hi": pa.array(hi, type=pa.int64()),
                 "lo": pa.array(lo, type=pa.int64()),
             })
 
-    def _fold_u(v: np.ndarray) -> list[int]:
-        ref = ray.put(v)
-        small = fold(ints.map_batches(Partial,
-                                      fn_constructor_kwargs={"ref": ref},
-                                      batch_format="pyarrow",
-                                      batch_size=4096, concurrency=2),
+        small = fold(ints.map_batches(partial, batch_format="pyarrow",
+                                      batch_size=4096),
                      "dim", {"hi": ("hi", "sum"), "lo": ("lo", "sum")}
                      ).to_pandas().sort_values("dim")
         # exact reconstruction in unbounded Python ints
@@ -1970,7 +1824,6 @@ def ann_ivf_probe_curve(sf_dir: str, levels: int = PROBE_LEVELS):
     from ..functions.numeric import round_half_away
 
     cent = _centroids(sf_dir)
-    c_sq = (cent * cent).sum(axis=1)
 
     t = pq.read_table(_pq(sf_dir, "embeddings"),
                       columns=["vec_id", "embedding"],
@@ -1979,8 +1832,7 @@ def ann_ivf_probe_curve(sf_dir: str, levels: int = PROBE_LEVELS):
     q = list_column_matrix(t.column("embedding"), dtype=np.float64)
     order = np.argsort(qids)
     qids, q = qids[order], q[order]
-    qd = (q * q).sum(axis=1, keepdims=True) - 2.0 * (q @ cent.T) \
-        + c_sq[None, :]
+    qd = _nearest(q, cent)[1]
     cell_order = np.argsort(qd, axis=1, kind="stable")
     # prank[qi, cell] = probe depth at which query qi reaches the cell
     prank = np.empty_like(cell_order)
@@ -1992,41 +1844,31 @@ def ann_ivf_probe_curve(sf_dir: str, levels: int = PROBE_LEVELS):
             for k, v in exact.groupby("query_id")}
 
     qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-    ref = ray.put((qids, qn, prank, cent, c_sq))
 
     ds = scan(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    class Cand:
-        def __init__(self, ref):
-            (self.qids, self.qn, self.prank,
-             self.c, self.c_sq) = ray.get(ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ids = np.asarray(b.column("vec_id").to_pylist(),
-                             dtype=np.int64)
-            x = list_column_matrix(b.column("embedding"),
-                                   dtype=np.float64)
-            d = (x * x).sum(axis=1, keepdims=True) \
-                - 2.0 * (x @ self.c.T) + self.c_sq[None, :]
-            cell = np.argmin(d, axis=1)
-            xn = x / np.linalg.norm(x, axis=1, keepdims=True)
-            out_q, out_n, out_s, out_r = [], [], [], []
-            for qi in range(len(self.qids)):
-                pr = self.prank[qi][cell]
-                mask = pr < levels
-                if not mask.any():
-                    continue
-                sims = self.qn[qi] @ xn[mask].T
-                out_q.extend([int(self.qids[qi])] * int(mask.sum()))
-                out_n.extend(ids[mask].tolist())
-                out_s.extend(sims.tolist())
-                out_r.extend((pr[mask] + 1).tolist())   # 1-based nprobe
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "sim": pa.array(out_s, type=pa.float64()),
-                "min_probe": pa.array(out_r, type=pa.int64()),
-            })
+    def cand(b: pa.Table) -> pa.Table:
+        ids = np.asarray(b.column("vec_id").to_pylist(), dtype=np.int64)
+        x = list_column_matrix(b.column("embedding"), dtype=np.float64)
+        cell = _nearest(x, cent)[0]
+        xn = x / np.linalg.norm(x, axis=1, keepdims=True)
+        out_q, out_n, out_s, out_r = [], [], [], []
+        for qi in range(len(qids)):
+            pr = prank[qi][cell]
+            mask = pr < levels
+            if not mask.any():
+                continue
+            sims = qn[qi] @ xn[mask].T
+            out_q.extend([int(qids[qi])] * int(mask.sum()))
+            out_n.extend(ids[mask].tolist())
+            out_s.extend(sims.tolist())
+            out_r.extend((pr[mask] + 1).tolist())   # 1-based nprobe
+        return pa.table({
+            "query_id": pa.array(out_q, type=pa.int64()),
+            "neighbor_id": pa.array(out_n, type=pa.int64()),
+            "sim": pa.array(out_s, type=pa.float64()),
+            "min_probe": pa.array(out_r, type=pa.int64()),
+        })
 
     def curve(g: pa.Table) -> pa.Table:
         # gold is the ≤Q·k exact set — tiny, shipped in the closure
@@ -2055,9 +1897,7 @@ def ann_ivf_probe_curve(sf_dir: str, levels: int = PROBE_LEVELS):
                  for h in out_hit], type=pa.float64()),
         })
 
-    return (ds.map_batches(Cand, fn_constructor_kwargs={"ref": ref},
-                           batch_format="pyarrow", batch_size=4096,
-                           concurrency=2)
+    return (ds.map_batches(cand, batch_format="pyarrow", batch_size=4096)
             .groupby("query_id")
             .map_groups(curve, batch_format="pyarrow"))
 

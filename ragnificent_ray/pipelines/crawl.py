@@ -23,10 +23,11 @@ Per round (SURVEY §3.1-new; stages/claims.py)::
 The critical execution is the only Ray Data execution in a round, and a
 pure streaming map chain: no repartition or other all-to-all operator
 runs anywhere in a crawl. The frontier is cut where it is made — round 0
-by one discovery task per seed (``_cut_stream``), every later round by
-the seen shards' resolve — into about ``BLOCKS_PER_CPU`` blocks per CPU,
-none under one fetch batch, so Ray Data bundles those blocks straight
-into fetch tasks of at least ``fetch_batch_size`` rows.
+by one ``_cut_stream`` task per seed's discovery (or per piece of a
+links file), every later round by the seen shards' resolve — into about
+``BLOCKS_PER_CPU`` blocks per CPU, none under one fetch batch, so Ray
+Data bundles those blocks straight into fetch tasks of at least
+``fetch_batch_size`` rows.
 The crawl's Datasets carry their own ``target_max_block_size``
 (``_bounded``), so Ray Data starts an execution's tasks side by side
 instead of one at a time, and no other Dataset of the session sees it.
@@ -338,11 +339,12 @@ BLOCKS_PER_CPU = 4
 def _cut_stream(cut: tuple, make, *args):
     """The table ``make(*args)``, made in this task and streamed as
     :func:`~..state.seen.cut_blocks` ``(table, *cut)`` slices owned by
-    the caller: round 0 discovers one seed per task, a resume reads one
-    checkpointed frontier part per task, and a harvest lane explodes one
-    documents block's claimed images per task. A Ray Data map cannot cut
-    them: its per-task output buffer merges a UDF's tables back into
-    blocks of up to ``target_max_block_size`` bytes."""
+    the caller: round 0 discovers one seed per task (or filters one
+    piece of its links file), a resume reads one checkpointed frontier
+    part per task, and a harvest lane explodes one documents block's
+    claimed images per task. A Ray Data map cannot cut them: its per-task
+    output buffer merges a UDF's tables back into blocks of up to
+    ``target_max_block_size`` bytes."""
     head, blocks = cut_blocks(make(*args), *cut)
     yield head
     yield from blocks
@@ -643,6 +645,46 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
                 u.split("://", 1)[-1].split("/", 1)[0] for u in seed_pool
             }
 
+        def _frontier_source(depth: int, frontier_dir: str) -> tuple:
+            """``(make, inputs)`` of a round the resolve handed no
+            frontier, one ``_cut_stream`` task per input: a resumed round
+            reads its checkpointed frontier parts; round 0 makes its
+            frontier from each seed's discovery or from a ``cut(1)``
+            piece of the links file (S1), keeps only unseen URLs and
+            checkpoints them; any other round has none."""
+            if _dir_rows(frontier_dir) > 0:  # resume path
+                return pq.read_table, [
+                    os.path.join(frontier_dir, name)
+                    for name in sorted(os.listdir(frontier_dir))
+                    if name.endswith(".parquet")]
+            if depth:
+                return None, []
+            if cfg.links_file:
+                from ..sources.links_file import links_table
+
+                def source(piece: pa.Table) -> pa.Table:
+                    return piece
+
+                inputs = cut_blocks(links_table(cfg.links_file, SEED_STRIDE),
+                                    *cut(1))[1]
+            else:
+                source = DiscoverWorker(world_cfg=world_cfg,
+                                        politeness=politeness,
+                                        crawl_cfg=crawl_opts)
+                seeds = cfg.seed_urls()
+                seed_table = pa.table({
+                    "seed_url": pa.array(seeds, type=pa.string()),
+                    "seed_idx": pa.array(range(len(seeds)), type=pa.int64()),
+                })
+                inputs = [seed_table.slice(i, 1) for i in range(len(seeds))]
+            keep_new = SeenFilter(seen)
+            write = _block_writer(frontier_dir, tag="frontier0:")
+
+            def make(x) -> pa.Table:
+                return write(keep_new(canonicalize_batch(source(x))))
+
+            return make, inputs
+
         def _start_lanes(depth: int, docs_refs: list) -> tuple:
             """Submit a round's background lane tasks (module doc) over
             its documents blocks, in a pool thread since a submission
@@ -686,58 +728,14 @@ def run_crawl(cfg: CrawlConfig, out_dir: str, resume: bool = False) -> CrawlResu
             if next_frontier is not None:
                 frontier_mat, n_frontier = next_frontier
                 next_frontier = None
-            elif _dir_rows(frontier_dir) > 0:  # resume path
-                parts = [os.path.join(frontier_dir, name)
-                         for name in sorted(os.listdir(frontier_dir))
-                         if name.endswith(".parquet")]
+            else:
+                make, inputs = _frontier_source(depth, frontier_dir)
                 blocks = streamed_blocks(
-                    _cut_stream.remote(cut(len(parts)), pq.read_table, p)
-                    for p in parts)
-                n_frontier = sum(n for n, _, _ in blocks)
-                frontier_mat = _bounded(_frontier_from_refs(blocks), rows)
-            elif depth == 0 and cfg.links_file:
-                # S1: links file is the round-0 frontier (no discovery);
-                # each map keeps its input blocks' cut
-                from ..sources.links_file import links_table
-
-                links = links_table(cfg.links_file, SEED_STRIDE)
-                frontier_mat = (
-                    _bounded(rd.from_arrow(
-                        cut_blocks(links, *cut(1))[1] or [links]), rows)
-                    .map_batches(canonicalize_batch, batch_format="pyarrow")
-                    .map_batches(SeenFilter(seen), batch_format="pyarrow")
-                    .map_batches(
-                        _block_writer(frontier_dir, tag="frontier0:"),
-                        batch_format="pyarrow")
-                    .materialize()
-                )
-                n_frontier = frontier_mat.count()
-            elif depth == 0:
-                seeds = cfg.seed_urls()
-                seed_table = pa.table({
-                    "seed_url": pa.array(seeds, type=pa.string()),
-                    "seed_idx": pa.array(range(len(seeds)), type=pa.int64()),
-                })
-                discover = DiscoverWorker(
-                    world_cfg=world_cfg,
-                    politeness=politeness,
-                    crawl_cfg=crawl_opts,
-                )
-                keep_new = SeenFilter(seen)
-                write = _block_writer(frontier_dir, tag="frontier0:")
-
-                def discover_seed(seed: pa.Table) -> pa.Table:
-                    return write(keep_new(canonicalize_batch(discover(seed))))
-
-                blocks = streamed_blocks(
-                    _cut_stream.remote(
-                        cut(len(seeds)), discover_seed, seed_table.slice(i, 1))
-                    for i in range(len(seeds)))
+                    _cut_stream.remote(cut(len(inputs)), make, x)
+                    for x in inputs)
                 n_frontier = sum(n for n, _, _ in blocks)
                 if n_frontier:
                     frontier_mat = _bounded(_frontier_from_refs(blocks), rows)
-            else:
-                n_frontier = 0
 
             if n_frontier == 0:
                 for f in finalizers:  # keep manifest completion in order

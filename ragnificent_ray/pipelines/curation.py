@@ -13,8 +13,8 @@ One pipeline composes the four standard curation gates over the
 
 Scale shape (the point of the composite): the heavy ``text`` column is
 read ONCE and reduced to ~60-byte signal rows inside a single fused
-``map_batches`` (the benchmark gram set is a `ray.put` broadcast built
-from a row-filter-pushdown read); the only shuffle is a bounded-bucket
+``map_batches`` (the benchmark gram set, built from a row-filter-pushdown
+read, rides in the map's closure); the only shuffle is a bounded-bucket
 groupby over those narrow rows to resolve exact-dup canonicals. At
 100 TB nothing but signals moves between nodes, and no stage holds more
 than one block of text.
@@ -28,7 +28,6 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..functions.hashing import md5_hex
 from ..functions.numeric import round_half_away
@@ -36,14 +35,15 @@ from .decontam import _BENCH_MAX_ID, _bench_grams, _doc_grams
 from .combine import combine
 from .dedup import _bucket_count
 from .inputs import scan
-from .textstats import (_ALPHA, _LANG_PROFILES, GOPHER_MAX_MEAN_LEN,
-                        GOPHER_MAX_WORDS, GOPHER_MIN_ALPHA,
-                        GOPHER_MIN_MEAN_LEN, GOPHER_MIN_STOPS,
-                        GOPHER_MIN_WORDS, STOPWORDS, _LANG_CASE, _LANG_HITS)
+from .textstats import (_ALPHA, GOPHER_MAX_MEAN_LEN, GOPHER_MAX_WORDS,
+                        GOPHER_MIN_ALPHA, GOPHER_MIN_MEAN_LEN,
+                        GOPHER_MIN_STOPS, GOPHER_MIN_WORDS, STOPWORDS,
+                        _LANG_CASE, _LANG_HITS, guess_lang)
 
 
-class _Signals:
-    """Fused per-document signal extractor (stateful actor stage).
+def _signals(bench: set, n_buckets: int):
+    """Fused per-document signal extractor, the benchmark gram set
+    captured in its closure.
 
     One pass over the text computes every gate's inputs: Gopher
     signals, language guess, md5 hash + dedup bucket, and the
@@ -51,15 +51,9 @@ class _Signals:
     Benchmark rows (``doc_id < _BENCH_MAX_ID``) are dropped — they are
     the eval set, not corpus candidates.
     """
+    stops = frozenset(STOPWORDS)
 
-    def __init__(self, bench_ref, n_buckets: int):
-        self.bench = ray.get(bench_ref)
-        self.profiles = {k: frozenset(v) for k, v in _LANG_PROFILES.items()}
-        self.langs = sorted(self.profiles)
-        self.stops = frozenset(STOPWORDS)
-        self.n_buckets = n_buckets
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def signals(batch: pa.Table) -> pa.Table:
         batch = batch.filter(
             pc.greater_equal(batch.column("doc_id"), _BENCH_MAX_ID))
         passes, langs, hashes, buckets, contam = [], [], [], [], []
@@ -69,23 +63,16 @@ class _Signals:
             ml = round_half_away(sum(map(len, toks)) / n, 4) if n else 0.0
             ar = round_half_away(
                 sum(1 for w in toks if _ALPHA.search(w)) / n, 4) if n else 0.0
-            sh = len({w.lower() for w in toks} & self.stops)
+            sh = len({w.lower() for w in toks} & stops)
             passes.append(int(
                 GOPHER_MIN_WORDS <= n <= GOPHER_MAX_WORDS
                 and GOPHER_MIN_MEAN_LEN <= ml <= GOPHER_MAX_MEAN_LEN
                 and ar >= GOPHER_MIN_ALPHA and sh >= GOPHER_MIN_STOPS))
-            # language guess — identical arithmetic to textstats.LangId
-            lset = set(t.lower().split())
-            best, best_hits = "und", 0
-            for lang in self.langs:
-                hits = len(lset & self.profiles[lang])
-                if hits > best_hits:
-                    best, best_hits = lang, hits
-            langs.append(best)
+            langs.append(guess_lang(t))
             h = md5_hex(t)
             hashes.append(h)
-            buckets.append(int(h[:8], 16) % self.n_buckets)
-            contam.append(len(_doc_grams(t) & self.bench))
+            buckets.append(int(h[:8], 16) % n_buckets)
+            contam.append(len(_doc_grams(t) & bench))
         return pa.table({
             "doc_id": batch.column("doc_id"),
             "text_hash": pa.array(hashes, type=pa.string()),
@@ -94,6 +81,8 @@ class _Signals:
             "guessed_lang": pa.array(langs, type=pa.string()),
             "n_contam_hits": pa.array(contam, type=pa.int64()),
         })
+
+    return signals
 
 
 def _resolve_bucket(g: pa.Table) -> pa.Table:
@@ -123,15 +112,10 @@ def curate_corpus(sf_dir: str):
     """Per-document curation verdicts: every gate's signal plus the
     final ``kept`` flag — non-destructive, so drop decisions stay
     auditable (and the DuckDB oracle can value-check every column)."""
-    bench_ref = ray.put(_bench_grams(sf_dir))
-    n_buckets = _bucket_count(sf_dir)
     ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
     return (
-        ds.map_batches(_Signals,
-                       fn_constructor_kwargs={"bench_ref": bench_ref,
-                                              "n_buckets": n_buckets},
-                       batch_format="pyarrow", batch_size=4096,
-                       concurrency=2)
+        ds.map_batches(_signals(_bench_grams(sf_dir), _bucket_count(sf_dir)),
+                       batch_format="pyarrow", batch_size=4096)
         .groupby("bucket")
         .map_groups(_resolve_bucket, batch_format="pyarrow")
     )

@@ -5,8 +5,10 @@ long n-grams with evaluation benchmarks (otherwise eval scores leak).
 The structural shape is a **broadcast anti-join**: the benchmark side
 is always tiny (thousands of eval documents) while the train side is
 the full corpus — so the benchmark's distinct 8-gram set is built once
-from a row-filter-pushdown parquet read, ``ray.put`` once, and probed
-per batch inside ``map_batches``. No shuffle touches the 100 TB side.
+from a row-filter-pushdown parquet read, captured in the probe's
+closure (Ray Data puts a map's function in the object store once per
+execution), and probed per batch inside ``map_batches``. No shuffle
+touches the 100 TB side.
 
 Here the stand-in benchmark is ``doc_id < _BENCH_MAX_ID`` of the same
 documents table (the sandbox has no external eval set); swapping in a
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data as rd
 
 from .inputs import _pq, scan
@@ -56,29 +57,21 @@ def decontaminate(sf_dir: str):
     Downstream curation drops ``n_hits > 0`` rows; the count is kept so
     thresholded policies (and the DuckDB oracle) can value-check it.
     """
-    grams_ref = ray.put(_bench_grams(sf_dir))
+    bench = _bench_grams(sf_dir)
 
     ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
-    class Probe:
-        def __init__(self, ref):
-            self.bench = ray.get(ref)
+    def probe(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(
+            pc.greater_equal(batch.column("doc_id"), _BENCH_MAX_ID))
+        hits = [len(_doc_grams(t) & bench)
+                for t in batch.column("text").to_pylist()]
+        return pa.table({
+            "doc_id": batch.column("doc_id"),
+            "n_hits": pa.array(hits, type=pa.int64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            batch = batch.filter(
-                pc.greater_equal(batch.column("doc_id"), _BENCH_MAX_ID))
-            hits = [
-                len(_doc_grams(t) & self.bench)
-                for t in batch.column("text").to_pylist()
-            ]
-            return pa.table({
-                "doc_id": batch.column("doc_id"),
-                "n_hits": pa.array(hits, type=pa.int64()),
-            })
-
-    return ds.map_batches(Probe, fn_constructor_kwargs={"ref": grams_ref},
-                          batch_format="pyarrow", batch_size=8192,
-                          concurrency=2)
+    return ds.map_batches(probe, batch_format="pyarrow", batch_size=8192)
 
 
 _BLOOM_M = 1 << 18  # bits
@@ -114,43 +107,31 @@ def decontaminate_bloom(sf_dir: str):
     for g in bench:
         h1, h2 = _gram_hashes(g)
         bits[_bloom_positions(h1, h2)] = True
-    bloom_ref = ray.put(bits)
-    exact_ref = ray.put(bench)
 
     ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
-    class Probe:
-        def __init__(self, bloom, exact):
-            self.bits = ray.get(bloom)
-            self.bench = ray.get(exact)
+    def probe(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(
+            pc.greater_equal(batch.column("doc_id"), _BENCH_MAX_ID))
+        n_maybe, n_hits = [], []
+        for t in batch.column("text").to_pylist():
+            grams = _doc_grams(t)
+            maybe = 0
+            for g in grams:
+                h1, h2 = _gram_hashes(g)
+                if all(bits[p] for p in _bloom_positions(h1, h2)):
+                    maybe += 1
+            n_maybe.append(maybe)
+            n_hits.append(len(grams & bench))
+        return pa.table({
+            "doc_id": batch.column("doc_id"),
+            "n_maybe": pa.array(n_maybe, type=pa.int64()),
+            "n_hits": pa.array(n_hits, type=pa.int64()),
+            "n_fp": pa.array(
+                [m - h for m, h in zip(n_maybe, n_hits)], type=pa.int64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            batch = batch.filter(
-                pc.greater_equal(batch.column("doc_id"), _BENCH_MAX_ID))
-            n_maybe, n_hits = [], []
-            for t in batch.column("text").to_pylist():
-                grams = _doc_grams(t)
-                maybe = 0
-                for g in grams:
-                    h1, h2 = _gram_hashes(g)
-                    if all(self.bits[p]
-                           for p in _bloom_positions(h1, h2)):
-                        maybe += 1
-                n_maybe.append(maybe)
-                n_hits.append(len(grams & self.bench))
-            return pa.table({
-                "doc_id": batch.column("doc_id"),
-                "n_maybe": pa.array(n_maybe, type=pa.int64()),
-                "n_hits": pa.array(n_hits, type=pa.int64()),
-                "n_fp": pa.array(
-                    [m - h for m, h in zip(n_maybe, n_hits)],
-                    type=pa.int64()),
-            })
-
-    return ds.map_batches(
-        Probe, fn_constructor_kwargs={"bloom": bloom_ref,
-                                      "exact": exact_ref},
-        batch_format="pyarrow", batch_size=8192, concurrency=2)
+    return ds.map_batches(probe, batch_format="pyarrow", batch_size=8192)
 
 
 _GRAMS_CTE = rf"""grams AS (
@@ -229,10 +210,10 @@ def decontam_span_report(sf_dir: str):
 
     Scale shape: the benchmark inverted index (gram → bench ids) is the
     broadcast small side — built once driver-side from the row-filtered
-    bench read, ``ray.put`` once. The corpus streams per batch emitting
-    only ACTUAL hit rows (bench_id, gram, train doc) — sparse by
-    construction in a real corpus — which fold per bench id (a
-    catalog-bounded key space, so the groupby is bounded by benchmark
+    bench read and captured in the probe's closure. The corpus streams
+    per batch emitting only ACTUAL hit rows (bench_id, gram, train doc)
+    — sparse by construction in a real corpus — which fold per bench id
+    (a catalog-bounded key space, so the groupby is bounded by benchmark
     size, never corpus size). Zero-hit bench docs still report via the
     tiny driver-built base rows."""
     import numpy as np
@@ -252,37 +233,30 @@ def decontam_span_report(sf_dir: str):
         n_grams[int(bid)] = len(gs)
         for g in gs:
             index.setdefault(g, []).append(int(bid))
-    index_ref = ray.put(index)
+    keys = set(index)
 
     ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
-    class Probe:
-        def __init__(self, ref):
-            self.index = ray.get(ref)
-            self.keys = set(self.index)
+    def probe(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(
+            pc.greater_equal(batch.column("doc_id"), _BENCH_MAX_ID))
+        bids, gs_out, tdocs = [], [], []
+        for d, t in zip(batch.column("doc_id").to_pylist(),
+                        batch.column("text").to_pylist()):
+            # C-level set intersection first: the inner loop walks
+            # only actual hits, not every gram of every doc
+            for g in _doc_grams(t) & keys:
+                for bid in index[g]:
+                    bids.append(bid)
+                    gs_out.append(g)
+                    tdocs.append(d)
+        return pa.table({
+            "bench_id": pa.array(bids, type=pa.int64()),
+            "g": pa.array(gs_out, type=pa.string()),
+            "train_doc": pa.array(tdocs, type=pa.int64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            batch = batch.filter(
-                pc.greater_equal(batch.column("doc_id"), _BENCH_MAX_ID))
-            bids, gs_out, tdocs = [], [], []
-            for d, t in zip(batch.column("doc_id").to_pylist(),
-                            batch.column("text").to_pylist()):
-                # C-level set intersection first: the inner loop walks
-                # only actual hits, not every gram of every doc
-                for g in _doc_grams(t) & self.keys:
-                    for bid in self.index[g]:
-                        bids.append(bid)
-                        gs_out.append(g)
-                        tdocs.append(d)
-            return pa.table({
-                "bench_id": pa.array(bids, type=pa.int64()),
-                "g": pa.array(gs_out, type=pa.string()),
-                "train_doc": pa.array(tdocs, type=pa.int64()),
-            })
-
-    hits = ds.map_batches(Probe, fn_constructor_kwargs={"ref": index_ref},
-                          batch_format="pyarrow", batch_size=8192,
-                          concurrency=2)
+    hits = ds.map_batches(probe, batch_format="pyarrow", batch_size=8192)
 
     def fold(g: pa.Table) -> pa.Table:
         t = pa.table({"bench_id": g.column("bench_id"),

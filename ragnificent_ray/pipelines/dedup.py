@@ -4,8 +4,9 @@ The five families the brief calls for, each mapped to a scale-conscious
 Ray Data shape:
 
 * exact          — content-hash + hash-partitioned group-first (D3)
-* n-gram Jaccard — all-pairs verification with the comparison side
-                   broadcast (``ray.put`` once); exact, SQL-checkable
+* n-gram Jaccard — all-pairs verification; the corpus-sized comparison
+                   matrix is one object-store ref that each map task
+                   reads zero-copy; exact, SQL-checkable
 * MinHash + LSH  — shingle → minhash → banded buckets → groupby →
                    candidate pairs → exact verify (the 100 TB path:
                    only the narrow band rows touch the shuffle)

@@ -19,7 +19,7 @@ Scale shape — distributed prefix sum, no driver materialization:
 2. per-bucket token subtotals reduce via ``combine.combine``
    — ONE ROW PER BUCKET reaches the driver (bounded: ~n_docs/8192),
    which computes the exclusive prefix over buckets and broadcasts it
-   with ``ray.put`` (read once per task, never re-shipped per batch);
+   in the group map's closure (read once per task, never per batch);
 3. a bounded-bucket ``map_groups`` sorts each id-range locally and
    adds bucket_start + local exclusive cumsum.
 
@@ -33,7 +33,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from .combine import combine
 from .exchange import hash_join
@@ -64,15 +63,15 @@ def _counts_fn(with_text: bool):
     return counts
 
 
-def _bucket_offsets(narrow) -> "ray.ObjectRef":
+def _bucket_offsets(narrow) -> dict:
     """Exclusive prefix of per-id-range-bucket token subtotals: one row
     per bucket reaches the driver, the offsets map broadcasts once."""
     subtotals = combine(narrow, "bucket", {"n_tokens": ("n_tokens", "sum")}
                         ).to_pandas().sort_values("bucket")
     tot = subtotals["n_tokens"].to_numpy(dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(tot)[:-1]))
-    return ray.put(dict(zip(
-        subtotals["bucket"].astype(np.int64).tolist(), starts.tolist())))
+    return dict(zip(
+        subtotals["bucket"].astype(np.int64).tolist(), starts.tolist()))
 
 
 def sequence_pack(sf_dir: str, seq_len: int = SEQ_LEN):
@@ -82,11 +81,10 @@ def sequence_pack(sf_dir: str, seq_len: int = SEQ_LEN):
     narrow = ds.map_batches(
         _counts_fn(False), batch_format="pyarrow",
         batch_size=8192).materialize()
-    bucket_start_ref = _bucket_offsets(narrow)
+    bucket_start = _bucket_offsets(narrow)
 
     def place(g: pa.Table) -> pa.Table:
-        base = ray.get(bucket_start_ref)[
-            int(g.column("bucket")[0].as_py())]
+        base = bucket_start[int(g.column("bucket")[0].as_py())]
         g = g.sort_by([("doc_id", "ascending")])
         n = g.column("n_tokens").to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -135,12 +133,11 @@ def packed_sequences(sf_dir: str, seq_len: int = SEQ_LEN):
     with_text = ds.map_batches(
         _counts_fn(True), batch_format="pyarrow",
         batch_size=8192).materialize()
-    bucket_start_ref = _bucket_offsets(
+    bucket_start = _bucket_offsets(
         with_text.select_columns(["doc_id", "n_tokens", "bucket"]))
 
     def segments(g: pa.Table) -> pa.Table:
-        base = ray.get(bucket_start_ref)[
-            int(g.column("bucket")[0].as_py())]
+        base = bucket_start[int(g.column("bucket")[0].as_py())]
         g = g.sort_by([("doc_id", "ascending")])
         n = g.column("n_tokens").to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -212,11 +209,10 @@ def byte_shard_pack(ds, id_col: str, nbytes_col: str, bucket_col: str,
                         ).to_pandas().sort_values(bucket_col)
     tot = subtotals["tot"].to_numpy(dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(tot)[:-1]))
-    start_ref = ray.put(dict(zip(subtotals[bucket_col].tolist(),
-                                 starts.tolist())))
+    bucket_start = dict(zip(subtotals[bucket_col].tolist(), starts.tolist()))
 
     def place(g: pa.Table) -> pa.Table:
-        base = ray.get(start_ref)[g.column(bucket_col)[0].as_py()]
+        base = bucket_start[g.column(bucket_col)[0].as_py()]
         g = g.sort_by([(id_col, "ascending")])
         n = g.column(nbytes_col).to_numpy(
             zero_copy_only=False).astype(np.int64)

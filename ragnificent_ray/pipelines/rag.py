@@ -82,12 +82,11 @@ def tfidf_embed(sf_dir: str, max_features: int = 256):
 
     Pass 1 (fit): per-batch document-frequency partials → one
     ``combine.fold`` (Arrow ``group_by``, no per-group Python) → small
-    vocabulary+idf table on the driver, broadcast with ``ray.put``.
+    vocabulary+idf table on the driver, captured in the transform's closure.
     Pass 2 (transform): block-sparse counts × idf. Output is proof
     columns (nnz + the vector's l2 norm) — the full vector column
     exists transiently and would be the thing written at scale."""
     import numpy as np
-    import ray
 
     from ..functions.numeric import round_half_away
 
@@ -112,37 +111,22 @@ def tfidf_embed(sf_dir: str, max_features: int = 256):
                                 ascending=[False, True]).head(max_features)
     vocab = {t: i for i, t in enumerate(df_tab["token"])}
     idf = np.log((1.0 + n_docs) / (1.0 + df_tab["df"].to_numpy())) + 1.0
-    ref = ray.put((vocab, idf))
 
-    class Transform:
-        def __init__(self, ref):
-            self.ref = ref
-            self._v = None
+    def transform(batch: pa.Table) -> pa.Table:
+        texts = batch.column("text").to_pylist()
+        m = np.zeros((len(texts), len(vocab)), dtype=np.float64)
+        for r, t in enumerate(texts):
+            for w in t.lower().split():
+                i = vocab.get(w)
+                if i is not None:
+                    m[r, i] += 1.0
+        m *= idf[None, :]
+        norms = np.linalg.norm(m, axis=1)
+        return pa.table({
+            "doc_id": batch["doc_id"],
+            "nnz": pa.array((m > 0).sum(axis=1), type=pa.int64()),
+            "tfidf_norm": pa.array(round_half_away(norms, 4),
+                                   type=pa.float64()),
+        })
 
-        def __getstate__(self):
-            s = self.__dict__.copy()
-            s["_v"] = None
-            return s
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if self._v is None:
-                self._v = ray.get(self.ref)
-            vocab, idf = self._v
-            texts = batch.column("text").to_pylist()
-            m = np.zeros((len(texts), len(vocab)), dtype=np.float64)
-            for r, t in enumerate(texts):
-                for w in t.lower().split():
-                    i = vocab.get(w)
-                    if i is not None:
-                        m[r, i] += 1.0
-            m *= idf[None, :]
-            norms = np.linalg.norm(m, axis=1)
-            return pa.table({
-                "doc_id": batch["doc_id"],
-                "nnz": pa.array((m > 0).sum(axis=1), type=pa.int64()),
-                "tfidf_norm": pa.array(round_half_away(norms, 4),
-                                       type=pa.float64()),
-            })
-
-    return ds.map_batches(Transform(ref), batch_format="pyarrow",
-                          batch_size=2048)
+    return ds.map_batches(transform, batch_format="pyarrow", batch_size=2048)

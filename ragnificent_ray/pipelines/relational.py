@@ -10,8 +10,9 @@ column names (driver contract). Patterns exercised, scale-consciously:
   :func:`combine.combine` (``group_agg`` per batch, then ``fold``'s
   per-partition ``group_by`` tasks on :func:`exchange.exchange`)
 * big ⋈ big joins through :func:`exchange.hash_join`
-* broadcast hash join for small dimension tables (``ray.put`` once,
-  ``ray.get`` in a plain per-batch function) instead of a shuffle join
+* broadcast hash join for small dimension tables (the lookup arrays
+  captured in a plain per-batch function's closure) instead of a
+  shuffle join
 * sort + limit top-k
 * tumbling-window aggregate over the events stream table
 
@@ -104,16 +105,14 @@ def top_orders(sf_dir: str):
 
 def segment_revenue(sf_dir: str):
     """orders ⋈ customer via broadcast of the small side (J-pattern:
-    ray.put once, dict lookup per batch — no shuffle)."""
+    sorted-key lookup captured in the map's closure — no shuffle)."""
     import pyarrow.parquet as pq
 
     cust = pq.read_table(_pq(sf_dir, "customer"),
                          columns=["c_custkey", "c_mktsegment"]) \
               .sort_by("c_custkey")
-    lookup_ref = ray.put((
-        cust.column("c_custkey").to_numpy(),
-        cust.column("c_mktsegment").to_numpy(zero_copy_only=False),
-    ))
+    keys = cust.column("c_custkey").to_numpy()
+    segs = cust.column("c_mktsegment").to_numpy(zero_copy_only=False)
 
     ds = scan(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
@@ -121,7 +120,6 @@ def segment_revenue(sf_dir: str):
         # vectorized broadcast lookup (sorted keys + searchsorted;
         # FK guarantees every o_custkey resolves) over integer cents
         # (order-independent exact sums)
-        keys, segs = ray.get(lookup_ref)
         seg = segs[np.searchsorted(keys, batch.column("o_custkey").to_numpy())]
         cents = np.rint(
             batch.column("o_totalprice").to_numpy() * 100.0
@@ -182,8 +180,8 @@ def nation_revenue(sf_dir: str):
     nat = pq.read_table(_pq(sf_dir, "nation"),
                         columns=["n_nationkey", "n_name"]) \
             .sort_by("n_nationkey")
-    nat_ref = ray.put((nat.column("n_nationkey").to_numpy(),
-                       nat.column("n_name").to_numpy(zero_copy_only=False)))
+    keys = nat.column("n_nationkey").to_numpy()
+    names = nat.column("n_name").to_numpy(zero_copy_only=False)
 
     joined = hash_join(
         hash_join(li.map_batches(li_partial, batch_format="pyarrow",
@@ -192,7 +190,6 @@ def nation_revenue(sf_dir: str):
         cust, "inner", "o_custkey", "c_custkey")
 
     def nation_cells(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(nat_ref)
         nk = batch.column("c_nationkey").to_numpy()
         return pa.table({
             "n_name": pa.array(names[np.searchsorted(keys, nk)],
@@ -422,10 +419,8 @@ def events_zscore(sf_dir: str):
                             float(r.ss) / int(r.n)
                             - (float(r.s) / int(r.n)) ** 2)
              for r in mom.itertuples(index=False)}
-    ref = ray.put(stats)
 
     def z(batch: pa.Table) -> pa.Table:
-        stats = ray.get(ref)
         v = batch.column("value").to_numpy(zero_copy_only=False)
         types = batch.column("event_type").to_pylist()
         mean = np.fromiter((stats[t][0] for t in types),
@@ -704,14 +699,11 @@ def mad_outliers(sf_dir: str):
     col, key = "value", "event_type"
     ds = scan(sf_dir, "events", columns=[key, col])
     med = {g: m[0.5] for g, m in quantiles(ds, col, (0.5,), key).items()}
-    import ray as _ray
-    med_ref = _ray.put(med)
 
     def dev(batch: pa.Table) -> pa.Table:
-        m = _ray.get(med_ref)
         v = batch.column(col).to_numpy(zero_copy_only=False)
         grps = batch.column(key).to_pylist()
-        medv = np.asarray([m[g] for g in grps], dtype=np.float64)
+        medv = np.asarray([med[g] for g in grps], dtype=np.float64)
         return pa.table({
             key: batch.column(key),
             "dv": pa.array(np.abs(v - medv), type=pa.float64()),
@@ -723,15 +715,12 @@ def mad_outliers(sf_dir: str):
     devs = ds.map_batches(dev, batch_format="pyarrow",
                           batch_size=65536).materialize()
     mad = {g: m[0.5] for g, m in quantiles(devs, "dv", (0.5,), key).items()}
-    mad_ref = _ray.put(mad)
 
     def flag_cells(batch: pa.Table) -> pa.Table:
-        m = _ray.get(med_ref)
-        md = _ray.get(mad_ref)
         v = batch.column(col).to_numpy(zero_copy_only=False)
         grps = batch.column(key).to_pylist()
-        medv = np.asarray([m[g] for g in grps], dtype=np.float64)
-        madv = np.asarray([md[g] for g in grps], dtype=np.float64)
+        medv = np.asarray([med[g] for g in grps], dtype=np.float64)
+        madv = np.asarray([mad[g] for g in grps], dtype=np.float64)
         out = np.abs(v - medv) > 3.0 * madv
         return pa.table({
             key: batch.column(key),
@@ -1219,16 +1208,15 @@ def region_supplier_revenue(sf_dir: str):
     n_name = nat.column("n_name").to_numpy(zero_copy_only=False)
     r_name = reg.column("r_name").to_numpy(zero_copy_only=False)[
         nat.column("n_regionkey").to_numpy()]
-    s_keys = sup.column("s_suppkey").to_numpy()
+    keys = sup.column("s_suppkey").to_numpy()
     s_nat = sup.column("s_nationkey").to_numpy()
-    lookup_ref = ray.put((s_keys, n_name[s_nat], r_name[s_nat]))
+    nations, regions = n_name[s_nat], r_name[s_nat]
 
     ds = scan(
         sf_dir, "lineitem",
         columns=["l_suppkey", "l_extendedprice", "l_discount"])
 
     def join_cells(batch: pa.Table) -> pa.Table:
-        keys, nations, regions = ray.get(lookup_ref)
         idx = np.searchsorted(keys, batch.column("l_suppkey").to_numpy())
         cents = np.rint(
             batch.column("l_extendedprice").to_numpy() * 100.0
@@ -1427,17 +1415,14 @@ def revenue_rollup(sf_dir: str):
                         columns=["n_nationkey", "n_name"]) \
             .sort_by("n_nationkey")
     names = nat.column("n_name").to_numpy(zero_copy_only=False)
-    lookup_ref = ray.put((
-        cust.column("c_custkey").to_numpy(),
-        names[cust.column("c_nationkey").to_numpy()],
-    ))
+    keys = cust.column("c_custkey").to_numpy()
+    nations = names[cust.column("c_nationkey").to_numpy()]
 
     ds = scan(sf_dir, "orders",
               columns=["o_custkey", "o_orderdate",
                        "o_totalprice"])
 
     def base_cells(batch: pa.Table) -> pa.Table:
-        keys, nations = ray.get(lookup_ref)
         nn = nations[np.searchsorted(keys,
                                      batch.column("o_custkey").to_numpy())]
         cents = np.rint(
@@ -3820,12 +3805,10 @@ def range_partition_manifest(sf_dir: str, parts: int = RANGE_PARTS):
     upper = order_stats(cents, h, [(n * p) // parts
                                    for p in range(1, parts)] + [n - 1])[0]
     cuts = upper[:-1]
-    cuts_ref = ray.put(cuts)
 
     def assign(batch: pa.Table) -> pa.Table:
         # ties go right: partition = |{cuts <= x}|
-        p = np.searchsorted(ray.get(cuts_ref), to_cents(batch),
-                            side="right")
+        p = np.searchsorted(cuts, to_cents(batch), side="right")
         return pa.table({
             "partition": pa.array(p.astype(np.int64)),
             "n": pa.array(np.ones(len(p), dtype=np.int64)),

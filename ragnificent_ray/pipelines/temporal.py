@@ -1926,13 +1926,11 @@ def events_watermark_windows(sf_dir: str,
     (``sequence_pack``'s exchange with max instead of sum, keyed by
     the streaming-natural time ranges): one narrow fold sends one
     (arrival-hour, max event-ts) row to the driver, the exclusive
-    running max broadcasts once via ``ray.put``, and the admission
+    running max rides in the admission map's closure, and the admission
     test runs vectorized per bucket (``np.maximum.accumulate`` in
     (arrival, event_id) order); the final window census is a bounded
     groupby over the hours present. The oracle replays the identical
     rule as one SQL running-max window over the same arrival order."""
-    import ray
-
     from ..functions.hashing import md5_hex
 
     lateness_us = int(lateness_s) * 1_000_000
@@ -1961,8 +1959,8 @@ def events_watermark_windows(sf_dir: str,
     mx = sub["mx"].to_numpy(dtype=np.int64)
     base = np.concatenate(
         ([_WM_NEG], np.maximum.accumulate(mx)[:-1]))
-    base_ref = ray.put(dict(zip(
-        sub["bucket"].astype(np.int64).tolist(), base.tolist())))
+    bucket_bases = dict(zip(sub["bucket"].astype(np.int64).tolist(),
+                            base.tolist()))
 
     def tag(b: pa.Table) -> pa.Table:
         ids, ts, arr = _arrival(b)
@@ -1974,8 +1972,7 @@ def events_watermark_windows(sf_dir: str,
         })
 
     def admit(g: pa.Table) -> pa.Table:
-        bucket_base = ray.get(base_ref)[
-            int(g.column("bucket")[0].as_py())]
+        bucket_base = bucket_bases[int(g.column("bucket")[0].as_py())]
         order = np.lexsort((
             g.column("event_id").to_numpy(zero_copy_only=False),
             g.column("arrival_us").to_numpy(zero_copy_only=False)))

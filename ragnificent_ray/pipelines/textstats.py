@@ -2,8 +2,10 @@
 
 Large-scale training-data pipeline staples (per the build brief):
 token counting, quality scoring, language-ID heuristic, document
-fingerprinting. All vectorized-per-batch; the stopword set and language
-profiles are compiled once per actor (stateful stage pattern).
+fingerprinting. All vectorized-per-batch plain-function maps: a value a
+map needs on every batch (stopword set, language profiles, a fitted
+model) is built once and captured in the map's closure, which Ray Data
+puts in the object store once per execution.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import re
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..functions.numeric import round_half_away
 from .combine import combine, fold, group_agg
@@ -90,39 +91,36 @@ def quality_scores(sf_dir: str):
     return ds.map_batches(score, batch_format="pyarrow", batch_size=8192)
 
 
-class LangId:
-    """Stateful language-ID scorer (profiles built once per actor).
+_PROFILES = {k: frozenset(v) for k, v in sorted(_LANG_PROFILES.items())}
 
-    Heuristic: argmax of per-language stopword hit counts; ties go to
-    the first language in sorted order and zero-hit docs fall back to
-    "und". Deterministic and value-checked — the DuckDB oracle
+
+def guess_lang(text: str) -> str:
+    """Heuristic language ID: argmax of per-language stopword hit counts;
+    ties go to the first language in sorted order and zero-hit docs fall
+    back to "und". Deterministic and value-checked — the DuckDB oracle
     (``ORACLE_SQL["lang_id"]``) replays the profiles and the tie rule
     with list_intersect + an ordered CASE."""
-
-    def __init__(self):
-        self.profiles = {k: frozenset(v) for k, v in _LANG_PROFILES.items()}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        langs = []
-        for t in texts:
-            toks = set(t.lower().split())
-            best, best_hits = "und", 0
-            for lang in sorted(self.profiles):
-                hits = len(toks & self.profiles[lang])
-                if hits > best_hits:
-                    best, best_hits = lang, hits
-            langs.append(best)
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "guessed_lang": pa.array(langs, type=pa.string()),
-        })
+    toks = set(text.lower().split())
+    best, best_hits = "und", 0
+    for lang, profile in _PROFILES.items():
+        hits = len(toks & profile)
+        if hits > best_hits:
+            best, best_hits = lang, hits
+    return best
 
 
 def lang_id(sf_dir: str):
     ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(LangId, batch_format="pyarrow", batch_size=8192,
-                          concurrency=2)
+
+    def guess(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "doc_id": batch["doc_id"],
+            "guessed_lang": pa.array(
+                [guess_lang(t) for t in batch.column("text").to_pylist()],
+                type=pa.string()),
+        })
+
+    return ds.map_batches(guess, batch_format="pyarrow", batch_size=8192)
 
 
 def token_count_bpeish(sf_dir: str):
@@ -711,8 +709,8 @@ def heavy_hitter_tokens(sf_dir: str):
     clear that bar in at least one block (else its total would be
     ≤ Σ n_b/C = N/C), so the candidate union provably contains the true
     top-k whenever the k-th count exceeds N/C — which Zipfian token
-    distributions satisfy by orders of magnitude. Pass 2 broadcasts the
-    (small) candidate set with ``ray.put`` and recounts exactly, so the
+    distributions satisfy by orders of magnitude. Pass 2 captures the
+    (small) candidate set in its map's closure and recounts exactly, so the
     result is EXACT, not an estimate: no token-cardinality shuffle ever
     happens — the only groupby is over candidates.
 
@@ -738,10 +736,9 @@ def heavy_hitter_tokens(sf_dir: str):
                       batch_size=8192)
               .iter_batches(batch_format="pyarrow")):
         cand.update(b.column("token").to_pylist())
-    cand_ref = ray.put(frozenset(cand))
+    cset = frozenset(cand)
 
     def recount(batch: pa.Table) -> pa.Table:
-        cset = ray.get(cand_ref)
         c: Counter = Counter()
         for t in batch.column("text").to_pylist():
             c.update(tok for tok in t.strip().split() if tok in cset)
@@ -954,53 +951,36 @@ def bigram_logprob(sf_dir: str):
     import math
 
     import numpy as np
-    import ray
 
     ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
 
     uni = _token_counts(ds).to_pandas()
-    vsize = len(uni)
-    ucount = dict(zip(uni["token"], uni["n"].astype(np.int64)))
+    v = len(uni)
+    uc = dict(zip(uni["token"], uni["n"].astype(np.int64)))
 
     bi = fold(_bigram_partials(ds), ["w1", "w2"], _N_SUM).to_pandas()
-    bcount = dict(zip(zip(bi["w1"], bi["w2"]), bi["n"].astype(np.int64)))
-    ref = ray.put((ucount, bcount, vsize))
+    bc = dict(zip(zip(bi["w1"], bi["w2"]), bi["n"].astype(np.int64)))
 
-    class Score:
-        def __init__(self, ref):
-            self.ref = ref
-            self._m = None
+    def score(batch: pa.Table) -> pa.Table:
+        ns, means = [], []
+        for t in batch.column("text").to_pylist():
+            toks = t.strip().split()
+            n = max(len(toks) - 1, 0)
+            ns.append(n)
+            if not n:
+                means.append(0.0)
+                continue
+            lp = sum(
+                math.log((bc[(a, b)] + 1.0) / (uc[a] + v))
+                for a, b in zip(toks, toks[1:]))
+            means.append(round_half_away(lp / n, 4))
+        return pa.table({
+            "doc_id": batch["doc_id"],
+            "n_bigrams": pa.array(ns, type=pa.int64()),
+            "mean_logprob": pa.array(means, type=pa.float64()),
+        })
 
-        def __getstate__(self):
-            s = self.__dict__.copy()
-            s["_m"] = None
-            return s
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if self._m is None:
-                self._m = ray.get(self.ref)
-            uc, bc, v = self._m
-            ns, means = [], []
-            for t in batch.column("text").to_pylist():
-                toks = t.strip().split()
-                n = max(len(toks) - 1, 0)
-                ns.append(n)
-                if not n:
-                    means.append(0.0)
-                    continue
-                lp = sum(
-                    math.log((bc[(a, b)] + 1.0) / (uc[a] + v))
-                    for a, b in zip(toks, toks[1:]))
-                means.append(round_half_away(lp / n, 4))
-            return pa.table({
-                "doc_id": batch["doc_id"],
-                "n_bigrams": pa.array(ns, type=pa.int64()),
-                "mean_logprob": pa.array(means, type=pa.float64()),
-            })
-
-    return ds.map_batches(Score, fn_constructor_kwargs={"ref": ref},
-                          batch_format="pyarrow", batch_size=4096,
-                          concurrency=2)
+    return ds.map_batches(score, batch_format="pyarrow", batch_size=4096)
 
 
 def source_mixture(sf_dir: str):
@@ -1050,19 +1030,12 @@ def lang_confusion(sf_dir: str):
     from collections import Counter
 
     ds = scan(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-    profiles = {k: frozenset(v) for k, v in _LANG_PROFILES.items()}
 
     def guess_and_count(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for t, actual in zip(batch.column("text").to_pylist(),
                              batch.column("lang").to_pylist()):
-            toks = set(t.lower().split())
-            best, best_hits = "und", 0
-            for lang in sorted(profiles):
-                hits = len(toks & profiles[lang])
-                if hits > best_hits:
-                    best, best_hits = lang, hits
-            c[(actual, best)] += 1
+            c[(actual, guess_lang(t))] += 1
         keys = sorted(c)
         return pa.table({
             "lang": pa.array([k[0] for k in keys], type=pa.string()),
@@ -1076,16 +1049,15 @@ def lang_confusion(sf_dir: str):
                 ["lang", "guessed_lang"], _N_SUM)
 
 
-def _fit_unigram_model(sf_dir: str):
-    """Fit the add-one-smoothed unigram LM on the corpus and broadcast
-    it: per-batch token-count partials (one row per distinct token per
-    block) → native groupby-sum → (token→logp dict, oov logp) in the
-    object store. Shared by :func:`unigram_logprob` and
+def _fit_unigram_model(sf_dir: str) -> tuple[dict, float]:
+    """Fit the add-one-smoothed unigram LM on the corpus: per-batch
+    token-count partials (one row per distinct token per block) → native
+    groupby-sum → (token→logp dict, oov logp), which the scoring maps
+    capture. Shared by :func:`unigram_logprob` and
     :func:`perplexity_buckets`."""
     import math
 
     import numpy as np
-    import ray
 
     ds = scan(sf_dir, "documents", columns=["text"])
     counts = _token_counts(ds).to_pandas()
@@ -1095,7 +1067,7 @@ def _fit_unigram_model(sf_dir: str):
                   / (total + vsize))
     model = dict(zip(counts["token"], logp))
     oov = math.log(1.0 / (total + vsize))
-    return ray.put((model, oov))
+    return model, oov
 
 
 def unigram_logprob(sf_dir: str):
@@ -1106,44 +1078,27 @@ def unigram_logprob(sf_dir: str):
 
     Two-pass like :func:`tfidf_embed`: per-batch token-count partials
     (one row per distinct token per block) → native groupby-sum → the
-    bounded vocabulary broadcast with ``ray.put``; scoring is a pure
-    per-batch map. Low scores mark out-of-distribution / junk docs."""
-    import numpy as np
-    import ray
-
+    bounded vocabulary captured in the scoring map's closure; scoring is
+    a pure per-batch map. Low scores mark out-of-distribution / junk
+    docs."""
     ds = scan(sf_dir, "documents", columns=["doc_id", "text"])
-    ref = _fit_unigram_model(sf_dir)
+    model, oov = _fit_unigram_model(sf_dir)
 
-    class Score:
-        def __init__(self, ref):
-            self.ref = ref
-            self._m = None
+    def score(batch: pa.Table) -> pa.Table:
+        n_toks, means = [], []
+        for t in batch.column("text").to_pylist():
+            toks = t.strip().split()
+            n = len(toks)
+            lp = sum(model.get(w, oov) for w in toks)
+            n_toks.append(n)
+            means.append(round_half_away(lp / n, 4) if n else 0.0)
+        return pa.table({
+            "doc_id": batch["doc_id"],
+            "n_tokens": pa.array(n_toks, type=pa.int64()),
+            "mean_logprob": pa.array(means, type=pa.float64()),
+        })
 
-        def __getstate__(self):
-            s = self.__dict__.copy()
-            s["_m"] = None
-            return s
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if self._m is None:
-                self._m = ray.get(self.ref)
-            model, oov = self._m
-            n_toks, means = [], []
-            for t in batch.column("text").to_pylist():
-                toks = t.strip().split()
-                n = len(toks)
-                lp = sum(model.get(w, oov) for w in toks)
-                n_toks.append(n)
-                means.append(round_half_away(lp / n, 4) if n else 0.0)
-            return pa.table({
-                "doc_id": batch["doc_id"],
-                "n_tokens": pa.array(n_toks, type=pa.int64()),
-                "mean_logprob": pa.array(means, type=pa.float64()),
-            })
-
-    return ds.map_batches(Score, fn_constructor_kwargs={"ref": ref},
-                          batch_format="pyarrow", batch_size=8192,
-                          concurrency=2)
+    return ds.map_batches(score, batch_format="pyarrow", batch_size=8192)
 
 
 PMI_MIN_COUNT = 5
@@ -1157,15 +1112,13 @@ def pmi_bigrams(sf_dir: str):
     raw bigram counts miss because frequent-word pairs dominate them.
 
     Scale shape: unigram counts fold once (vocabulary-bounded,
-    broadcast via ``ray.put``); bigram counts use :func:`bigram_top`'s
+    captured in the PMI map's closure); bigram counts use :func:`bigram_top`'s
     distinct-per-block combiner and stay distributed; the PMI map is
     one vectorized lookup pass and the cut is a distributed
     sort+limit. Both engines evaluate the identical
     ``LN(((c·Nu)·Nu)/((Nb·ca)·cb))`` double expression (same libm log
     as the DSIR precedent), then rank on the 6-dp rounding with the
     word pair as the total-order tiebreak."""
-    import ray
-
     from collections import Counter
 
     ds = scan(sf_dir, "documents", columns=["text"])
@@ -1190,10 +1143,9 @@ def pmi_bigrams(sf_dir: str):
     uc = uc[~nb_mask]
     n_uni = int(uc["n"].sum())
     uni = dict(zip(uc["token"], uc["n"].astype(int)))
-    ref = ray.put((uni, float(n_uni), float(n_bi)))
+    nu, nbf = float(n_uni), float(n_bi)
 
     def score(batch: pa.Table) -> pa.Table:
-        uni, nu, nbf = ray.get(ref)
         t = batch.filter(pc.greater_equal(batch.column("cnt"),
                                           PMI_MIN_COUNT))
         w1 = t.column("w1").to_pylist()
@@ -1238,44 +1190,28 @@ def perplexity_buckets(sf_dir: str):
     (cumulative ranks, bucket cuts, per-bucket means) is driver
     arithmetic on that bounded histogram. No second pass, no join."""
     import numpy as np
-    import ray
 
-    ref = _fit_unigram_model(sf_dir)
+    model, oov = _fit_unigram_model(sf_dir)
     ds = scan(sf_dir, "documents", columns=["text", "lang"])
-
-    class Cells:
-        def __init__(self, ref):
-            self.ref = ref
-            self._m = None
-
-        def __getstate__(self):
-            s = self.__dict__.copy()
-            s["_m"] = None
-            return s
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if self._m is None:
-                self._m = ray.get(self.ref)
-            model, oov = self._m
-            langs = batch.column("lang").to_pylist()
-            s_e4 = np.empty(batch.num_rows, dtype=np.int64)
-            for i, t in enumerate(batch.column("text").to_pylist()):
-                toks = t.strip().split()
-                n = len(toks)
-                mean = round_half_away(
-                    sum(model.get(w, oov) for w in toks) / n, 4) if n \
-                    else 0.0
-                s_e4[i] = np.int64(np.rint(mean * 10000.0))
-            return group_agg(pa.table({
-                "lang": pa.array(langs, type=pa.string()),
-                "s_e4": pa.array(s_e4),
-                "cnt": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }), ["lang", "s_e4"], cnt_sum)
-
     cnt_sum = {"cnt": ("cnt", "sum")}
-    hist = fold(ds.map_batches(Cells, fn_constructor_kwargs={"ref": ref},
-                               batch_format="pyarrow", batch_size=8192,
-                               concurrency=2),
+
+    def cells(batch: pa.Table) -> pa.Table:
+        langs = batch.column("lang").to_pylist()
+        s_e4 = np.empty(batch.num_rows, dtype=np.int64)
+        for i, t in enumerate(batch.column("text").to_pylist()):
+            toks = t.strip().split()
+            n = len(toks)
+            mean = round_half_away(
+                sum(model.get(w, oov) for w in toks) / n, 4) if n else 0.0
+            s_e4[i] = np.int64(np.rint(mean * 10000.0))
+        return group_agg(pa.table({
+            "lang": pa.array(langs, type=pa.string()),
+            "s_e4": pa.array(s_e4),
+            "cnt": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
+        }), ["lang", "s_e4"], cnt_sum)
+
+    hist = fold(ds.map_batches(cells, batch_format="pyarrow",
+                               batch_size=8192),
                 ["lang", "s_e4"], cnt_sum).to_pandas()
 
     out_lang, out_bucket, out_n, out_mean = [], [], [], []
@@ -1311,7 +1247,7 @@ _SQL_STOPS = ", ".join(f"'{w}'" for w in STOPWORDS)
 
 
 def _lang_hits_sql() -> tuple[str, str]:
-    """(hit-count SELECT fragments, argmax CASE) mirroring LangId's
+    """(hit-count SELECT fragments, argmax CASE) mirroring guess_lang's
     first-in-sorted-order-wins-ties loop exactly."""
     langs = [k for k in sorted(_LANG_PROFILES) if _LANG_PROFILES[k]]
     hits = ",\n               ".join(
@@ -1387,8 +1323,6 @@ def quality_rank(sf_dir: str):
     offset. Equal scores always share a bucket, so the global order is
     exact; no corpus-wide sort ever runs."""
     import numpy as np
-    import pandas as pd
-    import ray
 
     scores = unigram_logprob(sf_dir).select_columns(
         ["doc_id", "mean_logprob"]).materialize()
@@ -1400,7 +1334,6 @@ def quality_rank(sf_dir: str):
     # buckets ascend with the score, so a bucket's rank offset (1 = best)
     # is the count of rows in the buckets above it
     offsets = h.cum[0, -1] - h.cum[0]
-    off_ref = ray.put(offsets)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         v = batch.column("mean_logprob").to_numpy(zero_copy_only=False)
@@ -1408,7 +1341,7 @@ def quality_rank(sf_dir: str):
             "bucket", pa.array(h.bucket_of(v), type=pa.int64()))
 
     def rank_group(g: pa.Table) -> pa.Table:
-        off = ray.get(off_ref)[int(g.column("bucket")[0].as_py())]
+        off = offsets[int(g.column("bucket")[0].as_py())]
         g = g.sort_by([("mean_logprob", "descending"),
                        ("doc_id", "ascending")])
         return pa.table({
@@ -2652,8 +2585,8 @@ def logreg_quality_gd(sf_dir: str, iters: int = LOGREG_ITERS):
     w_k ← w_k − floor(Σ_i (p_i − y_i·S)·f_ik / (n·LR_DIV)) with
     f = [1, toks − μ].
 
-    Scale shape (canonical distributed GD): weights broadcast via
-    ``ray.put`` (K ints), each batch folds to K partial-gradient rows
+    Scale shape (canonical distributed GD): weights broadcast in the
+    map's closure (K ints), each batch folds to K partial-gradient rows
     — the per-iteration exchange is K rows per block regardless of
     corpus size — and the driver updates the tiny weight vector. The
     integer (toks, y) table is materialized once and reused across
@@ -2695,35 +2628,41 @@ def logreg_quality_gd(sf_dir: str, iters: int = LOGREG_ITERS):
         F[:, 1] = toks - mu
         return F
 
-    class Grad:
-        def __init__(self, ref):
-            self.w = ray.get(ref)
+    # the maps read the current ``w``: each pass's fold runs when called
+    def grad(b: pa.Table) -> pa.Table:
+        F = _fmat(b)
+        y = b.column("y").to_numpy(zero_copy_only=False)
+        err = _probs(F @ w) - y * LOGREG_SCALE
+        # per-batch partial is int64-safe (|err| ≤ S = 2^20, so
+        # 8192 rows stay exact for docs up to ~10^8 tokens); the
+        # CROSS-block fold is not at ~1e10-doc corpus sizes, so
+        # partials ship as hi/lo 2^32 cells (gram_power_iteration's
+        # pattern) and the driver reconstructs unbounded ints —
+        # exact at any corpus size, like the oracle's HUGEINT SUM
+        g = err @ F
+        hi = g // _LOGREG_SPLIT
+        return pa.table({
+            "k": pa.array(np.arange(K, dtype=np.int32)),
+            "hi": pa.array(hi, type=pa.int64()),
+            "lo": pa.array(g - hi * _LOGREG_SPLIT, type=pa.int64()),
+        })
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            F = _fmat(b)
-            y = b.column("y").to_numpy(zero_copy_only=False)
-            err = _probs(F @ self.w) - y * LOGREG_SCALE
-            # per-batch partial is int64-safe (|err| ≤ S = 2^20, so
-            # 8192 rows stay exact for docs up to ~10^8 tokens); the
-            # CROSS-block fold is not at ~1e10-doc corpus sizes, so
-            # partials ship as hi/lo 2^32 cells (gram_power_iteration's
-            # pattern) and the driver reconstructs unbounded ints —
-            # exact at any corpus size, like the oracle's HUGEINT SUM
-            g = err @ F
-            hi = g // _LOGREG_SPLIT
-            return pa.table({
-                "k": pa.array(np.arange(K, dtype=np.int32)),
-                "hi": pa.array(hi, type=pa.int64()),
-                "lo": pa.array(g - hi * _LOGREG_SPLIT, type=pa.int64()),
-            })
+    def final(b: pa.Table) -> pa.Table:
+        z = _fmat(b) @ w
+        p = _probs(z)
+        return pa.table({
+            "doc_id": b.column("doc_id"),
+            "z": pa.array(z, type=pa.int64()),
+            "p": pa.array(p, type=pa.int64()),
+            "pred": pa.array((p >= LOGREG_HALF).astype(np.int64)),
+            "y": b.column("y"),
+        })
 
     w = np.zeros(K, dtype=np.int64)
     for _ in range(iters):
-        ref = ray.put(w)
-        small = ints.map_batches(Grad, fn_constructor_kwargs={"ref": ref},
-                                 batch_format="pyarrow", batch_size=8192,
-                                 concurrency=2)
-        small = fold(small, "k", {"hi": ("hi", "sum"), "lo": ("lo", "sum")}
+        small = fold(ints.map_batches(grad, batch_format="pyarrow",
+                                      batch_size=8192),
+                     "k", {"hi": ("hi", "sum"), "lo": ("lo", "sum")}
                      ).to_pandas().sort_values("k")
         g = [int(h) * _LOGREG_SPLIT + int(l)
              for h, l in zip(small["hi"], small["lo"])]
@@ -2731,26 +2670,7 @@ def logreg_quality_gd(sf_dir: str, iters: int = LOGREG_ITERS):
         w = np.array([int(wk) - gk // (n * LOGREG_LR_DIV)
                       for wk, gk in zip(w, g)], dtype=np.int64)
 
-    ref = ray.put(w)
-
-    class Final:
-        def __init__(self, ref):
-            self.w = ray.get(ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            z = _fmat(b) @ self.w
-            p = _probs(z)
-            return pa.table({
-                "doc_id": b.column("doc_id"),
-                "z": pa.array(z, type=pa.int64()),
-                "p": pa.array(p, type=pa.int64()),
-                "pred": pa.array((p >= LOGREG_HALF).astype(np.int64)),
-                "y": b.column("y"),
-            })
-
-    return ints.map_batches(Final, fn_constructor_kwargs={"ref": ref},
-                            batch_format="pyarrow", batch_size=8192,
-                            concurrency=2)
+    return ints.map_batches(final, batch_format="pyarrow", batch_size=8192)
 
 
 def _floordiv_sql(a: str, b: str) -> str:

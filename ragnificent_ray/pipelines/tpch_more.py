@@ -28,7 +28,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..functions.numeric import round_half_away
 from .combine import combine, group_agg
@@ -142,41 +141,33 @@ def trade_volume(sf_dir: str):
     snat = np.asarray([nation_of[int(k)] for k in
                        sup.column("s_nationkey").to_numpy()], dtype=object)
     sorder = np.argsort(skey)
-    lookup_ref = ray.put((skey[sorder], snat[sorder],
-                          nk[order], nn[order]))
+    skey, snat, nk, nn = skey[sorder], snat[sorder], nk[order], nn[order]
 
     li = scan(sf_dir, "lineitem",
               columns=["l_orderkey", "l_suppkey",
                        "l_extendedprice", "l_discount",
                        "l_shipdate"])
 
-    # plain task functions, not actor pools: the lookup `ray.get` is a
-    # zero-copy plasma read per batch
     def li_partial(b: pa.Table) -> pa.Table:
-            skey, snat, _, _ = ray.get(lookup_ref)
-            supp_n = snat[np.searchsorted(
-                skey, b.column("l_suppkey").to_numpy())]
-            return group_agg(pa.table({
-                "l_orderkey": b.column("l_orderkey"),
-                "supp_nation": pa.array(supp_n, type=pa.string()),
-                "ship_year": pc.cast(
-                    pc.year(b.column("l_shipdate")), pa.int32()),
-                "rev_e4": pa.array(_rev_e4(b), type=pa.int64()),
-            }), ["l_orderkey", "supp_nation", "ship_year"], _REV_SUM)
+        supp_n = snat[np.searchsorted(skey, b.column("l_suppkey").to_numpy())]
+        return group_agg(pa.table({
+            "l_orderkey": b.column("l_orderkey"),
+            "supp_nation": pa.array(supp_n, type=pa.string()),
+            "ship_year": pc.cast(pc.year(b.column("l_shipdate")), pa.int32()),
+            "rev_e4": pa.array(_rev_e4(b), type=pa.int64()),
+        }), ["l_orderkey", "supp_nation", "ship_year"], _REV_SUM)
 
     orders = scan(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     cust = scan(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
 
     def cell_partial(b: pa.Table) -> pa.Table:
-            _, _, nk2, nn2 = ray.get(lookup_ref)
-            cust_n = nn2[np.searchsorted(
-                nk2, b.column("c_nationkey").to_numpy())]
-            return group_agg(pa.table({
-                "supp_nation": b.column("supp_nation"),
-                "cust_nation": pa.array(cust_n, type=pa.string()),
-                "ship_year": b.column("ship_year"),
-                "rev_e4": b.column("rev_e4"),
-            }), ["supp_nation", "cust_nation", "ship_year"], _REV_SUM)
+        cust_n = nn[np.searchsorted(nk, b.column("c_nationkey").to_numpy())]
+        return group_agg(pa.table({
+            "supp_nation": b.column("supp_nation"),
+            "cust_nation": pa.array(cust_n, type=pa.string()),
+            "ship_year": b.column("ship_year"),
+            "rev_e4": b.column("rev_e4"),
+        }), ["supp_nation", "cust_nation", "ship_year"], _REV_SUM)
 
     def finish(g: pa.Table) -> pa.Table:
         f = g.group_by(["supp_nation", "cust_nation", "ship_year"]) \

@@ -16,9 +16,9 @@ Shared discipline (see ``relational.py`` / ``tpch_more.py`` headers):
 column-pruned reads, per-batch Arrow ``group_by`` combiners before any
 exchange (:mod:`combine`'s ``group_agg``/``fold``), bounded key-hash
 buckets + ``map_groups`` for corpus-scale keyed folds, the shared
-:func:`exchange.hash_join` for big ⋈ big, broadcast ``ray.put`` lookups
-for true dimensions (part/supplier/nation — the tables that stay catalog-sized
-as lineitem/orders/customer grow), and
+:func:`exchange.hash_join` for big ⋈ big, broadcast lookups captured in
+the map's closure for true dimensions (part/supplier/nation — the tables
+that stay catalog-sized as lineitem/orders/customer grow), and
 integer currency/quantity units everywhere a float sum could make the
 result depend on summation order. Ordering ties are always broken on
 the EXACT integer value plus a unique key, and the oracle sorts on the
@@ -32,7 +32,6 @@ import datetime as _dt
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..functions.numeric import round_half_away
 from .combine import combine, fold, group_agg
@@ -79,7 +78,6 @@ def local_supplier_revenue(sf_dir: str):
     region_key = dict(zip(reg.column("r_name").to_pylist(),
                           reg.column("r_regionkey").to_pylist()))["ASIA"]
     in_region = {k for k, r in region_of.items() if r == region_key}
-    lookup_ref = ray.put((skey, snatk))
 
     lo = pa.scalar(_dt.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1997, 1, 1), type=pa.timestamp("us"))
@@ -105,8 +103,8 @@ def local_supplier_revenue(sf_dir: str):
     in_region_arr = np.sort(np.fromiter(in_region, dtype=np.int64))
 
     def li_partial(b: pa.Table) -> pa.Table:
-        sk, sn = ray.get(lookup_ref)
-        s_nat = sn[np.searchsorted(sk, b.column("l_suppkey").to_numpy())]
+        s_nat = snatk[np.searchsorted(skey,
+                                      b.column("l_suppkey").to_numpy())]
         keep = np.isin(s_nat, in_region_arr)
         sub = b.filter(pa.array(keep))
         return group_agg(pa.table({
@@ -150,7 +148,6 @@ def market_share(sf_dir: str):
     target = np.sort(np.asarray(
         [k for k, n in nation_of.items() if n == "NATION_3"],
         dtype=snatk.dtype))
-    lookup_ref = ray.put((keep_parts, skey, snatk, target))
 
     lo = pa.scalar(_dt.datetime(1995, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1997, 1, 1), type=pa.timestamp("us"))
@@ -169,13 +166,13 @@ def market_share(sf_dir: str):
                        "l_extendedprice", "l_discount"])
 
     def li_partial(b: pa.Table) -> pa.Table:
-        kp, sk, sn, tgt = ray.get(lookup_ref)
         pkv = b.column("l_partkey").to_numpy()
-        keep = np.isin(pkv, kp)
+        keep = np.isin(pkv, keep_parts)
         sub = b.filter(pa.array(keep))
-        s_nat = sn[np.searchsorted(sk, sub.column("l_suppkey").to_numpy())]
+        s_nat = snatk[np.searchsorted(skey,
+                                      sub.column("l_suppkey").to_numpy())]
         rev = _rev_e4(sub)
-        is_tgt = np.isin(s_nat, tgt)
+        is_tgt = np.isin(s_nat, target)
         return group_agg(pa.table({
             "l_orderkey": sub.column("l_orderkey"),
             "rev_e4": pa.array(rev, type=pa.int64()),
@@ -220,8 +217,8 @@ def product_type_profit(sf_dir: str):
         part.column("p_retailprice").to_numpy()[is_widget] * 100.0
     ).astype(np.int64)
     order = np.argsort(pk)
+    pks, cents = pk[order], retail_cents[order]
     skey, snatk, nation_of, _ = _supp_nation_lookup(sf_dir)
-    lookup_ref = ray.put((pk[order], retail_cents[order], skey, snatk))
 
     orders = scan(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
 
@@ -237,7 +234,6 @@ def product_type_profit(sf_dir: str):
                        "l_discount"])
 
     def li_partial(b: pa.Table) -> pa.Table:
-        pks, cents, sk, sn = ray.get(lookup_ref)
         pkv = b.column("l_partkey").to_numpy()
         keep = np.isin(pkv, pks)
         sub = b.filter(pa.array(keep))
@@ -245,7 +241,8 @@ def product_type_profit(sf_dir: str):
         qty_e2 = np.rint(
             sub.column("l_quantity").to_numpy() * 100.0).astype(np.int64)
         profit_e5 = _rev_e4(sub) * 10 - cents[pos] * qty_e2
-        s_nat = sn[np.searchsorted(sk, sub.column("l_suppkey").to_numpy())]
+        s_nat = snatk[np.searchsorted(skey,
+                                      sub.column("l_suppkey").to_numpy())]
         return group_agg(pa.table({
             "l_orderkey": sub.column("l_orderkey"),
             "s_nationkey": pa.array(s_nat.astype(np.int32)),
@@ -386,14 +383,13 @@ def bracket_revenue(sf_dir: str):
     qlo = np.concatenate(qlo)
     qhi = np.concatenate(qhi)
     order = np.argsort(keys)
-    lookup_ref = ray.put((keys[order], qlo[order], qhi[order]))
+    pks, lo_q, hi_q = keys[order], qlo[order], qhi[order]
 
     li = scan(sf_dir, "lineitem",
               columns=["l_partkey", "l_quantity",
                        "l_extendedprice", "l_discount"])
 
     def partial(b: pa.Table) -> pa.Table:
-        pks, lo_q, hi_q = ray.get(lookup_ref)
         pkv = b.column("l_partkey").to_numpy()
         hit = np.isin(pkv, pks)
         sub = b.filter(pa.array(hit))
@@ -432,13 +428,12 @@ def supplier_part_variety(sf_dir: str):
     m = (brand != "Brand#1") & (ptype != "PROMO") & np.isin(size, sizes)
     pk = part.column("p_partkey").to_numpy()[m]
     order = np.argsort(pk)
-    lookup_ref = ray.put((pk[order], brand[m][order], ptype[m][order],
-                          size[m][order]))
+    pks, br, ty, sz = (pk[order], brand[m][order], ptype[m][order],
+                       size[m][order])
 
     li = scan(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
 
     def pair_partial(b: pa.Table) -> pa.Table:
-        pks, _, _, _ = ray.get(lookup_ref)
         keep = np.isin(b.column("l_partkey").to_numpy(), pks)
         sub = b.filter(pa.array(keep))
         g = sub.group_by(["l_partkey", "l_suppkey"]).aggregate([])
@@ -452,7 +447,6 @@ def supplier_part_variety(sf_dir: str):
 
     def pair_fold(g: pa.Table) -> pa.Table:
         f = g.group_by(["l_partkey", "l_suppkey"]).aggregate([])
-        pks, br, ty, sz = ray.get(lookup_ref)
         pos = np.searchsorted(pks, f.column("l_partkey").to_numpy())
         sk = f.column("l_suppkey").to_numpy()
         t = pa.table({
@@ -507,14 +501,12 @@ def bulk_suppliers(sf_dir: str):
                          columns=["p_partkey", "p_name"])
     is_blue = np.asarray([n.startswith("blue ")
                           for n in part.column("p_name").to_pylist()])
-    pk = np.sort(part.column("p_partkey").to_numpy()[is_blue])
-    lookup_ref = ray.put(pk)
+    pks = np.sort(part.column("p_partkey").to_numpy()[is_blue])
 
     li = scan(sf_dir, "lineitem",
               columns=["l_partkey", "l_suppkey", "l_quantity"])
 
     def partial(b: pa.Table) -> pa.Table:
-        pks = ray.get(lookup_ref)
         keep = np.isin(b.column("l_partkey").to_numpy(), pks)
         sub = b.filter(pa.array(keep))
         qty_e2 = np.rint(
@@ -585,15 +577,13 @@ def min_balance_supplier(sf_dir: str):
                         columns=["s_suppkey", "s_name", "s_acctbal"])
     sk = sup.column("s_suppkey").to_numpy()
     sorder = np.argsort(sk)
-    lookup_ref = ray.put((
-        pk[order], pname[order], sk[sorder],
-        np.asarray(sup.column("s_name").to_pylist(), dtype=object)[sorder],
-        sup.column("s_acctbal").to_numpy()[sorder]))
+    pks, pn, sks = pk[order], pname[order], sk[sorder]
+    snm = np.asarray(sup.column("s_name").to_pylist(), dtype=object)[sorder]
+    bal = sup.column("s_acctbal").to_numpy()[sorder]
 
     li = scan(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
 
     def pair_partial(b: pa.Table) -> pa.Table:
-        pks, _, _, _, _ = ray.get(lookup_ref)
         keep = np.isin(b.column("l_partkey").to_numpy(), pks)
         sub = b.filter(pa.array(keep))
         g = sub.group_by(["l_partkey", "l_suppkey"]).aggregate([])
@@ -605,7 +595,6 @@ def min_balance_supplier(sf_dir: str):
         })
 
     def bucket_argmax(g: pa.Table) -> pa.Table:
-        pks, pn, sks, snm, bal = ray.get(lookup_ref)
         f = g.group_by(["l_partkey", "l_suppkey"]).aggregate([])
         pkv = f.column("l_partkey").to_numpy()
         skv = f.column("l_suppkey").to_numpy()

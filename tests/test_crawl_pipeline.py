@@ -269,15 +269,16 @@ def test_table_accessor_guard_routes_big_results_to_dataset(
 def test_crawl_executions_are_map_chains_over_cut_frontier_blocks(
     ray_session, tmp_path, monkeypatch
 ):
-    """A seed-list round runs ONE Ray Data execution, its critical path,
-    and its background lanes as plain tasks. No crawl execution holds an
-    all-to-all operator (no repartition barrier before the fetch), every
-    frontier block the fetch reads holds at most ``fetch_batch_size``
-    rows — round 0's 40-row seeds included, since on 4 CPUs no seed's or
-    shard's share of the ``BLOCKS_PER_CPU × CPUs`` blocks reaches one
-    batch — every execution runs with the crawl's block-size bound, no
-    harvest task gets more than ``fetch_batch_size`` image rows, and
-    each round commits its harvest parts once."""
+    """A round runs ONE Ray Data execution, its critical path, and its
+    background lanes as plain tasks, whether round 0's frontier comes
+    from seed discovery or from a links file. No crawl execution holds
+    an all-to-all operator (no repartition barrier before the fetch),
+    every frontier block the fetch reads holds at most
+    ``fetch_batch_size`` rows — round 0's 40-row seeds included, since
+    on 4 CPUs no seed's or shard's share of the ``BLOCKS_PER_CPU × CPUs``
+    blocks reaches one batch — every execution runs with the crawl's
+    block-size bound, no harvest task gets more than ``fetch_batch_size``
+    image rows, and each round commits its harvest parts once."""
     import os
     import uuid
 
@@ -295,75 +296,96 @@ def test_crawl_executions_are_map_chains_over_cut_frontier_blocks(
         for dep in op.input_dependencies:
             yield from ops(dep)
 
+    # the recorders write into the current run's record
+    run = {}
+
     # every execution, materialized or streamed, starts one executor
-    executions = []
     real_create = ExecutionPlan.create_executor
 
     def recording_create(self, *args, **kwargs):
-        executions.append((list(ops(self._logical_plan.dag)),
-                           self._context.target_max_block_size))
+        run["executions"].append((list(ops(self._logical_plan.dag)),
+                                  self._context.target_max_block_size))
         return real_create(self, *args, **kwargs)
 
     # the harvest tasks run in workers: each leaves its row count in a file
-    decoded = tmp_path / "decoded"
-    decoded.mkdir()
     real_decode = crawl.harvest_decode_batch
 
-    def recording_decode(batch):
+    def recording_decode(batch, decoded=tmp_path / "decoded"):
         (decoded / uuid.uuid4().hex).write_text(str(batch.num_rows))
         return real_decode(batch)
 
-    commits = []
     real_commit = crawl.commit_harvest
 
     def recording_commit(uri, parts, schema):
-        commits.append((uri, len(parts)))
+        run["commits"].append((uri, len(parts)))
         return real_commit(uri, parts, schema)
 
-    monkeypatch.setattr(ExecutionPlan, "create_executor", recording_create)
-    monkeypatch.setattr(crawl, "harvest_decode_batch", recording_decode)
-    monkeypatch.setattr(crawl, "commit_harvest", recording_commit)
     batch = 16
-    cfg = CrawlConfig(
+    base = dict(
         world=WorldConfig(n_domains=2, pages_per_domain=40, images_per_page=1),
         default_rate=1e5, adaptive_throttling=False, retry_delay=0.05,
         fetch_batch_size=batch, n_seen_shards=4, n_politeness_shards=2,
         max_depth=1)
-    res = crawl.run_crawl(cfg, str(tmp_path / "cut"))
-    monkeypatch.undo()
+    # a links file of every sitemap page: round 1 follows their links to
+    # the deep pages
+    links = tmp_path / "links.txt"
+    links.write_text("".join(f"https://site{d}.test/page/{i}\n"
+                             for d in range(2) for i in range(40)))
+    results = {}
+    for name, cfg in (("seeds", CrawlConfig(**base)),
+                      ("links", CrawlConfig(**base,
+                                            links_file=str(links)))):
+        decoded = tmp_path / "decoded"
+        shutil.rmtree(decoded, ignore_errors=True)
+        decoded.mkdir()
+        run.update(executions=[], commits=[])
+        monkeypatch.setattr(ExecutionPlan, "create_executor",
+                            recording_create)
+        monkeypatch.setattr(crawl, "harvest_decode_batch", recording_decode)
+        monkeypatch.setattr(crawl, "commit_harvest", recording_commit)
+        res = results[name] = crawl.run_crawl(cfg, str(tmp_path / name))
+        monkeypatch.undo()
 
-    rounds = [res.metrics[f"round_{r}"] for r in sorted(res.rounds)]
-    assert len(executions) == sum(1 for m in rounds if m["n_frontier"]) == 2
-    for plan_ops, bound in executions:
-        assert not [op for op in plan_ops if isinstance(op, AbstractAllToAll)]
-        assert bound == batch * crawl.ROW_BYTES_BOUND
+        rounds = [res.metrics[f"round_{r}"] for r in sorted(res.rounds)]
+        executions = run["executions"]
+        n_frontier = [m["n_frontier"] for m in rounds if m["n_frontier"]]
+        assert len(executions) == len(n_frontier) == 2, name
+        for plan_ops, bound in executions:
+            assert not [op for op in plan_ops
+                        if isinstance(op, AbstractAllToAll)]
+            assert bound == batch * crawl.ROW_BYTES_BOUND
 
-    fetch_inputs = [
-        [m.num_rows for bundle in plan_ops[-1].input_data
-         for m in bundle.metadata]
-        for plan_ops, _ in executions
-        if any(isinstance(getattr(op, "_fn", None), AttachClaims)
-               for op in plan_ops)]
-    n_frontier = [res.metrics[f"round_{r}"]["n_frontier"] for r in (0, 1)]
-    assert all(n > 2 * batch for n in n_frontier)
-    assert len(fetch_inputs) == 2
-    for rows, n in zip(fetch_inputs, n_frontier):
-        assert max(rows) <= batch
-        assert sum(rows) == n
+        fetch_inputs = [
+            [m.num_rows for bundle in plan_ops[-1].input_data
+             for m in bundle.metadata]
+            for plan_ops, _ in executions
+            if any(isinstance(getattr(op, "_fn", None), AttachClaims)
+                   for op in plan_ops)]
+        assert all(n > 2 * batch for n in n_frontier), name
+        assert len(fetch_inputs) == 2
+        for rows, n in zip(fetch_inputs, n_frontier):
+            assert max(rows) <= batch
+            assert sum(rows) == n
 
-    harvest_inputs = [int(f.read_text()) for f in decoded.iterdir()]
-    n_images = sum(m["image_frontier"] for m in rounds)
-    assert n_images > 2 * batch
-    assert sum(harvest_inputs) == n_images
-    assert max(harvest_inputs) <= batch
-    # one commit per round, of one part per harvest task
-    assert sorted(uri for uri, _ in commits) == [
-        os.path.join(res.out_dir, "rounds", f"round={r:04d}", "harvest")
-        for r in (0, 1)]
-    assert sum(n for _, n in commits) == len(harvest_inputs)
+        harvest_inputs = [int(f.read_text()) for f in decoded.iterdir()]
+        n_images = sum(m["image_frontier"] for m in rounds)
+        assert n_images > 2 * batch
+        assert sum(harvest_inputs) == n_images
+        assert max(harvest_inputs) <= batch
+        # one commit per round, of one part per harvest task
+        assert sorted(uri for uri, _ in run["commits"]) == [
+            os.path.join(res.out_dir, "rounds", f"round={r:04d}", "harvest")
+            for r in (0, 1)]
+        assert sum(n for _, n in run["commits"]) == len(harvest_inputs)
 
-    oracle = run_oracle(cfg)
-    ft = res.table("frontier")
+    # the links-file crawl's first round is exactly that file's pages
+    ft = results["links"].table("frontier")
+    assert sorted(u for u, d in zip(ft.column("url").to_pylist(),
+                                    ft.column("depth").to_pylist())
+                  if d == 0) == sorted(links.read_text().split())
+
+    oracle = run_oracle(CrawlConfig(**base))
+    ft = results["seeds"].table("frontier")
     assert sorted(zip(ft.column("depth").to_pylist(),
                       ft.column("seed_rank").to_pylist(),
                       ft.column("url").to_pylist())) == sorted(oracle.order)

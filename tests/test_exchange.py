@@ -465,3 +465,46 @@ def test_every_table_read_goes_through_scan():
     root = (pathlib.Path(__file__).resolve().parents[1] / "ragnificent_ray"
             / "pipelines")
     assert table_reads(root) == []
+
+
+# --- a broadcast value rides in the map's closure ----------------------
+
+_ACTOR_POOL_KEYWORDS = {"fn_constructor_kwargs", "concurrency"}
+
+
+def actor_pool_maps(root: pathlib.Path) -> list[str]:
+    """``file:line`` of every ``map_batches`` call under ``root`` that
+    passes ``fn_constructor_kwargs=`` or ``concurrency=``, except on
+    ``HashEmbedder`` and in ``yaml_pipeline.py`` (its sink's pool size
+    is configured)."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "yaml_pipeline.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_batches"
+                    and not (node.args and getattr(node.args[0], "id", None)
+                             == "HashEmbedder")
+                    and any(k.arg in _ACTOR_POOL_KEYWORDS
+                            for k in node.keywords)):
+                found.append(f"{path}:{node.lineno}")
+    return found
+
+
+def test_query_maps_run_as_tasks(tmp_path):
+    """A stateless per-batch map is a plain task function that captures
+    its broadcast value in its closure (Ray Data puts a map's function in
+    the object store once per execution); only the stateful embedder
+    and the configured vector sink run as actor pools."""
+    (tmp_path / "q.py").write_text(
+        "ds.map_batches(Probe, fn_constructor_kwargs={'ref': r})\n"
+        "ds.map_batches(probe, batch_size=8, concurrency=2)\n"
+        "ds.map_batches(HashEmbedder, fn_constructor_kwargs={}, "
+        "concurrency=2)\n")
+    assert actor_pool_maps(tmp_path) == [f"{tmp_path}/q.py:1",
+                                         f"{tmp_path}/q.py:2"]
+    root = (pathlib.Path(__file__).resolve().parents[1] / "ragnificent_ray"
+            / "pipelines")
+    assert actor_pool_maps(root) == []

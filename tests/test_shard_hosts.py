@@ -296,9 +296,11 @@ def test_release_keeps_one_idle_set_per_key(ray_session, monkeypatch):
     assert set(a_pids).isdisjoint(_pids(b_hosts))
     a.release(reuse=True)
     b.release(reuse=True)  # the slot is taken: the surplus set is killed
-    _assert_dead(b_hosts)
+    # release pools synchronously; read the pool before the wait below
+    # can outlast the idle grace
     with shard_hosts._LOCK:
         assert _pids(shard_hosts._IDLE[key][0]) == a_pids
+    _assert_dead(b_hosts)
     time.sleep(1.5)  # past the idle grace: the pooled set is killed too
     with shard_hosts._LOCK:
         assert key not in shard_hosts._IDLE

@@ -191,10 +191,13 @@ def test_filename_from_url_reference_semantics():
     assert filename_from_url("https://e.test/doc.md", "markdown") == "doc.md"
 
 
-def test_export_rendered_and_chunks(tmp_path):
+def test_export_rendered_and_chunks(ray_session, tmp_path):
+    """Both exports, from an Arrow table and streamed from a Dataset (the
+    sink instance as a plain task map)."""
     import json
 
     import pyarrow as pa
+    import ray.data as rd
 
     from ragnificent_ray.io.files import (
         export_chunks,
@@ -206,24 +209,25 @@ def test_export_rendered_and_chunks(tmp_path):
         "fmt": pa.array(["markdown", "json"]),
         "content": pa.array(["# P1", '{"t": 2}']),
     })
-    out = tmp_path / "files"
-    n = export_rendered_files(rendered, str(out))
-    assert n == 2
-    assert (out / "p_1.md").read_text() == "# P1"
-    assert (out / "p_2.json").read_text() == '{"t": 2}'
-
     chunks = pa.table({
         "id": pa.array(["c1", "c2"]),
         "content": pa.array(["x", "y"]),
     })
-    cdir = tmp_path / "chunks_json"
-    assert export_chunks(chunks, str(cdir), fmt="json") == 2
-    assert json.loads((cdir / "c1.json").read_text())["content"] == "x"
-    jdir = tmp_path / "chunks_jsonl"
-    assert export_chunks(chunks, str(jdir), fmt="jsonl") == 1
-    lines = [json.loads(line) for p in jdir.glob("chunks-*.jsonl")
-             for line in p.read_text().splitlines()]
-    assert {r["id"] for r in lines} == {"c1", "c2"}
+    for form, wrap in (("table", lambda t: t), ("dataset", rd.from_arrow)):
+        out = tmp_path / form / "files"
+        n = export_rendered_files(wrap(rendered), str(out))
+        assert n == 2
+        assert (out / "p_1.md").read_text() == "# P1"
+        assert (out / "p_2.json").read_text() == '{"t": 2}'
+
+        cdir = tmp_path / form / "chunks_json"
+        assert export_chunks(wrap(chunks), str(cdir), fmt="json") == 2
+        assert json.loads((cdir / "c1.json").read_text())["content"] == "x"
+        jdir = tmp_path / form / "chunks_jsonl"
+        assert export_chunks(wrap(chunks), str(jdir), fmt="jsonl") == 1
+        lines = [json.loads(line) for p in jdir.glob("chunks-*.jsonl")
+                 for line in p.read_text().splitlines()]
+        assert {r["id"] for r in lines} == {"c1", "c2"}
 
 
 def test_search_result_cache_semantics():
